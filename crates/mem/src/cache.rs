@@ -85,6 +85,12 @@ pub struct EvictedLine<S> {
 /// which lines are victims (`insert` evicts LRU) and what to do with
 /// evicted state.
 ///
+/// The set table is allocated at the first insert, not in
+/// [`Cache::new`]: one Table-2 machine has 5,120 sets across its L1s and
+/// L2 banks, while a conformance job touches a few lines in a few of
+/// them, so building and dropping the whole table per job would dominate
+/// its cost. Until then every read-side call takes the miss path.
+///
 /// ```
 /// use hsim_mem::{Cache, CacheParams, LineAddr};
 ///
@@ -106,10 +112,10 @@ pub struct Cache<S> {
 type Va<S> = Vec<Way<S>>;
 
 impl<S: Clone + Debug> Cache<S> {
-    /// Create an empty cache.
+    /// Create an empty cache. Allocates nothing: the set table is built
+    /// by the first insert (see [`Cache`]).
     pub fn new(params: CacheParams) -> Cache<S> {
-        let sets = (0..params.sets).map(|_| Vec::new()).collect();
-        Cache { params, sets, clock: 0, stats: CacheStats::default() }
+        Cache { params, sets: Vec::new(), clock: 0, stats: CacheStats::default() }
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
@@ -121,7 +127,7 @@ impl<S: Clone + Debug> Cache<S> {
         self.clock += 1;
         let clock = self.clock;
         let set = self.set_of(line);
-        let found = self.sets[set].iter_mut().find(|w| w.tag == line);
+        let found = self.sets.get_mut(set).and_then(|ways| ways.iter_mut().find(|w| w.tag == line));
         match found {
             Some(w) => {
                 w.lru = clock;
@@ -138,7 +144,7 @@ impl<S: Clone + Debug> Cache<S> {
     /// Peek without touching LRU or statistics.
     pub fn peek(&self, line: LineAddr) -> Option<&S> {
         let set = self.set_of(line);
-        self.sets[set].iter().find(|w| w.tag == line).map(|w| &w.state)
+        self.sets.get(set)?.iter().find(|w| w.tag == line).map(|w| &w.state)
     }
 
     /// Insert (or overwrite) a line, evicting LRU if the set is full.
@@ -154,6 +160,9 @@ impl<S: Clone + Debug> Cache<S> {
         self.clock += 1;
         let clock = self.clock;
         let set = self.set_of(line);
+        if self.sets.is_empty() {
+            self.sets.resize_with(self.params.sets, Vec::new);
+        }
         if let Some(w) = self.sets[set].iter_mut().find(|w| w.tag == line) {
             w.state = state;
             w.lru = clock;
@@ -193,8 +202,9 @@ impl<S: Clone + Debug> Cache<S> {
     /// Remove a specific line, returning its state.
     pub fn remove(&mut self, line: LineAddr) -> Option<S> {
         let set = self.set_of(line);
-        let i = self.sets[set].iter().position(|w| w.tag == line)?;
-        Some(self.sets[set].remove(i).state)
+        let ways = self.sets.get_mut(set)?;
+        let i = ways.iter().position(|w| w.tag == line)?;
+        Some(ways.remove(i).state)
     }
 
     /// Invalidate every line for which `victim` returns true (flash /
@@ -264,6 +274,37 @@ mod tests {
         let mut c = tiny();
         assert_eq!(c.lookup(LineAddr(4)), None);
         assert_eq!(c.stats().misses, 1);
+    }
+
+    #[test]
+    fn untouched_cache_reads_as_empty() {
+        let mut c = tiny();
+        assert_eq!(c.lookup(LineAddr(4)), None);
+        assert_eq!(c.stats().misses, 1);
+        assert_eq!(c.peek(LineAddr(4)), None);
+        assert_eq!(c.remove(LineAddr(4)), None);
+        assert_eq!(c.invalidate_where(|_, _| true), 0);
+        assert_eq!(c.stats().invalidations, 0);
+        assert_eq!(c.len(), 0);
+        assert!(c.is_empty());
+        assert_eq!(c.iter().count(), 0);
+
+        // The first insert builds the table; replacement then behaves as
+        // in `lru_eviction_order` and `pinned_lines_survive`.
+        c.insert(LineAddr(0), 0);
+        c.insert(LineAddr(2), 2);
+        c.lookup(LineAddr(0));
+        let ev = c.insert(LineAddr(4), 4).expect("eviction");
+        assert_eq!(ev.line, LineAddr(2));
+        assert!(c.peek(LineAddr(0)).is_some());
+
+        let mut c = tiny();
+        assert_eq!(c.lookup(LineAddr(0)), None);
+        c.insert(LineAddr(0), 9);
+        c.insert(LineAddr(2), 1);
+        let ev = c.insert_with_pin(LineAddr(4), 5, |s| *s == 9).expect("eviction");
+        assert_eq!(ev.line, LineAddr(2), "unpinned line must be the victim");
+        assert!(c.peek(LineAddr(0)).is_some());
     }
 
     #[test]
