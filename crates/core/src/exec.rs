@@ -117,7 +117,9 @@ impl WriteFn {
 /// A dynamic memory event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
-    /// Dense event id, indexing the execution's relations.
+    /// Dense event id, indexing the execution's relations. Ids are
+    /// assigned in the order events are performed, so they follow the
+    /// SC total order `T` (see [`Execution::order`]).
     pub id: usize,
     /// Issuing thread.
     pub tid: usize,
@@ -154,7 +156,12 @@ pub struct ExecResult {
 pub struct Execution {
     /// Dynamic events, indexed by id.
     pub events: Vec<Event>,
-    /// Event ids in SC total order `T`.
+    /// Event ids in SC total order `T`. An event's id is its position
+    /// in `T` (`order[i] == i`): the enumerator assigns `id =
+    /// events.len()` when it performs the event. Every `po`, `so1` and
+    /// barrier edge therefore points from a lower id to a higher one,
+    /// which the race analysis ([`crate::races`]) relies on to close
+    /// `hb1` in a single backward pass.
     pub order: Vec<usize>,
     /// Final memory + registers.
     pub result: ExecResult,
@@ -208,11 +215,8 @@ impl Execution {
     /// its thread (dependency into a later access, or an explicit
     /// observe marker)?
     pub fn value_observed(&self, e: usize) -> bool {
-        if self.observed[e] {
-            return true;
-        }
-        let n = self.events.len();
-        (0..n).any(|j| self.data_dep.contains(e, j) || self.addr_dep.contains(e, j))
+        let nonempty = |r: &Relation| r.row(e).iter().any(|&w| w != 0);
+        self.observed[e] || nonempty(&self.data_dep) || nonempty(&self.addr_dep)
     }
 
     /// The communication relation `rf | fr | co`.
@@ -2725,6 +2729,44 @@ mod tests {
                 crate::races::analyze(e).is_race_free(),
                 "conditional MP must be race-free in every SC execution"
             );
+        }
+    }
+
+    /// Event ids follow the SC total order `T` (`order[i] == i`), so
+    /// `po` and the barrier cuts only ever point forward — the race
+    /// analysis closes `hb1` in one backward pass on that basis. Checked
+    /// on every execution of the `.litmus` corpus, plain and
+    /// quantum-transformed.
+    #[test]
+    fn event_ids_follow_the_sc_order_over_the_corpus() {
+        struct Forward(usize);
+        impl ExecutionVisitor for Forward {
+            fn visit(&mut self, e: &Execution) -> bool {
+                let n = e.len();
+                assert!(e.order.iter().enumerate().all(|(t, &id)| t == id), "order {:?}", e.order);
+                assert!(e.events.iter().enumerate().all(|(i, ev)| ev.id == i));
+                assert!(e.po.iter_pairs().all(|(a, b)| a < b), "backward po edge");
+                assert!(e.barrier_cuts.windows(2).all(|w| w[0] <= w[1]));
+                assert!(e.barrier_cuts.iter().all(|&c| c <= n));
+                self.0 += 1;
+                true
+            }
+        }
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../litmus-tests");
+        let mut files: Vec<_> =
+            std::fs::read_dir(dir).unwrap().map(|f| f.unwrap().path()).collect();
+        files.sort();
+        assert!(!files.is_empty());
+        for path in files {
+            let src = std::fs::read_to_string(&path).unwrap();
+            let p = crate::parse::parse(&src).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+            let quantum_modes: &[bool] =
+                if crate::quantum::has_quantum(&p) { &[false, true] } else { &[false] };
+            for &quantum in quantum_modes {
+                let mut v = Forward(0);
+                visit_sc(&p, &limits(), quantum, Reduction::SleepSetMemo, &mut v).unwrap();
+                assert!(v.0 > 0, "{path:?}");
+            }
         }
     }
 

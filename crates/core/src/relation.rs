@@ -9,10 +9,12 @@
 //! executions (tens of events).
 //!
 //! Rows are packed into `u64` words, so the set operations, sequential
-//! composition and the O(n³) transitive closure all work on 64 event
-//! pairs per instruction — the closure in particular is row-OR
-//! Floyd–Warshall, which is what makes running the race detectors over
-//! millions of enumerated executions affordable.
+//! composition and the O(n³) row-OR Floyd–Warshall closure all work on
+//! 64 event pairs per instruction. The race detector in
+//! [`crate::races`] does not use the general combinators on its hot
+//! path: it fills rows directly through crate-internal row access and
+//! closes `hb1` with `Relation::close_forward`, a single backward
+//! pass that relies on every edge pointing forward in event-id order.
 
 use std::fmt;
 
@@ -367,6 +369,53 @@ impl Relation {
         r
     }
 
+    /// Row `a`'s packed words (`ceil(n / 64)` of them).
+    pub(crate) fn row(&self, a: usize) -> &[u64] {
+        &self.words.as_slice()[a * self.stride..(a + 1) * self.stride]
+    }
+
+    /// Row `a`'s packed words, mutably. Callers keep the tail bits
+    /// beyond `n` zero.
+    pub(crate) fn row_mut(&mut self, a: usize) -> &mut [u64] {
+        let stride = self.stride;
+        &mut self.words.as_mut()[a * stride..(a + 1) * stride]
+    }
+
+    /// Transitive closure in place of a relation whose pairs all point
+    /// forward (`a < b`), so ids are already a topological order: one
+    /// backward pass ORs each successor's finished row into its
+    /// predecessor's, 64 pairs per word operation.
+    pub(crate) fn close_forward(&mut self) {
+        let stride = self.stride;
+        let words = self.words.as_mut();
+        for a in (0..self.n).rev() {
+            let (head, closed) = words.split_at_mut((a + 1) * stride);
+            let row = &mut head[a * stride..];
+            for wi in 0..stride {
+                for b in (BitIter { word: row[wi], base: wi * WORD }) {
+                    debug_assert!(b > a, "close_forward on a backward pair ({a}, {b})");
+                    let src = &closed[(b - a - 1) * stride..(b - a) * stride];
+                    row.iter_mut().zip(src).for_each(|(d, &s)| *d |= s);
+                }
+            }
+        }
+    }
+
+    /// Add the inverse of every pair of a relation whose pairs all
+    /// point forward (`a < b`), making it symmetric. Rows are visited
+    /// from the last, so each still holds only its own forward pairs
+    /// when it is read.
+    pub(crate) fn mirror_forward(&mut self) {
+        for a in (0..self.n).rev() {
+            for wi in 0..self.stride {
+                for b in (BitIter { word: self.row(a)[wi], base: wi * WORD }) {
+                    debug_assert!(b > a, "mirror_forward on a backward pair ({a}, {b})");
+                    self.insert(b, a);
+                }
+            }
+        }
+    }
+
     /// Keep only pairs `(a, b)` where `pred(a, b)`.
     pub fn filter(&self, pred: impl Fn(usize, usize) -> bool) -> Relation {
         let mut out = Relation::empty(self.n);
@@ -565,6 +614,37 @@ mod tests {
                 }
             }
             assert_eq!(a.pairs().len(), a.len());
+        }
+    }
+
+    /// The forward-only closure and mirror agree with the general
+    /// Floyd–Warshall closure and `union(inverse)` on random forward
+    /// relations, across word boundaries.
+    #[test]
+    fn forward_closure_and_mirror_match_the_general_operations() {
+        let mut state = 0x0bad_cafe_f00d_1234u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for n in [0usize, 1, 7, 63, 64, 65, 130] {
+            let mut a = Relation::empty(n);
+            for x in 0..n {
+                for y in x + 1..n {
+                    if next() % 100 < 8 {
+                        a.insert(x, y);
+                    }
+                }
+            }
+            let mut closed = a.clone();
+            closed.close_forward();
+            assert_eq!(closed, a.transitive_closure(), "closure n={n}");
+            let mut mirrored = a.clone();
+            mirrored.mirror_forward();
+            assert_eq!(mirrored, a.union(&a.inverse()), "mirror n={n}");
         }
     }
 
