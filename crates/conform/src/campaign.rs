@@ -17,17 +17,11 @@ use crate::fuzz::generate;
 use crate::harness::{
     check_conformance_resilient, ConformOptions, ConformReport, ConformResilience,
 };
-use drfrlx_core::resilience::{EngineId, ExhaustReason, Fault, RunStatus};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use drfrlx_core::resilience::{EngineId, ExhaustReason, Pool, RunStatus};
 
 /// Oracle `max_executions` multipliers tried per program, in order.
 /// A program is skipped only after the whole ladder is exhausted.
 pub const BUDGET_LADDER: [usize; 3] = [1, 4, 16];
-
-/// How long an injected stall waits for cancellation before the
-/// ladder rung fails on its own.
-const STALL_FALLBACK: Duration = Duration::from_millis(25);
 
 /// Checkpointable progress of a fuzz campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,10 +70,10 @@ enum Ladder {
 
 /// Run (or resume) a fuzz campaign, mutating `state` as it goes.
 ///
-/// Every program runs under `catch_unwind` with the oracle budget
-/// ladder; `res.fault_plan` injects faults per
-/// `(EngineId::Conform, program index, ladder rung)` on top of
-/// whatever it injects into the inner simulation sweeps. A tripped
+/// Every program climbs the oracle budget ladder, each rung one
+/// [`Pool::attempt`] (panics caught there); `res.fault_plan` injects
+/// faults per `(EngineId::Conform, program index, ladder rung)` on
+/// top of whatever it injects into the inner simulation sweeps. A tripped
 /// `res.budget` (deadline or cancellation) stops the campaign between
 /// programs and returns `Inconclusive` whose frontier holds the
 /// resume index — `state` is then a valid checkpoint.
@@ -126,33 +120,17 @@ fn run_ladder(seed: u64, index: u64, opts: &ConformOptions, res: &ConformResilie
     if p.threads().is_empty() {
         return Ladder::Skipped;
     }
+    let pool = Pool::new(EngineId::Conform, 1)
+        .budget(res.budget.as_deref())
+        .faults(res.fault_plan.as_ref());
     for (rung, mult) in BUDGET_LADDER.iter().enumerate() {
-        let fault = res
-            .fault_plan
-            .as_ref()
-            .and_then(|pl| pl.fault_for(EngineId::Conform, index as usize, rung));
-        match fault {
-            Some(Fault::Stall) => {
-                let cap = Instant::now() + STALL_FALLBACK;
-                while !res.budget.as_deref().is_some_and(drfrlx_core::Budget::cancelled)
-                    && Instant::now() < cap
-                {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                continue;
-            }
-            Some(Fault::Exhaust) => continue,
-            _ => {}
-        }
         let mut rung_opts = opts.clone();
         rung_opts.limits.max_executions = opts.limits.max_executions.saturating_mul(*mult);
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            if matches!(fault, Some(Fault::Panic)) {
-                panic!("injected fault: conform program {index} rung {rung}");
-            }
-            check_conformance_resilient(&p, &rung_opts, res)
-        }));
-        let Ok(out) = out else { continue };
+        let Ok(out) =
+            pool.attempt(index as usize, rung, || check_conformance_resilient(&p, &rung_opts, res))
+        else {
+            continue;
+        };
         if let RunStatus::Inconclusive {
             reason: reason @ (ExhaustReason::Deadline | ExhaustReason::Cancelled),
             ..

@@ -16,7 +16,7 @@
 //!   that the schedule family is too tame to exercise the program.
 //!
 //! Everything here is deterministic: jobs are laid out config-major ×
-//! schedule-minor, `run_matrix` returns reports in job order
+//! schedule-minor, the sweep pool returns reports in job order
 //! regardless of worker count, outcome sets are `BTreeSet`s, and the
 //! oracle's shard set depends only on the program.
 
@@ -25,10 +25,10 @@ use crate::outcome::{allowed_outcomes, Outcome};
 use crate::schedule::schedule_params;
 use drfrlx_core::exec::{EnumError, EnumLimits, EnumStats};
 use drfrlx_core::program::Program;
-use drfrlx_core::resilience::{Budget, FaultPlan, RunStatus};
+use drfrlx_core::resilience::{require_complete, LostPanic, RunStatus};
 use drfrlx_core::{MemoryModel, SystemConfig};
 use drfrlx_litmus::{all_tests, Category};
-use hsim_sys::{run_matrix, run_matrix_resilient, MatrixResilience, RunReport, SimJob, SysParams};
+use hsim_sys::{run_matrix_resilient, MatrixResilience, RunReport, SimJob, SysParams};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -220,7 +220,9 @@ fn fold_report<'a>(
     Ok(ConformReport { name: shape.program.name().to_string(), allowed, oracle_stats, verdicts })
 }
 
-/// Run the full conformance loop for one program.
+/// Run the full conformance loop for one program:
+/// [`check_conformance_resilient`] with no resilience options, for
+/// callers that want a report or an error.
 ///
 /// # Errors
 ///
@@ -230,29 +232,20 @@ fn fold_report<'a>(
 ///
 /// # Panics
 ///
-/// Panics if the program has no threads.
+/// Panics if the program has no threads, and re-raises the panic of
+/// the lowest simulation job that panicked on its try and its retry.
 pub fn check_conformance(p: &Program, opts: &ConformOptions) -> Result<ConformReport, EnumError> {
-    let shape = compile(p);
-    let jobs = conform_jobs(&shape, opts);
-    let reports = run_matrix(&jobs, opts.threads);
-    report_from_runs(&shape, opts, &reports)
+    let (out, lost_panic) = conform(p, opts, &ConformResilience::default());
+    require_complete(out.status, lost_panic)?;
+    Ok(out.report.expect("a complete run has an allowed set"))
 }
 
-/// Resilience controls for a conformance run. The default — no
-/// budget, no fault plan — behaves like [`check_conformance`] except
-/// that a panicking simulation job degrades the run instead of
-/// aborting it.
-#[derive(Clone, Default)]
-pub struct ConformResilience {
-    /// Shared resource budget. Applied to the simulation matrix at
-    /// job-claim granularity and (unless `opts.limits.budget` already
-    /// carries one) to the axiomatic oracle's enumerator.
-    pub budget: Option<Arc<Budget>>,
-    /// Deterministic fault injection (chaos testing only). Simulation
-    /// jobs are faulted under `EngineId::Sweep`, fuzz-campaign
-    /// iterations under `EngineId::Conform`.
-    pub fault_plan: Option<FaultPlan>,
-}
+/// Resilience controls for a conformance run: the sweep's. The
+/// budget also reaches the axiomatic oracle's enumerator (unless
+/// `opts.limits.budget` already carries one); the fault plan faults
+/// simulation jobs under `EngineId::Sweep` and fuzz-campaign rungs
+/// under `EngineId::Conform`.
+pub type ConformResilience = MatrixResilience;
 
 /// The outcome of a resilient conformance run.
 #[derive(Clone)]
@@ -269,8 +262,8 @@ pub struct ConformOutcome {
 }
 
 /// [`check_conformance`], resilient: the simulation matrix runs
-/// through [`run_matrix_resilient`] (per-job `catch_unwind` + one
-/// retry, budget polled between job claims, deterministic fault
+/// through [`run_matrix_resilient`] (per-job panic isolation + one
+/// retry, budget polled before every job attempt, deterministic fault
 /// injection), and an oracle enumeration failure becomes a structured
 /// `Inconclusive` status instead of an `Err`. Never panics.
 ///
@@ -287,25 +280,32 @@ pub fn check_conformance_resilient(
     opts: &ConformOptions,
     res: &ConformResilience,
 ) -> ConformOutcome {
+    conform(p, opts, res).0
+}
+
+/// The one conformance body, plus the lowest lost job's panic for
+/// [`check_conformance`] to re-raise.
+fn conform(
+    p: &Program,
+    opts: &ConformOptions,
+    res: &ConformResilience,
+) -> (ConformOutcome, Option<LostPanic>) {
     let shape = compile(p);
     let jobs = conform_jobs(&shape, opts);
-    let matrix = run_matrix_resilient(
-        &jobs,
-        opts.threads,
-        &MatrixResilience { budget: res.budget.clone(), fault_plan: res.fault_plan },
-    );
+    let matrix = run_matrix_resilient(&jobs, opts.threads, res);
     let mut limits = opts.limits.clone();
     if limits.budget.is_none() {
         limits.budget = res.budget.clone();
     }
     let report_at = |i: usize| matrix.reports.get(i).and_then(Option::as_ref);
-    match fold_report(&shape, opts, &limits, &report_at) {
+    let out = match fold_report(&shape, opts, &limits, &report_at) {
         Ok(report) => ConformOutcome { report: Some(report), status: matrix.status },
         Err(e) => ConformOutcome {
             report: None,
             status: RunStatus::Inconclusive { reason: e.exhaust_reason(), frontier: Vec::new() },
         },
-    }
+    };
+    (out, matrix.lost_panic)
 }
 
 /// Is `p` *demonstrably* unsound under `opts` — i.e. did some
@@ -422,6 +422,7 @@ pub fn render_corpus(reports: &[ConformReport], opts: &ConformOptions) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drfrlx_core::resilience::FaultPlan;
     use drfrlx_core::OpClass;
 
     fn quick_opts() -> ConformOptions {

@@ -25,13 +25,13 @@
 
 use crate::classes::{MemoryModel, OpClass};
 use crate::exec::{
-    enumerate_sc, enumerate_sc_quantum, visit_sc_resilient, visit_sc_sharded, EnumError,
-    EnumLimits, EnumStats, Execution, ExecutionVisitor, Reduction, ResilienceOptions,
+    enumerate_sc, enumerate_sc_quantum, visit_sc_resilient, EnumError, EnumLimits, EnumStats,
+    Execution, ExecutionVisitor, Reduction, ResilienceOptions,
 };
 use crate::program::Program;
 use crate::quantum::has_quantum;
 use crate::races::{attainable_kinds, Race, RaceDetector, RaceKind};
-use crate::resilience::{FaultPlan, RunStatus};
+use crate::resilience::{require_complete, FaultPlan, LostPanic, RunStatus};
 use std::collections::BTreeSet;
 
 /// The verdict of a whole-program check.
@@ -229,58 +229,25 @@ impl ExecutionVisitor for RaceCollector<'_> {
 /// Check `p` against `model` on the streaming pipeline, with explicit
 /// options: sharded enumeration, partial-order reduction, parallel
 /// workers and early exit. The report is deterministic — identical at
-/// any `threads`.
+/// any `threads`. This is [`check_program_resilient`] with no
+/// resilience options, for callers that want a verdict or an error.
 ///
 /// # Errors
 ///
 /// Returns [`EnumError`] if enumeration exceeds the configured limits.
+///
+/// # Panics
+///
+/// Re-raises the original panic of a shard that panicked on both its
+/// try and its (reduction-backed-off) retry.
 pub fn check_program_with(
     p: &Program,
     model: MemoryModel,
     opts: &CheckOptions,
 ) -> Result<CheckReport, EnumError> {
-    let view = model_view(p, model);
-    let quantum = model == MemoryModel::Drfrlx && has_quantum(&view);
-    let attainable = attainable_kinds(&view);
-    // More workers than cores is pure oversubscription: the shards are
-    // CPU-bound and the report is worker-count-invariant, so extra
-    // threads can only add scheduling overhead.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let run = visit_sc_sharded(
-        &view,
-        &opts.limits,
-        quantum,
-        opts.reduction,
-        opts.threads.min(cores.max(1)),
-        &|| RaceCollector::new(&view, &attainable, opts.early_exit),
-        &|v: &RaceCollector| opts.early_exit && v.saturated(),
-    )?;
-    // Deterministic merge: shards in DFS-frontier order, races deduped
-    // by static key, execution indices offset by prior shards' work.
-    let mut keys: BTreeSet<RaceKey> = BTreeSet::new();
-    let mut races: Vec<FoundRace> = Vec::new();
-    let mut offset = 0;
-    for (v, stats) in run.shards {
-        for (key, mut f) in v.races {
-            if keys.insert(key) {
-                f.exec_index += offset;
-                races.push(f);
-            }
-        }
-        offset += stats.explored;
-    }
-    let verdict = if races.is_empty() { Verdict::RaceFree } else { Verdict::Racy };
-    Ok(CheckReport {
-        program: p.name().to_string(),
-        model,
-        executions: run.stats.explored,
-        pruned: run.stats.pruned,
-        memo_pruned: run.stats.memo_pruned,
-        table_peak: run.stats.table_peak,
-        quantum_transformed: quantum,
-        races,
-        verdict,
-    })
+    let (out, lost_panic) = check_shards(p, model, opts, &CheckResilience::default(), false);
+    require_complete(out.status, lost_panic)?;
+    Ok(out.report)
 }
 
 /// One completed shard of a resilient check — the unit of
@@ -341,11 +308,10 @@ impl CheckOutcome {
 
 /// [`check_program_with`], resilient: panic-isolated shards with one
 /// retry (backing off [`Reduction::SleepSetMemo`] to
-/// [`Reduction::SleepSet`]), cooperative budgets with a deadline
-/// watchdog, deterministic fault injection, and resume over a
-/// checkpoint's completed shards. Infallible — exhaustion comes back
-/// as [`RunStatus::Inconclusive`], lost shards as
-/// [`RunStatus::Degraded`], never an error or abort.
+/// [`Reduction::SleepSet`]), cooperative budgets, deterministic fault
+/// injection, and resume over a checkpoint's completed shards.
+/// Infallible — exhaustion comes back as [`RunStatus::Inconclusive`],
+/// lost shards as [`RunStatus::Degraded`], never an error or abort.
 ///
 /// Determinism: with the same program, options, fault plan and
 /// completed set, the merged report and status are identical at
@@ -359,9 +325,25 @@ pub fn check_program_resilient(
     opts: &CheckOptions,
     res: &CheckResilience,
 ) -> CheckOutcome {
+    check_shards(p, model, opts, res, true).0
+}
+
+/// The one checker body. `keep_shards` fills [`CheckOutcome::shards`]
+/// (the checkpoint payload); without it the merge moves each race into
+/// the report instead of cloning it, and `shards` comes back empty.
+fn check_shards(
+    p: &Program,
+    model: MemoryModel,
+    opts: &CheckOptions,
+    res: &CheckResilience,
+    keep_shards: bool,
+) -> (CheckOutcome, Option<LostPanic>) {
     let view = model_view(p, model);
     let quantum = model == MemoryModel::Drfrlx && has_quantum(&view);
     let attainable = attainable_kinds(&view);
+    // More workers than cores is pure oversubscription: the shards are
+    // CPU-bound and the report is worker-count-invariant, so extra
+    // threads can only add scheduling overhead.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let completed_cutoff = if opts.early_exit {
         res.completed.iter().filter(|r| r.saturated).map(|r| r.index).min()
@@ -384,7 +366,6 @@ pub fn check_program_resilient(
         &|v: &RaceCollector| opts.early_exit && v.saturated(),
         &ropts,
     );
-    let frontier_pruned = run.frontier_pruned;
     let mut shards: Vec<ShardRecord> = res.completed.clone();
     for (index, v, stats) in run.shards {
         let saturated = v.saturated();
@@ -396,18 +377,18 @@ pub fn check_program_resilient(
         });
     }
     shards.sort_by_key(|r| r.index);
-    // The same deterministic merge as the non-resilient path: shards
-    // in index order, races deduped by static key, execution indices
-    // offset by prior shards' work — so a resumed run reproduces the
-    // uninterrupted report exactly.
+    // Deterministic merge: shards in index order, races deduped by
+    // static key, execution indices offset by prior shards' work — so
+    // the report is identical at any thread count, and a resumed run
+    // reproduces the uninterrupted report exactly.
     let mut keys: BTreeSet<RaceKey> = BTreeSet::new();
     let mut races: Vec<FoundRace> = Vec::new();
     let mut offset = 0;
     let mut agg = EnumStats::default();
-    for r in &shards {
-        for f in &r.races {
+    for r in &mut shards {
+        let found = if keep_shards { r.races.clone() } else { std::mem::take(&mut r.races) };
+        for mut f in found {
             if keys.insert(f.key) {
-                let mut f = f.clone();
                 f.exec_index += offset;
                 races.push(f);
             }
@@ -415,9 +396,12 @@ pub fn check_program_resilient(
         offset += r.stats.explored;
         agg.absorb(r.stats);
     }
-    agg.pruned += frontier_pruned;
+    agg.pruned += run.frontier_pruned;
+    if !keep_shards {
+        shards.clear();
+    }
     let verdict = if races.is_empty() { Verdict::RaceFree } else { Verdict::Racy };
-    CheckOutcome {
+    let outcome = CheckOutcome {
         report: CheckReport {
             program: p.name().to_string(),
             model,
@@ -432,7 +416,8 @@ pub fn check_program_resilient(
         status: run.status,
         shards,
         total_shards: run.total_shards,
-    }
+    };
+    (outcome, run.lost_panic)
 }
 
 /// Check `p` against `model` with explicit limits on the default

@@ -17,12 +17,14 @@
 //!    pending steps commute when they touch different locations or are
 //!    both reads, so only one order of each commuting pair is explored;
 //!    skipped subtrees are counted in [`EnumStats::pruned`].
-//! 3. [`visit_sc_sharded`] — the top levels of the tree are split into
-//!    independent shard jobs run on a thread pool (same discipline as
-//!    `hsim_sys::run_matrix`: atomic job index, results merged in shard
-//!    order, serial fallback). The shard set is independent of the
+//! 3. [`visit_sc_resilient`] — the top levels of the tree are split
+//!    into independent shard jobs run on the shared
+//!    [`crate::resilience::Pool`] (atomic job index, one result slot
+//!    per shard, panic isolation with one retry, budget polls), and
+//!    results merge in shard order. The shard set is independent of the
 //!    thread count, so explored/pruned counts and visitor results are
-//!    byte-identical at any `--threads`.
+//!    byte-identical at any `--threads`. [`visit_sc_sharded`] is the
+//!    same run with default options, mapped back to a `Result`.
 //!
 //! [`enumerate_sc`] / [`enumerate_sc_quantum`] survive as collect()
 //! visitors over the exhaustive (unreduced) walk — the materializing
@@ -37,13 +39,13 @@
 use crate::classes::OpClass;
 use crate::program::{Expr, Instr, Loc, Program, Reg, Value};
 use crate::relation::Relation;
-use crate::resilience::{Budget, EngineId, ExhaustReason, Fault, FaultPlan, RunStatus};
+use crate::resilience::{
+    require_complete, Budget, EngineId, ExhaustReason, FaultPlan, LostPanic, Pool, RunStatus,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Kind of dynamic memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -266,7 +268,7 @@ pub enum EnumError {
     },
     /// The wall-clock deadline of [`EnumLimits::budget`] expired.
     DeadlineExpired,
-    /// The budget's cancel flag was set (by a watchdog or the caller).
+    /// The budget's cancel flag was set (by the caller).
     Cancelled,
     /// The enumeration's approximate memory high-water (undo journal
     /// plus memo table) passed the budget's cap.
@@ -485,33 +487,20 @@ fn shard_target(p: &Program) -> usize {
 /// Deepest frontier cut considered.
 const SHARD_MAX_DEPTH: usize = 6;
 
-/// Stream executions to per-shard visitors, in parallel.
-///
-/// A serial probe with the real visitor runs first under a
-/// [`PROBE_BUDGET`]-execution cap: small trees complete inside it and
-/// that run *is* the result (sharding a 6-interleaving litmus test
-/// costs more than enumerating it). Otherwise the top levels of the
-/// tree are cut into [`shard_target`]-ish independent jobs (state
-/// snapshot + sleep set), collected in DFS order. Workers claim jobs
-/// off an atomic index — the same pool discipline as
-/// `hsim_sys::run_matrix` — and results merge in shard order. Both the
-/// probe decision and the shard set depend only on the program and
-/// limits, so the outcome is independent of `threads` and of
-/// scheduling.
-///
-/// `make` creates one fresh visitor per shard; `saturated` inspects a
-/// finished shard's visitor and returns `true` when that shard alone
-/// proves the final answer can no longer change (e.g. every attainable
-/// race kind was found). The merged result is then shards
-/// `0..=cutoff`, where `cutoff` is the *smallest* saturating shard
-/// index — a deterministic rule: the running cutoff only decreases, so
-/// every shard at or below the final cutoff is always run and every
-/// shard above it is always discarded.
+/// Stream executions to per-shard visitors, in parallel:
+/// [`visit_sc_resilient`] with default options, for callers that want
+/// the full result or an error.
 ///
 /// # Errors
 ///
 /// Returns [`EnumError::TooManyExecutions`] when the executions
-/// explored across all shards (a shared counter) exceed the limit.
+/// explored across all shards (a shared counter) exceed the limit, and
+/// the matching error when [`EnumLimits::budget`] trips.
+///
+/// # Panics
+///
+/// Re-raises the original panic of the lowest shard that panicked on
+/// both its try and its retry.
 pub fn visit_sc_sharded<V: ExecutionVisitor + Send>(
     p: &Program,
     limits: &EnumLimits,
@@ -521,100 +510,14 @@ pub fn visit_sc_sharded<V: ExecutionVisitor + Send>(
     make: &(dyn Fn() -> V + Sync),
     saturated: &(dyn Fn(&V) -> bool + Sync),
 ) -> Result<ShardedRun<V>, EnumError> {
-    // Adaptive fast path: probe the tree serially with a tight budget.
-    let probe_budget = PROBE_BUDGET.min(limits.max_executions);
-    let probe_limits = EnumLimits {
-        max_executions: probe_budget,
-        quantum_domain: limits.quantum_domain.clone(),
-        budget: limits.budget.clone(),
-    };
-    let mut probe = make();
-    match visit_sc(p, &probe_limits, quantum, reduction, &mut probe) {
-        Ok(stats) => {
-            let early_exit = saturated(&probe);
-            return Ok(ShardedRun { shards: vec![(probe, stats)], stats, early_exit });
-        }
-        Err(e) => {
-            if probe_budget >= limits.max_executions {
-                // The probe already ran under the real budget — a
-                // genuine too-many-executions failure.
-                return Err(e);
-            }
-            // Tree bigger than the probe: shard it, with a fresh
-            // counter (probe work is discarded, not double-counted).
-            drop(probe);
-        }
-    }
-
-    let (shards, frontier_pruned) = collect_frontier(p, limits, quantum, reduction);
-    let counter = AtomicUsize::new(0);
-    let nshards = shards.len();
-    let threads = threads.clamp(1, nshards.max(1));
-
-    let mut merged: Vec<(V, EnumStats)> = Vec::new();
-    let mut early_exit = false;
-    if threads == 1 {
-        for shard in shards {
-            let mut v = make();
-            let stats = run_shard(p, limits, quantum, reduction, shard, &mut v, &counter)?;
-            let sat = saturated(&v);
-            merged.push((v, stats));
-            if sat {
-                early_exit = true;
-                break;
-            }
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let cutoff = AtomicUsize::new(usize::MAX);
-        type Slot<V> = Mutex<Option<Result<(V, EnumStats), EnumError>>>;
-        let slots: Vec<Slot<V>> = (0..nshards).map(|_| Mutex::new(None)).collect();
-        let shards = &shards;
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= nshards {
-                        break;
-                    }
-                    if j > cutoff.load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    let mut v = make();
-                    let r = run_shard(
-                        p,
-                        limits,
-                        quantum,
-                        reduction,
-                        shards[j].clone(),
-                        &mut v,
-                        &counter,
-                    );
-                    let r = r.map(|stats| {
-                        if saturated(&v) {
-                            cutoff.fetch_min(j, Ordering::Relaxed);
-                        }
-                        (v, stats)
-                    });
-                    *slots[j].lock().unwrap() = Some(r);
-                });
-            }
-        });
-        let cut = cutoff.load(Ordering::Relaxed);
-        early_exit = cut != usize::MAX;
-        for (j, slot) in slots.into_iter().enumerate() {
-            if j > cut {
-                break;
-            }
-            let r = slot.into_inner().unwrap().expect("shards at or below the cutoff always run");
-            merged.push(r?);
-        }
-    }
-    let mut stats = EnumStats { pruned: frontier_pruned, ..EnumStats::default() };
-    for (_, s) in &merged {
-        stats.absorb(*s);
-    }
-    Ok(ShardedRun { shards: merged, stats, early_exit })
+    let res = ResilienceOptions::default();
+    let run = visit_sc_resilient(p, limits, quantum, reduction, threads, make, saturated, &res);
+    require_complete(run.status, run.lost_panic)?;
+    Ok(ShardedRun {
+        shards: run.shards.into_iter().map(|(_, v, stats)| (v, stats)).collect(),
+        stats: run.stats,
+        early_exit: run.early_exit,
+    })
 }
 
 /// One frontier job: a search-state snapshot plus the sleep set it was
@@ -730,13 +633,6 @@ pub struct ResilienceOptions {
     pub completed_cutoff: Option<usize>,
 }
 
-impl ResilienceOptions {
-    /// Is this a resumed run (some shards already completed)?
-    fn resumed(&self) -> bool {
-        !self.completed.is_empty() || self.completed_cutoff.is_some()
-    }
-}
-
 /// Result of a resilient sharded enumeration ([`visit_sc_resilient`]).
 pub struct ResilientRun<V> {
     /// `(shard index, visitor, stats)` for every shard completed *by
@@ -759,52 +655,44 @@ pub struct ResilientRun<V> {
     /// Size of the deterministic shard plan (1 when the serial probe
     /// finished the whole tree).
     pub total_shards: usize,
+    /// The lowest lost shard's panic, re-raised by the callers that
+    /// take no resilience options.
+    pub(crate) lost_panic: Option<LostPanic>,
 }
 
-/// How one shard of a resilient run ended.
-enum ShardOut<V> {
-    /// Both the work and the saturation check finished.
-    Done(V, EnumStats),
-    /// Failed (panic or injected fault) on the first try *and* the
-    /// retry.
-    Lost,
-}
-
-/// How long an injected stall waits for the watchdog before giving up
-/// on its own — bounds chaos runs that have no deadline configured.
-/// Several watchdog poll periods, so a configured deadline is what
-/// normally ends the stall.
-const STALL_FALLBACK: Duration = Duration::from_millis(25);
-
-/// An injected [`Fault::Stall`]: hold the shard slot until the
-/// watchdog cancels the budget (or the fallback window elapses), then
-/// return so the attempt is classified as failed — the same
-/// classification either way, keeping reports deterministic.
-fn stall_until_cancelled(budget: Option<&Budget>) {
-    let cap = Instant::now() + STALL_FALLBACK;
-    while !budget.is_some_and(Budget::cancelled) && Instant::now() < cap {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// [`visit_sc_sharded`], resilient: panic isolation with one retry,
-/// cooperative budgets with a deadline watchdog, deterministic fault
-/// injection, and resume over a previous run's completed-shard set.
-/// Infallible — exhaustion and lost shards come back as
-/// [`RunStatus::Inconclusive`] / [`RunStatus::Degraded`] instead of
-/// errors or aborts.
+/// Stream executions to per-shard visitors, in parallel and
+/// resiliently: panic isolation with one retry, cooperative budgets,
+/// deterministic fault injection, and resume over a previous run's
+/// completed-shard set. Infallible — exhaustion and lost shards come
+/// back as [`RunStatus::Inconclusive`] / [`RunStatus::Degraded`].
 ///
-/// Each shard runs under `catch_unwind`; a failed shard is retried
-/// once, backing off [`Reduction::SleepSetMemo`] to the coarser
-/// [`Reduction::SleepSet`], and is reported lost if the retry fails
-/// too. A budget trip (shared execution counter, deadline, cancel,
-/// memory) stops the run: completed shards are kept — a sound prefix,
-/// since every race was found by exploring real executions — and the
-/// rest become the resume frontier. The shard plan is the same
-/// deterministic, thread-count-independent cut as
-/// [`visit_sc_sharded`], which is what makes `completed` indices from
-/// a checkpoint meaningful across processes.
-#[allow(clippy::too_many_arguments)] // mirrors visit_sc_sharded's signature + resilience
+/// A serial probe with the real visitor runs first under a
+/// [`PROBE_BUDGET`]-execution cap: small trees complete inside it and
+/// that run *is* the result (sharding a 6-interleaving litmus test
+/// costs more than enumerating it). Otherwise the top levels of the
+/// tree are cut into [`shard_target`]-ish independent jobs (state
+/// snapshot + sleep set), collected in DFS order, and run on the
+/// [`Pool`]; results come back in shard order. Both the probe decision
+/// and the shard plan depend only on the program and limits, so the
+/// outcome is independent of `threads` and of scheduling, and
+/// `completed` indices from a checkpoint mean the same subtrees in the
+/// next process.
+///
+/// `make` creates one fresh visitor per shard; `saturated` returns
+/// `true` when a finished shard's visitor alone proves the final
+/// answer can no longer change (e.g. every attainable race kind was
+/// found). The result is then shards `0..=cutoff`, where `cutoff` is
+/// the *smallest* saturating shard index — the pool's deterministic
+/// early-exit rule.
+///
+/// A failed shard is retried once, backing off
+/// [`Reduction::SleepSetMemo`] to the coarser [`Reduction::SleepSet`],
+/// and is reported lost if the retry fails too. A budget trip (shared
+/// execution counter, deadline, cancel, memory) stops the run:
+/// completed shards are kept — a sound prefix, since every race was
+/// found by exploring real executions — and the rest become the resume
+/// frontier.
+#[allow(clippy::too_many_arguments)] // visit_sc_sharded's signature + resilience
 pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
     p: &Program,
     limits: &EnumLimits,
@@ -815,21 +703,20 @@ pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
     saturated: &(dyn Fn(&V) -> bool + Sync),
     res: &ResilienceOptions,
 ) -> ResilientRun<V> {
-    if !res.resumed() {
-        // The same adaptive probe as the non-resilient path. On any
-        // failure — tree bigger than the probe budget, a budget trip,
-        // even a panic — fall through to the sharded path, which
-        // isolates and classifies all three per shard.
-        let probe_budget = PROBE_BUDGET.min(limits.max_executions);
+    if res.completed.is_empty() && res.completed_cutoff.is_none() {
+        // Adaptive fast path: probe the tree serially with a tight
+        // budget. On any failure — tree bigger than the probe budget,
+        // a budget trip, even a panic — fall through to the sharded
+        // path, which isolates and classifies all three per shard. The
+        // probe draws no faults.
         let probe_limits = EnumLimits {
-            max_executions: probe_budget,
+            max_executions: PROBE_BUDGET.min(limits.max_executions),
             quantum_domain: limits.quantum_domain.clone(),
             budget: limits.budget.clone(),
         };
         let mut probe = make();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            visit_sc(p, &probe_limits, quantum, reduction, &mut probe)
-        }));
+        let outcome = Pool::new(EngineId::Checker, 1)
+            .attempt(0, 0, || visit_sc(p, &probe_limits, quantum, reduction, &mut probe));
         if let Ok(Ok(stats)) = outcome {
             let early_exit = saturated(&probe);
             return ResilientRun {
@@ -839,185 +726,51 @@ pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
                 status: RunStatus::Complete,
                 early_exit,
                 total_shards: 1,
+                lost_panic: None,
             };
         }
     }
 
     let (plan, frontier_pruned) = collect_frontier(p, limits, quantum, reduction);
-    let nshards = plan.len();
-    let threads = threads.clamp(1, nshards.max(1));
     let counter = AtomicUsize::new(res.completed_explored);
-    let cutoff = AtomicUsize::new(res.completed_cutoff.unwrap_or(usize::MAX));
-    let exhausted: Mutex<Option<ExhaustReason>> = Mutex::new(None);
     let backoff = match reduction {
         Reduction::SleepSetMemo => Reduction::SleepSet,
         r => r,
     };
-    let plan = &plan;
-
-    // One shard, first try plus at most one retry. `None` means a
-    // global budget trip (reason recorded in `exhausted`) — the shard
-    // goes back on the frontier.
-    let run_one = |j: usize| -> Option<ShardOut<V>> {
-        for attempt in 0..2 {
-            if exhausted.lock().unwrap().is_some() {
-                return None;
-            }
-            // Per-shard budget poll: shards small enough to finish
-            // between two amortized in-loop polls still observe a
-            // deadline or cancellation at the next shard boundary.
-            if let Some(b) = &limits.budget {
-                if let Err(r) = b.check(0) {
-                    let mut g = exhausted.lock().unwrap();
-                    if g.is_none() {
-                        *g = Some(r);
-                    }
-                    return None;
-                }
-            }
+    let pool = Pool::new(EngineId::Checker, threads)
+        .budget(limits.budget.as_deref())
+        .faults(res.fault_plan.as_ref())
+        .resume(&res.completed, res.completed_cutoff);
+    let run = pool.run(
+        plan.len(),
+        |j, attempt| {
             let red = if attempt == 0 { reduction } else { backoff };
-            let fault =
-                res.fault_plan.as_ref().and_then(|pl| pl.fault_for(EngineId::Checker, j, attempt));
-            match fault {
-                Some(Fault::Stall) => {
-                    stall_until_cancelled(limits.budget.as_deref());
-                    continue;
-                }
-                Some(Fault::Exhaust) => continue,
-                _ => {}
-            }
             let mut v = make();
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                if matches!(fault, Some(Fault::Panic)) {
-                    panic!("injected fault: checker shard {j} attempt {attempt}");
-                }
-                run_shard(p, limits, quantum, red, plan[j].clone(), &mut v, &counter)
-            }));
-            match r {
-                Ok(Ok(stats)) => {
-                    if saturated(&v) {
-                        cutoff.fetch_min(j, Ordering::Relaxed);
-                    }
-                    return Some(ShardOut::Done(v, stats));
-                }
-                Ok(Err(e)) => {
-                    let mut g = exhausted.lock().unwrap();
-                    if g.is_none() {
-                        *g = Some(e.exhaust_reason());
-                    }
-                    return None;
-                }
-                Err(_) => {} // panicked — retry, or fall out as Lost
+            match run_shard(p, limits, quantum, red, plan[j].clone(), &mut v, &counter) {
+                Ok(stats) => Ok((v, stats)),
+                Err(e) => Err(e.exhaust_reason()),
             }
-        }
-        Some(ShardOut::Lost)
-    };
-
-    type Slot<V> = Mutex<Option<ShardOut<V>>>;
-    let slots: Vec<Slot<V>> = (0..nshards).map(|_| Mutex::new(None)).collect();
-    let done = AtomicBool::new(false);
-    let next = AtomicUsize::new(0);
-    let claimable = |j: usize| {
-        !res.completed.contains(&j)
-            && j <= cutoff.load(Ordering::Relaxed)
-            && exhausted.lock().unwrap().is_none()
-    };
-    std::thread::scope(|s| {
-        // Deadline watchdog: stalled shards may never reach a poll
-        // site, so a sleeping sidecar flips the cancel flag the moment
-        // the deadline passes — every poll site and every injected
-        // stall then unwinds cooperatively.
-        if let Some(b) = limits.budget.clone() {
-            if let Some(deadline) = b.deadline() {
-                let done = &done;
-                s.spawn(move || {
-                    while !done.load(Ordering::Relaxed) {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            b.cancel();
-                            break;
-                        }
-                        std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
-                    }
-                });
-            }
-        }
-        if threads == 1 {
-            for (j, slot) in slots.iter().enumerate() {
-                if res.completed.contains(&j) {
-                    continue;
-                }
-                if j > cutoff.load(Ordering::Relaxed) || exhausted.lock().unwrap().is_some() {
-                    break;
-                }
-                if let Some(out) = run_one(j) {
-                    *slot.lock().unwrap() = Some(out);
-                }
-            }
-        } else {
-            let (next, claimable, slots, run_one) = (&next, &claimable, &slots, &run_one);
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(move || loop {
-                        let j = next.fetch_add(1, Ordering::Relaxed);
-                        if j >= nshards {
-                            break;
-                        }
-                        if !claimable(j) {
-                            continue;
-                        }
-                        if let Some(out) = run_one(j) {
-                            *slots[j].lock().unwrap() = Some(out);
-                        }
-                    })
-                })
-                .collect();
-            for w in workers {
-                let _ = w.join();
-            }
-        }
-        done.store(true, Ordering::Relaxed);
-    });
-
-    let cut = cutoff.load(Ordering::Relaxed);
-    let early_exit = cut != usize::MAX;
-    let mut merged = Vec::new();
-    let mut lost = Vec::new();
-    let mut frontier = Vec::new();
-    for (j, slot) in slots.into_iter().enumerate() {
-        if j > cut {
-            break;
-        }
-        if res.completed.contains(&j) {
-            continue;
-        }
-        match slot.into_inner().unwrap() {
-            Some(ShardOut::Done(v, stats)) => merged.push((j, v, stats)),
-            Some(ShardOut::Lost) => lost.push(j),
-            None => frontier.push(j),
-        }
-    }
+        },
+        |(v, _): &(V, EnumStats)| saturated(v),
+    );
+    let shards: Vec<(usize, V, EnumStats)> = run
+        .results
+        .into_iter()
+        .enumerate()
+        .filter_map(|(j, r)| r.map(|(v, stats)| (j, v, stats)))
+        .collect();
     let mut stats = EnumStats { pruned: frontier_pruned, ..EnumStats::default() };
-    for (_, _, s) in &merged {
+    for (_, _, s) in &shards {
         stats.absorb(*s);
     }
-    let exhausted = exhausted.into_inner().unwrap();
-    let status = if !frontier.is_empty() {
-        frontier.extend_from_slice(&lost);
-        frontier.sort_unstable();
-        RunStatus::Inconclusive { reason: exhausted.unwrap_or(ExhaustReason::Cancelled), frontier }
-    } else if !lost.is_empty() {
-        RunStatus::Degraded { lost }
-    } else {
-        RunStatus::Complete
-    };
     ResilientRun {
-        shards: merged,
+        shards,
         stats,
         frontier_pruned,
-        status,
-        early_exit,
-        total_shards: nshards,
+        status: run.status,
+        early_exit: run.cutoff.is_some(),
+        total_shards: plan.len(),
+        lost_panic: run.lost_panic,
     }
 }
 
@@ -2949,6 +2702,37 @@ mod tests {
         match r {
             Err(e) => assert_eq!(e, EnumError::TooManyExecutions { limit: 3 }),
             Ok(_) => panic!("limit must apply across shards"),
+        }
+
+        // Above the probe budget the tree is sharded, and the limit is
+        // enforced by the counter the shards share — at any thread
+        // count. Three threads × three stores to one location:
+        // 9!/(3!)^3 = 1680 exhaustive interleavings.
+        let mut wide = Program::new("wide");
+        for t in 0..3i64 {
+            let mut th = wide.thread();
+            for i in 0..3 {
+                th.store(OpClass::Data, "x", t * 3 + i);
+            }
+        }
+        let wide = wide.build();
+        let limit = 2 * PROBE_BUDGET;
+        for threads in [1usize, 4] {
+            let r = visit_sc_sharded(
+                &wide,
+                &EnumLimits { max_executions: limit, ..EnumLimits::default() },
+                false,
+                Reduction::Exhaustive,
+                threads,
+                &Summary::default,
+                &|_v: &Summary| false,
+            );
+            match r {
+                Err(e) => assert_eq!(e, EnumError::TooManyExecutions { limit }, "t={threads}"),
+                Ok(run) => {
+                    panic!("t={threads}: {} executions under limit {limit}", run.stats.explored)
+                }
+            }
         }
     }
 }

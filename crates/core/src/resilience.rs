@@ -1,19 +1,19 @@
 //! Resilience primitives shared by the three compute engines: budgets
-//! with cooperative cancellation, structured exhaustion reasons, and
-//! deterministic fault injection.
+//! with cooperative cancellation, structured exhaustion reasons,
+//! deterministic fault injection, and the one work pool every engine
+//! runs its units on.
 //!
 //! The execution layer treats resource exhaustion as a *first-class
 //! outcome* rather than a crash (herd reports partial exploration when
-//! enumeration is cut short; this layer does the same). Three pieces
+//! enumeration is cut short; this layer does the same). Four pieces
 //! compose:
 //!
 //! * [`Budget`] — a shared, cooperatively-polled resource bound:
 //!   wall-clock deadline, approximate memory high-water and an
 //!   explicit cancel flag. The enumerator polls it amortized in the
-//!   DFS hot loop ([`crate::exec`]); the sweep pool polls it per job.
-//!   A watchdog thread past the deadline only has to call
-//!   [`Budget::cancel`] — every poll site then unwinds with
-//!   [`crate::exec::EnumError::Cancelled`].
+//!   DFS hot loop ([`crate::exec`]); the pool polls it before every
+//!   unit attempt. Each poll reads the deadline itself, so nothing has
+//!   to watch the clock on the budget's behalf.
 //! * [`ExhaustReason`] / [`RunStatus`] — the structured vocabulary for
 //!   "the run did not finish": `Inconclusive` carries what was
 //!   explored and which shards remain (the frontier), `Degraded`
@@ -25,9 +25,20 @@
 //!   attempt `a` is a pure function of `(seed, e, u, a)`, so every
 //!   chaos run is replayable from its seed alone. All injection is off
 //!   unless a plan is supplied.
+//! * [`Pool`] — the work pool behind the checker's shards
+//!   (`drfrlx_core::exec`), the simulation sweep
+//!   (`hsim_sys::run_matrix`) and, one attempt at a time, the fuzz
+//!   campaign's budget ladder (`drfrlx_conform`). It claims units by
+//!   atomic index, keeps one result slot per unit, runs each attempt
+//!   under `catch_unwind` with one retry, and folds the slots into a
+//!   [`RunStatus`]. Callers without resilience options map that status
+//!   back with [`require_complete`].
 
+use std::any::Any;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// SplitMix64 finalizer — the same mixer as the in-tree PRNG.
@@ -45,8 +56,8 @@ fn mix64(mut x: u64) -> u64 {
 /// ([`crate::exec::EnumLimits::max_executions`], a shared atomic
 /// counter); `Budget` adds the bounds that need wall-clock or external
 /// intervention: a deadline, an approximate per-engine memory
-/// high-water, and a cancel flag anyone (a watchdog, a signal handler,
-/// a test) may set.
+/// high-water, and a cancel flag anyone (a signal handler, an
+/// embedding application, a test) may set.
 #[derive(Debug, Default)]
 pub struct Budget {
     cancel: AtomicBool,
@@ -83,11 +94,6 @@ impl Budget {
     /// Has someone called [`Budget::cancel`]?
     pub fn cancelled(&self) -> bool {
         self.cancel.load(Ordering::Relaxed)
-    }
-
-    /// The configured deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
     }
 
     /// One cooperative poll: `Err` when the budget is exhausted.
@@ -128,7 +134,7 @@ pub enum ExhaustReason {
     },
     /// The wall-clock deadline passed.
     Deadline,
-    /// Someone called [`Budget::cancel`] (watchdog, signal, test).
+    /// Someone called [`Budget::cancel`] (signal handler, test).
     Cancelled,
     /// The approximate memory high-water passed its cap.
     Memory {
@@ -203,7 +209,8 @@ impl fmt::Display for RunStatus {
 pub enum EngineId {
     /// The streaming checker's shard pool (`drfrlx-core::exec`).
     Checker,
-    /// The simulation sweep pool (`hsim-sys::run_matrix`).
+    /// The simulation sweep (`hsim-sys::run_matrix_resilient`), one
+    /// unit per simulation job.
     Sweep,
     /// The conformance harness (`drfrlx-conform`).
     Conform,
@@ -224,8 +231,8 @@ impl EngineId {
 pub enum Fault {
     /// The unit panics (caught by the unit's `catch_unwind`).
     Panic,
-    /// The unit stalls until the watchdog cancels it (or a bounded
-    /// fallback wait elapses) and is then treated as failed.
+    /// The unit stalls until its budget trips (or a bounded fallback
+    /// wait elapses) and is then treated as failed.
     Stall,
     /// The unit reports budget exhaustion without doing its work.
     Exhaust,
@@ -293,6 +300,219 @@ impl FaultPlan {
                 }
             }
         }
+    }
+}
+
+/// The panic payload of a [`RunStatus::Degraded`] run's lowest lost
+/// unit, kept so a caller without resilience options can re-raise it.
+pub type LostPanic = Box<dyn Any + Send>;
+
+/// The mapping for callers that take no resilience options:
+/// `Complete` is `Ok`, `Inconclusive` is `Err(reason)`, and `Degraded`
+/// re-raises the lowest lost unit's original panic — so such a caller
+/// never sees a silently partial result.
+///
+/// # Errors
+///
+/// The [`ExhaustReason`] of an `Inconclusive` run.
+pub fn require_complete(status: RunStatus, lost: Option<LostPanic>) -> Result<(), ExhaustReason> {
+    match status {
+        RunStatus::Complete => Ok(()),
+        RunStatus::Inconclusive { reason, .. } => Err(reason),
+        RunStatus::Degraded { .. } => resume_unwind(lost.expect("a lost unit left its panic")),
+    }
+}
+
+/// How long an injected stall waits for its budget to trip before
+/// failing on its own — bounds chaos runs that have no deadline.
+const STALL_FALLBACK: Duration = Duration::from_millis(25);
+
+/// A work pool over indexed units of one engine.
+///
+/// Workers claim units by atomic index and write each result into the
+/// unit's own slot, so results come back in unit order at any thread
+/// count. Each unit gets up to two [`Pool::attempt`]s — the work
+/// closure sees the attempt number, so it can back off on the retry —
+/// with [`Budget::check`] polled before each. A unit that fails twice
+/// is *lost*; a budget trip stops all claiming and leaves the unrun
+/// units as the frontier. With `threads == 1` the caller's thread
+/// runs the same worker loop.
+pub struct Pool<'a> {
+    engine: EngineId,
+    threads: usize,
+    budget: Option<&'a Budget>,
+    faults: Option<&'a FaultPlan>,
+    skip: &'a [usize],
+    cutoff: Option<usize>,
+}
+
+/// The result of [`Pool::run`].
+pub struct PoolRun<T> {
+    /// One entry per unit, in unit order: `Some` for every unit this
+    /// run completed at or below the cutoff.
+    pub results: Vec<Option<T>>,
+    /// How the run ended; skipped units and units above the cutoff are
+    /// neither lost nor on the frontier.
+    pub status: RunStatus,
+    /// The smallest saturating (or resumed) cutoff unit, if any.
+    pub cutoff: Option<usize>,
+    /// The lowest lost unit's panic, for [`require_complete`].
+    pub lost_panic: Option<LostPanic>,
+}
+
+impl<'a> Pool<'a> {
+    /// `threads` workers (clamped to the unit count) for `engine`, with
+    /// no budget, no faults and nothing to skip.
+    pub fn new(engine: EngineId, threads: usize) -> Pool<'a> {
+        Pool { engine, threads, budget: None, faults: None, skip: &[], cutoff: None }
+    }
+
+    /// Poll `budget` before every attempt; stalls end when it trips.
+    pub fn budget(self, budget: Option<&'a Budget>) -> Pool<'a> {
+        Pool { budget, ..self }
+    }
+
+    /// Inject the faults `plan` draws for this engine.
+    pub fn faults(self, faults: Option<&'a FaultPlan>) -> Pool<'a> {
+        Pool { faults, ..self }
+    }
+
+    /// Resume a checkpointed run: never run the `completed` units, and
+    /// start the early-exit cutoff at `cutoff`.
+    pub fn resume(self, completed: &'a [usize], cutoff: Option<usize>) -> Pool<'a> {
+        Pool { skip: completed, cutoff, ..self }
+    }
+
+    /// One attempt at `unit`: draw its fault, then run `work` under
+    /// `catch_unwind`. An injected stall holds the thread until the
+    /// budget trips or [`STALL_FALLBACK`] elapses; it and an injected
+    /// exhaustion fail the attempt without running `work`.
+    ///
+    /// # Errors
+    ///
+    /// The panic payload (or a description of the injected fault).
+    pub fn attempt<T>(
+        &self,
+        unit: usize,
+        attempt: usize,
+        work: impl FnOnce() -> T,
+    ) -> Result<T, LostPanic> {
+        let fault = self.faults.and_then(|plan| plan.fault_for(self.engine, unit, attempt));
+        let label = |f: Fault| format!("{f}: {:?} unit {unit} attempt {attempt}", self.engine);
+        match fault {
+            Some(Fault::Stall) => {
+                let cap = Instant::now() + STALL_FALLBACK;
+                while self.budget.is_none_or(|b| b.check(0).is_ok()) && Instant::now() < cap {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(Box::new(label(Fault::Stall)))
+            }
+            Some(Fault::Exhaust) => Err(Box::new(label(Fault::Exhaust))),
+            Some(Fault::Panic) | None => catch_unwind(AssertUnwindSafe(|| {
+                if fault.is_some() {
+                    panic!("{}", label(Fault::Panic));
+                }
+                work()
+            })),
+        }
+    }
+
+    /// Run `units` units. `work(unit, attempt)` does one attempt; `Err`
+    /// is a budget trip that stops the pool. When `saturated` holds for
+    /// a unit's result, every unit above the smallest such unit is
+    /// discarded. The rule is deterministic: the running cutoff only
+    /// decreases, so every unit at or below the final one always runs.
+    pub fn run<T: Send>(
+        &self,
+        units: usize,
+        work: impl Fn(usize, usize) -> Result<T, ExhaustReason> + Sync,
+        saturated: impl Fn(&T) -> bool + Sync,
+    ) -> PoolRun<T> {
+        // `Some(Err(payload))` is a lost unit; `None` never ran.
+        let slots: Vec<Mutex<Option<Result<T, LostPanic>>>> =
+            (0..units).map(|_| Mutex::new(None)).collect();
+        // `next` and `cutoff` publish no data (results travel through
+        // the slot mutexes, and the scope's join orders the final
+        // reads), so their operations are `Relaxed`.
+        let next = AtomicUsize::new(0);
+        let cutoff = AtomicUsize::new(self.cutoff.unwrap_or(usize::MAX));
+        let exhausted: OnceLock<ExhaustReason> = OnceLock::new();
+
+        // First try plus one retry; `None` when the budget trips first.
+        let unit = |u: usize| {
+            let mut failed = None;
+            for attempt in 0..2 {
+                if let Some(Err(reason)) = self.budget.map(|b| b.check(0)) {
+                    let _ = exhausted.set(reason);
+                }
+                if exhausted.get().is_some() {
+                    return None;
+                }
+                match self.attempt(u, attempt, || work(u, attempt)) {
+                    Ok(Ok(t)) => {
+                        if saturated(&t) {
+                            cutoff.fetch_min(u, Ordering::Relaxed);
+                        }
+                        return Some(Ok(t));
+                    }
+                    Ok(Err(reason)) => {
+                        let _ = exhausted.set(reason);
+                        return None;
+                    }
+                    Err(payload) => failed = Some(Err(payload)),
+                }
+            }
+            failed
+        };
+        let worker = || loop {
+            let u = next.fetch_add(1, Ordering::Relaxed);
+            if u >= units || u > cutoff.load(Ordering::Relaxed) || exhausted.get().is_some() {
+                break;
+            }
+            if !self.skip.contains(&u) {
+                let out = unit(u);
+                *slots[u].lock().expect("slot lock") = out;
+            }
+        };
+        match self.threads.clamp(1, units.max(1)) {
+            1 => worker(),
+            threads => std::thread::scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(worker);
+                }
+            }),
+        }
+
+        let cut = cutoff.into_inner();
+        let (mut lost, mut frontier, mut lost_panic) = (Vec::new(), Vec::new(), None);
+        let results = slots
+            .into_iter()
+            .enumerate()
+            .map(|(u, slot)| match slot.into_inner().expect("slot lock") {
+                _ if u > cut || self.skip.contains(&u) => None,
+                Some(Ok(t)) => Some(t),
+                Some(Err(payload)) => {
+                    lost.push(u);
+                    lost_panic.get_or_insert(payload);
+                    None
+                }
+                None => {
+                    frontier.push(u);
+                    None
+                }
+            })
+            .collect();
+        let status = if !frontier.is_empty() {
+            frontier.extend_from_slice(&lost);
+            frontier.sort_unstable();
+            let reason = exhausted.into_inner().unwrap_or(ExhaustReason::Cancelled);
+            RunStatus::Inconclusive { reason, frontier }
+        } else if !lost.is_empty() {
+            RunStatus::Degraded { lost }
+        } else {
+            RunStatus::Complete
+        };
+        PoolRun { results, status, cutoff: (cut != usize::MAX).then_some(cut), lost_panic }
     }
 }
 
@@ -371,6 +591,183 @@ mod tests {
         assert_eq!(plan.fault_for(EngineId::Sweep, 3, 1), None, "retry succeeds");
         assert_eq!(plan.fault_for(EngineId::Sweep, 2, 0), None);
         assert_eq!(plan.fault_for(EngineId::Checker, 3, 0), None);
+    }
+
+    /// A pool over `units` squares with no faults, budget or skips.
+    fn squares(threads: usize, units: usize) -> PoolRun<usize> {
+        Pool::new(EngineId::Checker, threads).run(units, |u, _| Ok(u * u), |_: &_| false)
+    }
+
+    #[test]
+    fn pool_results_come_back_in_unit_order() {
+        for threads in [1, 2, 4, 8] {
+            let run = squares(threads, 50);
+            assert_eq!(run.status, RunStatus::Complete, "t={threads}");
+            assert_eq!(run.cutoff, None);
+            let want: Vec<Option<usize>> = (0..50).map(|u| Some(u * u)).collect();
+            assert_eq!(run.results, want, "t={threads}");
+        }
+        assert!(squares(4, 0).results.is_empty());
+    }
+
+    #[test]
+    fn pool_cutoff_keeps_exactly_the_units_up_to_the_smallest_saturating_one() {
+        for threads in [1, 2, 4, 8] {
+            let run = Pool::new(EngineId::Checker, threads).run(
+                60,
+                |u, _| Ok(u),
+                |&u: &usize| [17, 23, 40].contains(&u),
+            );
+            assert_eq!(run.status, RunStatus::Complete, "t={threads}");
+            assert_eq!(run.cutoff, Some(17), "t={threads}");
+            for (u, r) in run.results.iter().enumerate() {
+                assert_eq!(r.is_some(), u <= 17, "t={threads} unit {u}");
+            }
+        }
+        // A resumed cutoff discards everything above it up front.
+        let run = Pool::new(EngineId::Checker, 2).resume(&[], Some(4)).run(
+            10,
+            |u, _| Ok(u),
+            |_: &_| false,
+        );
+        assert_eq!(run.cutoff, Some(4));
+        assert_eq!(run.results.iter().flatten().count(), 5);
+    }
+
+    #[test]
+    fn pool_never_runs_skipped_units() {
+        let skip = [1, 4, 5, 11];
+        for threads in [1, 2, 4] {
+            let ran = Mutex::new(Vec::new());
+            let run = Pool::new(EngineId::Checker, threads).resume(&skip, None).run(
+                12,
+                |u, _| {
+                    ran.lock().unwrap().push(u);
+                    Ok(u)
+                },
+                |_: &_| false,
+            );
+            assert_eq!(run.status, RunStatus::Complete, "t={threads}");
+            let mut ran = ran.into_inner().unwrap();
+            ran.sort_unstable();
+            let want: Vec<usize> = (0..12).filter(|u| !skip.contains(u)).collect();
+            assert_eq!(ran, want, "t={threads}");
+            for u in skip {
+                assert!(run.results[u].is_none(), "t={threads}: skipped unit {u} has a result");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_retries_a_unit_that_panics_once() {
+        for threads in [1, 4] {
+            let run = Pool::new(EngineId::Sweep, threads).run(
+                8,
+                |u, attempt| {
+                    if u == 3 && attempt == 0 {
+                        panic!("unit 3 panics on its first try");
+                    }
+                    Ok((u, attempt))
+                },
+                |_: &_| false,
+            );
+            assert_eq!(run.status, RunStatus::Complete, "t={threads}");
+            assert_eq!(run.results[3], Some((3, 1)), "the retry sees attempt 1");
+            assert_eq!(run.results[2], Some((2, 0)));
+            assert!(run.lost_panic.is_none());
+        }
+    }
+
+    #[test]
+    fn pool_reports_a_unit_that_panics_twice_as_lost() {
+        for threads in [1, 4] {
+            let run = Pool::new(EngineId::Sweep, threads).run(
+                8,
+                |u, _| {
+                    if u == 3 || u == 6 {
+                        panic!("unit {u} always panics");
+                    }
+                    Ok(u)
+                },
+                |_: &_| false,
+            );
+            assert_eq!(run.status, RunStatus::Degraded { lost: vec![3, 6] }, "t={threads}");
+            assert_eq!(run.results.iter().flatten().count(), 6);
+            // The flag-less mapping re-raises the lowest lost unit's
+            // own panic.
+            let raised = catch_unwind(AssertUnwindSafe(|| {
+                let _ = require_complete(run.status, run.lost_panic);
+            }))
+            .expect_err("a degraded run re-raises");
+            assert_eq!(raised.downcast_ref::<String>().unwrap(), "unit 3 always panics");
+        }
+        // Injected faults count as failed attempts too.
+        let plan = FaultPlan::pinned(EngineId::Sweep, 2, 2, Fault::Exhaust);
+        let run =
+            Pool::new(EngineId::Sweep, 1).faults(Some(&plan)).run(4, |u, _| Ok(u), |_: &_| false);
+        assert_eq!(run.status, RunStatus::Degraded { lost: vec![2] });
+    }
+
+    #[test]
+    fn pool_budget_trip_leaves_the_unrun_units_as_an_ascending_frontier() {
+        let limit = ExhaustReason::Executions { limit: 5 };
+        for threads in [1, 2, 4] {
+            let run = Pool::new(EngineId::Checker, threads).run(
+                20,
+                |u, _| if u >= 5 { Err(limit) } else { Ok(u) },
+                |_: &_| false,
+            );
+            let done = run.results.iter().flatten().count();
+            match run.status {
+                RunStatus::Inconclusive { reason, frontier } => {
+                    assert_eq!(reason, limit, "t={threads}");
+                    assert!(frontier.windows(2).all(|w| w[0] < w[1]), "t={threads}: {frontier:?}");
+                    assert!((5..20).all(|u| frontier.contains(&u)), "t={threads}: {frontier:?}");
+                    assert_eq!(frontier.len() + done, 20, "t={threads}");
+                    // Serially the trip can only come after units 0..5;
+                    // in parallel a claimed unit may see it first.
+                    if threads == 1 {
+                        assert_eq!(frontier, (5..20).collect::<Vec<_>>());
+                    }
+                }
+                s => panic!("t={threads}: expected Inconclusive, got {s:?}"),
+            }
+        }
+        // A budget that has already tripped runs nothing.
+        let budget = Budget::unlimited();
+        budget.cancel();
+        let run = Pool::new(EngineId::Sweep, 2).budget(Some(&budget)).run(
+            6,
+            |_, _| -> Result<(), ExhaustReason> { panic!("no unit may run") },
+            |_: &_| false,
+        );
+        assert_eq!(
+            run.status,
+            RunStatus::Inconclusive {
+                reason: ExhaustReason::Cancelled,
+                frontier: (0..6).collect()
+            }
+        );
+    }
+
+    #[test]
+    fn a_budget_with_a_distant_deadline_adds_no_wait_to_a_pool_call() {
+        // Nothing watches the deadline on the budget's behalf, so a
+        // budgeted pool call costs what an unbudgeted one does.
+        let budget = Budget::with_timeout(Duration::from_secs(3600));
+        let start = Instant::now();
+        for threads in [1, 2] {
+            for _ in 0..100 {
+                let run = Pool::new(EngineId::Sweep, threads).budget(Some(&budget)).run(
+                    1,
+                    |u, _| Ok(u),
+                    |_: &_| false,
+                );
+                assert_eq!(run.status, RunStatus::Complete);
+            }
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(200), "200 budgeted pool calls took {took:?}");
     }
 
     #[test]

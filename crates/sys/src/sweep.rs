@@ -3,11 +3,14 @@
 //!
 //! A [`SimJob`] names one cell of an experiment matrix — a kernel, a
 //! [`SystemConfig`] and the platform [`SysParams`] — and [`run_matrix`]
-//! executes a whole job list on `threads` workers. Every simulation is
-//! deterministic and owns its memory system, so jobs are embarrassingly
-//! parallel; reports come back **in job order**, which makes parallel
-//! and serial sweeps byte-identical (`threads = 1` and `threads = 8`
-//! produce the same `Vec<RunReport>`).
+//! executes a whole job list on `threads` workers of the shared
+//! [`drfrlx_core::resilience::Pool`], one pool unit per job. Every
+//! simulation is deterministic and owns its memory system, so jobs are
+//! embarrassingly parallel; reports come back **in job order**, which
+//! makes parallel and serial sweeps byte-identical (`threads = 1` and
+//! `threads = 8` produce the same `Vec<RunReport>`).
+//! [`run_matrix_resilient`] is the one body: `run_matrix` calls it
+//! with default options and re-raises a lost job's panic.
 //!
 //! The worker count for CLI entry points comes from
 //! [`default_threads`]: the `DRFRLX_THREADS` environment variable if
@@ -15,13 +18,12 @@
 
 use crate::config::SysParams;
 use crate::run::{run_workload, run_workload_traced, RunReport};
-use drfrlx_core::resilience::{Budget, EngineId, ExhaustReason, Fault, FaultPlan, RunStatus};
+use drfrlx_core::resilience::{
+    require_complete, Budget, EngineId, FaultPlan, LostPanic, Pool, RunStatus,
+};
 use drfrlx_core::SystemConfig;
 use hsim_gpu::Kernel;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// One simulation to run: a kernel under one configuration on one
 /// platform.
@@ -124,32 +126,20 @@ pub fn default_threads() -> usize {
 }
 
 /// Run every job on `threads` workers and return the reports **in job
-/// order**, independent of scheduling.
+/// order**, independent of scheduling: [`run_matrix_resilient`] with
+/// default options, for callers that want every report or a panic.
 ///
 /// # Panics
 ///
-/// Panics if a validated job produces a functionally wrong result.
+/// Panics if a validated job produces a functionally wrong result
+/// (re-raising the lowest such job's own panic after its retry).
 pub fn run_matrix(jobs: &[SimJob], threads: usize) -> Vec<RunReport> {
-    let threads = threads.clamp(1, jobs.len().max(1));
-    if threads == 1 {
-        return jobs.iter().map(run_job).collect();
+    let MatrixOutcome { reports, status, lost_panic } =
+        run_matrix_resilient(jobs, threads, &MatrixResilience::default());
+    if let Err(reason) = require_complete(status, lost_panic) {
+        unreachable!("a sweep without a budget cannot run out of one: {reason}");
     }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RunReport>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let report = run_job(job);
-                *slots[i].lock().expect("slot lock") = Some(report);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot lock").expect("every job ran"))
-        .collect()
+    reports.into_iter().map(|r| r.expect("a complete sweep fills every slot")).collect()
 }
 
 fn run_job(job: &SimJob) -> RunReport {
@@ -168,12 +158,12 @@ fn run_job(job: &SimJob) -> RunReport {
 }
 
 /// Resilience policy for [`run_matrix_resilient`]. The default —
-/// no budget, no fault plan — behaves like [`run_matrix`] except that
-/// a panicking job degrades the sweep instead of aborting it.
+/// no budget, no fault plan — runs every job, retrying a panicking one
+/// once and reporting it lost if the retry panics too.
 #[derive(Clone, Default)]
 pub struct MatrixResilience {
-    /// Shared resource budget (deadline / cancel flag), polled once
-    /// per job claim; a deadline also arms a watchdog thread.
+    /// Shared resource budget (deadline / cancel flag), polled before
+    /// every job attempt.
     pub budget: Option<Arc<Budget>>,
     /// Deterministic fault injection (chaos testing only).
     pub fault_plan: Option<FaultPlan>,
@@ -187,6 +177,8 @@ pub struct MatrixOutcome {
     /// How the sweep ended: `Degraded` names lost jobs, and
     /// `Inconclusive`'s frontier names jobs still to run.
     pub status: RunStatus,
+    /// The lowest lost job's panic, which [`run_matrix`] re-raises.
+    pub lost_panic: Option<LostPanic>,
 }
 
 impl MatrixOutcome {
@@ -196,156 +188,33 @@ impl MatrixOutcome {
     }
 }
 
-/// How long an injected stall waits for the watchdog before failing
-/// on its own.
-const STALL_FALLBACK: Duration = Duration::from_millis(25);
-
-/// [`run_matrix`], resilient: every job runs under `catch_unwind` and
-/// is retried once before being reported lost, the budget is polled
-/// between job claims (with a watchdog thread flipping the cancel
-/// flag at the deadline), and a seeded [`FaultPlan`] can inject
-/// panics, stalls and exhaustion per `(job, attempt)` — the same
-/// discipline as the checker's shard pool. Never panics, never
-/// aborts: the outcome is `Complete`, `Degraded { lost }` or
-/// `Inconclusive { reason, frontier }`, and completed reports stay in
-/// job order either way.
+/// The one sweep body: every job runs on the [`Pool`] — panic-isolated,
+/// retried once before being reported lost, with the
+/// budget polled before every attempt and a seeded [`FaultPlan`]
+/// injecting panics, stalls and exhaustion per `(job, attempt)`. Never
+/// panics, never aborts: the outcome is `Complete`, `Degraded { lost
+/// }` or `Inconclusive { reason, frontier }`, and completed reports
+/// stay in job order either way. A simulation has no poll site of its
+/// own, so a deadline takes effect at the next job attempt.
 pub fn run_matrix_resilient(
     jobs: &[SimJob],
     threads: usize,
     res: &MatrixResilience,
 ) -> MatrixOutcome {
-    let threads = threads.clamp(1, jobs.len().max(1));
-    let exhausted: Mutex<Option<ExhaustReason>> = Mutex::new(None);
-    let lost: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-    let slots: Vec<Mutex<Option<RunReport>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-
-    // One job, first try plus at most one retry.
-    let run_one = |i: usize| {
-        for attempt in 0..2 {
-            let fault =
-                res.fault_plan.as_ref().and_then(|pl| pl.fault_for(EngineId::Sweep, i, attempt));
-            match fault {
-                Some(Fault::Stall) => {
-                    let cap = Instant::now() + STALL_FALLBACK;
-                    while !res.budget.as_deref().is_some_and(Budget::cancelled)
-                        && Instant::now() < cap
-                    {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    continue;
-                }
-                Some(Fault::Exhaust) => continue,
-                _ => {}
-            }
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                if matches!(fault, Some(Fault::Panic)) {
-                    panic!("injected fault: sweep job {i} attempt {attempt}");
-                }
-                run_job(&jobs[i])
-            }));
-            if let Ok(report) = r {
-                *slots[i].lock().expect("slot lock") = Some(report);
-                return;
-            }
-        }
-        lost.lock().expect("lost lock").push(i);
-    };
-    // Budget poll at job-claim granularity: simulations have no
-    // in-loop poll sites, so this is where a deadline or cancellation
-    // takes effect.
-    let claimable = || {
-        if exhausted.lock().expect("exhausted lock").is_some() {
-            return false;
-        }
-        if let Some(b) = &res.budget {
-            if let Err(r) = b.check(0) {
-                let mut g = exhausted.lock().expect("exhausted lock");
-                if g.is_none() {
-                    *g = Some(r);
-                }
-                return false;
-            }
-        }
-        true
-    };
-
-    let done = AtomicBool::new(false);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        if let Some(b) = res.budget.clone() {
-            if let Some(deadline) = b.deadline() {
-                let done = &done;
-                scope.spawn(move || {
-                    while !done.load(Ordering::Relaxed) {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            b.cancel();
-                            break;
-                        }
-                        std::thread::sleep((deadline - now).min(Duration::from_millis(5)));
-                    }
-                });
-            }
-        }
-        if threads == 1 {
-            for i in 0..jobs.len() {
-                if !claimable() {
-                    break;
-                }
-                run_one(i);
-            }
-        } else {
-            let (next, run_one, claimable) = (&next, &run_one, &claimable);
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() || !claimable() {
-                            break;
-                        }
-                        run_one(i);
-                    })
-                })
-                .collect();
-            for w in workers {
-                let _ = w.join();
-            }
-        }
-        done.store(true, Ordering::Relaxed);
-    });
-
-    let mut lost = lost.into_inner().expect("lost lock");
-    lost.sort_unstable();
-    let reports: Vec<Option<RunReport>> =
-        slots.into_iter().map(|s| s.into_inner().expect("slot lock")).collect();
-    let exhausted = exhausted.into_inner().expect("exhausted lock");
-    let frontier: Vec<usize> = reports
-        .iter()
-        .enumerate()
-        .filter(|(i, r)| r.is_none() && !lost.contains(i))
-        .map(|(i, _)| i)
-        .collect();
-    let status = if !frontier.is_empty() {
-        let mut f = frontier;
-        f.extend_from_slice(&lost);
-        f.sort_unstable();
-        RunStatus::Inconclusive {
-            reason: exhausted.unwrap_or(ExhaustReason::Cancelled),
-            frontier: f,
-        }
-    } else if !lost.is_empty() {
-        RunStatus::Degraded { lost }
-    } else {
-        RunStatus::Complete
-    };
-    MatrixOutcome { reports, status }
+    let run = Pool::new(EngineId::Sweep, threads)
+        .budget(res.budget.as_deref())
+        .faults(res.fault_plan.as_ref())
+        .run(jobs.len(), |i, _| Ok(run_job(&jobs[i])), |_: &RunReport| false);
+    MatrixOutcome { reports: run.results, status: run.status, lost_panic: run.lost_panic }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drfrlx_core::resilience::{ExhaustReason, Fault};
     use drfrlx_core::OpClass;
     use hsim_gpu::{Op, RmwKind, WorkItem};
+    use std::time::Duration;
 
     struct Hammer {
         n: usize,
@@ -435,9 +304,8 @@ mod tests {
         assert!(run_matrix(&[], 4).is_empty());
     }
 
-    #[test]
-    #[should_panic(expected = "wrong result")]
-    fn validation_failures_panic_with_context() {
+    /// Six validated jobs of a kernel whose result is always wrong.
+    fn broken_jobs() -> Vec<SimJob> {
         struct Broken;
         impl Kernel for Broken {
             fn name(&self) -> String {
@@ -466,8 +334,20 @@ mod tests {
             }
         }
         let params = SysParams::integrated();
-        let jobs = six_config_jobs("broken", Arc::new(Broken), &params, true);
+        six_config_jobs("broken", Arc::new(Broken), &params, true)
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong result")]
+    fn validation_failures_panic_with_context() {
+        let jobs = broken_jobs();
         run_matrix(&jobs, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong result")]
+    fn parallel_validation_failures_panic_with_context() {
+        run_matrix(&broken_jobs(), 4);
     }
 
     #[test]
@@ -516,35 +396,7 @@ mod tests {
 
     #[test]
     fn a_panicking_validation_degrades_instead_of_aborting() {
-        struct Broken;
-        impl Kernel for Broken {
-            fn name(&self) -> String {
-                "broken".into()
-            }
-            fn blocks(&self) -> usize {
-                1
-            }
-            fn threads_per_block(&self) -> usize {
-                1
-            }
-            fn memory_words(&self) -> usize {
-                4
-            }
-            fn item(&self, _b: usize, _t: usize) -> Box<dyn WorkItem> {
-                struct Item;
-                impl WorkItem for Item {
-                    fn next(&mut self, _last: Option<u64>) -> Op {
-                        Op::Done
-                    }
-                }
-                Box::new(Item)
-            }
-            fn validate(&self, _mem: &[u64]) -> Result<(), String> {
-                Err("always wrong".into())
-            }
-        }
-        let params = SysParams::integrated();
-        let jobs = six_config_jobs("broken", Arc::new(Broken), &params, true);
+        let jobs = broken_jobs();
         let out = run_matrix_resilient(&jobs, 2, &MatrixResilience::default());
         assert_eq!(out.status, RunStatus::Degraded { lost: (0..6).collect() });
         assert_eq!(out.completed().count(), 0);

@@ -538,7 +538,7 @@ fn cmd_conform(args: &[String]) -> CmdResult {
     let res_flags = ResilienceFlags::parse(args)?;
     let budget = res_flags.budget();
     // The oracle polls the budget through its enumeration limits; the
-    // simulation matrix polls it at job-claim granularity.
+    // simulation matrix polls it before every job attempt.
     opts.limits.budget = budget.clone();
     let res = ConformResilience { budget, fault_plan: res_flags.fault_plan() };
 

@@ -43,7 +43,7 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
                --stats prints the per-model reduction counters (explored /\n\
                sleep-set-pruned / memo-pruned / peak-table-size). The\n\
                resilience flags engage the fault-isolated sharded runner:\n\
-               --timeout-secs arms a wall-clock watchdog, --checkpoint FILE\n\
+               --timeout-secs sets a wall-clock deadline, --checkpoint FILE\n\
                saves the completed shards, --resume FILE continues from such\n\
                a checkpoint (with --model pinned; the resumed report is\n\
                byte-identical to an uninterrupted run), and --chaos-seed\n\
@@ -154,8 +154,8 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
                random programs, conformance-checks each (retrying oracle\n\
                overflows up a 1x/4x/16x budget ladder before recording the\n\
                seed as skipped in the summary), and delta-debugs any\n\
-               disagreement down to a minimal reproducer. --timeout-secs arms\n\
-               a wall-clock watchdog; --checkpoint/--resume save and continue\n\
+               disagreement down to a minimal reproducer. --timeout-secs sets\n\
+               a wall-clock deadline; --checkpoint/--resume save and continue\n\
                a fuzz campaign deterministically; --chaos-seed injects\n\
                deterministic faults (testing only). Verdicts are identical at\n\
                any --threads.",
