@@ -12,6 +12,8 @@
 //! If a change to the model is *meant* to alter the analysis, recompute
 //! the constant and say why in the change description.
 
+mod rng;
+
 use drfrlx::conform::generate;
 use drfrlx::litmus::{all_tests, stress_tests};
 use drfrlx::model::exec::{visit_sc, EnumLimits, Execution, ExecutionVisitor, Reduction};
@@ -19,19 +21,13 @@ use drfrlx::model::program::Program;
 use drfrlx::model::quantum::has_quantum;
 use drfrlx::model::relation::Relation;
 use drfrlx::model::{MemoryModel, OpClass, RaceAnalysis, RaceDetector};
+use rng::mix;
 
 /// Generated programs folded into the digest: `generate(0..GENERATED)`.
 const GENERATED: u64 = 400;
 
 /// The digest of the race analysis at the time it was frozen.
 const FROZEN: u64 = 0x868d_49fd_4e5b_9017;
-
-fn mix(h: u64, x: u64) -> u64 {
-    let mut z = (h ^ x).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn fold_relation(mut h: u64, r: &Relation) -> u64 {
     h = mix(h, r.carrier() as u64);
