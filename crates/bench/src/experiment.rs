@@ -4,19 +4,13 @@
 //! structured JSON-lines rows.
 //!
 //! Every registered experiment (see [`crate::experiments::registry`])
-//! is runnable three ways, all equivalent:
-//!
-//! * `drfrlx bench <id>` (the root CLI),
-//! * `cargo run --release -p drfrlx-bench --bin <id>_...` (the thin
-//!   per-figure wrappers), and
-//! * [`cli_main`] from tests or tools.
-//!
-//! Artifacts land in `results/<id>.txt` and `results/<id>.json`
-//! (override the directory with `--out` or `DRFRLX_RESULTS`); worker
-//! count comes from `--threads` or `DRFRLX_THREADS`.
+//! runs as `drfrlx bench <id>`. Artifacts land in `results/<id>.txt`
+//! and `results/<id>.json` (override the directory with `--out` or
+//! `DRFRLX_RESULTS`); worker count comes from `--threads` or
+//! `DRFRLX_THREADS`.
 
 use crate::json::JsonObj;
-use hsim_sys::{default_threads, run_matrix, RunReport, SimJob};
+use hsim_sys::{run_matrix, RunReport, SimJob};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -166,50 +160,4 @@ pub fn write_artifacts(
         writeln!(f, "{row}")?;
     }
     Ok((txt, json))
-}
-
-/// Directory for result artifacts: `--out` flag value, else
-/// `DRFRLX_RESULTS`, else `results/`.
-fn outdir_from(args: &[String]) -> PathBuf {
-    flag_value(args, "--out")
-        .map(PathBuf::from)
-        .or_else(|| std::env::var_os("DRFRLX_RESULTS").map(PathBuf::from))
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
-}
-
-/// Worker count: `--threads` flag, else [`default_threads`].
-fn threads_from(args: &[String]) -> usize {
-    flag_value(args, "--threads")
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(default_threads)
-}
-
-/// Entry point shared by the per-figure binaries and `drfrlx bench`:
-/// run experiment `id` honoring `--threads N` / `--out DIR` (and the
-/// `DRFRLX_THREADS` / `DRFRLX_RESULTS` environment variables), print
-/// the text artifact, and write both result files.
-///
-/// # Panics
-///
-/// Panics if `id` is not registered or a validated job fails its
-/// functional check; artifact write failures are reported to stderr
-/// without failing the run (the measurement already printed).
-pub fn cli_main(id: &str) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let e = crate::experiments::find(id)
-        .unwrap_or_else(|| panic!("experiment `{id}` is not registered"));
-    let threads = threads_from(&args);
-    let run = run_experiment(e.as_ref(), threads);
-    print!("{}", run.text);
-    match write_artifacts(&outdir_from(&args), id, &run) {
-        Ok((txt, json)) => {
-            eprintln!("\n[wrote {} and {}; threads={threads}]", txt.display(), json.display())
-        }
-        Err(err) => eprintln!("\n[could not write result artifacts: {err}]"),
-    }
 }

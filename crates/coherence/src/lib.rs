@@ -23,9 +23,6 @@
 //!   reads of owned lines recall the owner, and acquires are free
 //!   because the hardware keeps caches coherent.
 //!
-//! The pre-refactor enum-dispatch monolith survives as
-//! [`reference::EnumMemorySystem`] for differential testing.
-//!
 //! The memory system is timing + state only: functional values live in
 //! the execution engine (`hsim-gpu`/`hsim-sys`), mirroring how
 //! GPGPU-Sim executes functionally at issue.
@@ -36,7 +33,6 @@
 mod memsys;
 mod mesi;
 mod policy;
-pub mod reference;
 
 pub use memsys::{AccessKind, CuId, MemCore, MemSysParams, MemorySystem, ProtoStats};
 pub use mesi::MesiWbCoherence;

@@ -12,8 +12,9 @@
 //!
 //! The bodies of [`GpuCoherence`] and [`DeNovoCoherence`] are the former
 //! `MemorySystem` match arms moved verbatim (only `self` became `core`);
-//! `reference.rs` retains the original enum-dispatch monolith so
-//! differential tests can prove the move changed nothing.
+//! the coherence digests in `tests/simulator_digest.rs` were frozen
+//! from the original enum-dispatch monolith, so they prove the move
+//! changed nothing.
 
 use crate::memsys::{AccessKind, CuId, L1State, L2State, MemCore};
 use crate::MesiWbCoherence;

@@ -6,8 +6,7 @@
 //! `(ready cycle, context id)`), so each pick costs O(log contexts)
 //! instead of a linear scan over every resident context. Ties still
 //! break by context id, so schedules — and therefore all reports —
-//! are deterministic and identical to the retained reference scanner
-//! ([`run_kernel_reference`]), which differential tests hold it to.
+//! are deterministic.
 
 use crate::consistency::{AccessActions, ConsistencyPolicy, DrfPolicy};
 use crate::ir::{Kernel, Op, WorkItem};
@@ -170,21 +169,8 @@ impl IssuePort {
     }
 }
 
-/// The ready-queue strategy: how the engine finds the runnable context
-/// with the smallest `(ready cycle, context id)`.
-///
-/// Both implementations must agree exactly — [`HeapQueue`] is the
-/// production O(log n) path, [`LinearScan`] the O(n) reference that
-/// differential tests compare it against.
-trait ReadyQueue {
-    /// Note that context `ctx` became `Ready(at)`.
-    fn push(&mut self, at: Cycle, ctx: usize);
-    /// Remove and return the minimum `(ready cycle, context id)`, or
-    /// `None` when no context is runnable.
-    fn pop(&mut self, ctxs: &[Ctx]) -> Option<(Cycle, usize)>;
-}
-
-/// Indexed ready queue: a min-heap over `(cycle, ctx_id)`.
+/// The ready queue: a min-heap over `(ready cycle, context id)`, so
+/// the engine finds the next runnable context in O(log contexts).
 ///
 /// Every `Ready` transition pushes exactly one entry and every entry is
 /// consumed at most once, so the heap never holds stale entries for a
@@ -195,11 +181,14 @@ struct HeapQueue {
     heap: BinaryHeap<Reverse<(Cycle, usize)>>,
 }
 
-impl ReadyQueue for HeapQueue {
+impl HeapQueue {
+    /// Note that context `ctx` became `Ready(at)`.
     fn push(&mut self, at: Cycle, ctx: usize) {
         self.heap.push(Reverse((at, ctx)));
     }
 
+    /// Remove and return the minimum `(ready cycle, context id)`, or
+    /// `None` when no context is runnable.
     fn pop(&mut self, ctxs: &[Ctx]) -> Option<(Cycle, usize)> {
         while let Some(Reverse((at, i))) = self.heap.pop() {
             if ctxs[i].state == CtxState::Ready(at) {
@@ -207,27 +196,6 @@ impl ReadyQueue for HeapQueue {
             }
         }
         None
-    }
-}
-
-/// Reference scheduler: scan every context per step. O(contexts) per
-/// pick — retained only so differential tests can certify the heap.
-#[derive(Default)]
-struct LinearScan;
-
-impl ReadyQueue for LinearScan {
-    fn push(&mut self, _at: Cycle, _ctx: usize) {}
-
-    fn pop(&mut self, ctxs: &[Ctx]) -> Option<(Cycle, usize)> {
-        let mut best: Option<(Cycle, usize)> = None;
-        for (i, c) in ctxs.iter().enumerate() {
-            if let CtxState::Ready(at) = c.state {
-                if best.is_none_or(|(t, _)| at < t) {
-                    best = Some((at, i));
-                }
-            }
-        }
-        best
     }
 }
 
@@ -248,7 +216,7 @@ pub fn run_kernel(
     backend: &mut dyn MemoryBackend,
 ) -> EngineReport {
     let policy = DrfPolicy(params.model);
-    run_kernel_with(kernel, params, backend, &policy, HeapQueue::default(), NoTrace)
+    run_kernel_with(kernel, params, backend, &policy, NoTrace)
 }
 
 /// [`run_kernel`] under an explicit [`ConsistencyPolicy`] instead of
@@ -260,7 +228,7 @@ pub fn run_kernel_policy(
     backend: &mut dyn MemoryBackend,
     policy: &dyn ConsistencyPolicy,
 ) -> EngineReport {
-    run_kernel_with(kernel, params, backend, policy, HeapQueue::default(), NoTrace)
+    run_kernel_with(kernel, params, backend, policy, NoTrace)
 }
 
 /// [`run_kernel`] emitting per-operation pipeline events (issue, issue
@@ -274,21 +242,7 @@ pub fn run_kernel_traced(
     tracer: impl Trace,
 ) -> EngineReport {
     let policy = DrfPolicy(params.model);
-    run_kernel_with(kernel, params, backend, &policy, HeapQueue::default(), tracer)
-}
-
-/// [`run_kernel`] on the reference linear-scan scheduler.
-///
-/// Exists solely as the differential-testing oracle for the indexed
-/// scheduler: any kernel must produce a byte-identical [`EngineReport`]
-/// on both. Not for production use — every step costs O(contexts).
-pub fn run_kernel_reference(
-    kernel: &dyn Kernel,
-    params: &EngineParams,
-    backend: &mut dyn MemoryBackend,
-) -> EngineReport {
-    let policy = DrfPolicy(params.model);
-    run_kernel_with(kernel, params, backend, &policy, LinearScan, NoTrace)
+    run_kernel_with(kernel, params, backend, &policy, tracer)
 }
 
 /// Stable per-operation code carried in the `arg` of an
@@ -312,7 +266,6 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
     params: &EngineParams,
     backend: &mut dyn MemoryBackend,
     policy: &P,
-    mut ready: impl ReadyQueue,
     tracer: T,
 ) -> EngineReport {
     assert!(kernel.blocks() > 0, "kernel needs blocks");
@@ -337,12 +290,13 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
 
     let mut ctxs: Vec<Ctx> = Vec::new();
     let mut block_ctxs: Vec<Vec<usize>> = vec![Vec::new(); kernel.blocks()];
+    let mut ready = HeapQueue::default();
     let launch = |block: usize,
                   cu: usize,
                   at: Cycle,
                   ctxs: &mut Vec<Ctx>,
                   block_ctxs: &mut Vec<Vec<usize>>,
-                  ready: &mut dyn ReadyQueue| {
+                  ready: &mut HeapQueue| {
         if T::ENABLED {
             tracer.record(TraceEvent::new(
                 EventKind::BlockLaunch,
@@ -1131,24 +1085,5 @@ mod tests {
         let mut b2 = FixedLat::default();
         let again = run_kernel(&k, &p, &mut b2);
         assert_eq!(jit, again);
-    }
-
-    #[test]
-    fn jittered_heap_matches_reference_scheduler() {
-        for seed in [1u64, 7, 1234] {
-            let k = CounterKernel { blocks: 6, tpb: 3, n: 5, class: OpClass::Unpaired };
-            let p = EngineParams {
-                num_cus: 3,
-                max_contexts_per_cu: 6,
-                model: MemoryModel::Drfrlx,
-                jitter: Some(IssueJitter { seed, max_delay: 9 }),
-                ..Default::default()
-            };
-            let mut bh = FixedLat::default();
-            let heap = run_kernel(&k, &p, &mut bh);
-            let mut bl = FixedLat::default();
-            let linear = run_kernel_reference(&k, &p, &mut bl);
-            assert_eq!(heap, linear, "schedulers diverged under jitter seed {seed}");
-        }
     }
 }

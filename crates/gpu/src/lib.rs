@@ -39,8 +39,8 @@ mod ir;
 
 pub use consistency::{AccessActions, ConsistencyPolicy, DrfPolicy};
 pub use engine::{
-    run_kernel, run_kernel_policy, run_kernel_reference, run_kernel_traced, EngineParams,
-    EngineReport, IssueJitter, MemoryBackend,
+    run_kernel, run_kernel_policy, run_kernel_traced, EngineParams, EngineReport, IssueJitter,
+    MemoryBackend,
 };
 pub use ir::{Kernel, Op, RmwKind, WorkItem};
 

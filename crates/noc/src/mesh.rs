@@ -353,57 +353,4 @@ mod tests {
     fn off_mesh_node_rejected() {
         mesh().send(0, NodeId(0), NodeId(99), 1);
     }
-
-    /// The flat link tables must agree, hop for hop, with a map-keyed
-    /// reference that walks `route_xy` explicitly.
-    #[test]
-    fn flat_tables_match_map_reference() {
-        use crate::route::route_xy;
-
-        struct Reference {
-            p: NocParams,
-            links: BTreeMap<(NodeId, NodeId), Cycle>,
-            stats: BTreeMap<(NodeId, NodeId), LinkStats>,
-        }
-        impl Reference {
-            fn send(&mut self, depart: Cycle, src: NodeId, dst: NodeId, flits: u64) -> Cycle {
-                if src == dst {
-                    return depart + self.p.local_latency;
-                }
-                let mut at = depart + self.p.local_latency;
-                let mut prev = src;
-                for hop in route_xy(self.p.width, src, dst) {
-                    let free = self.links.entry((prev, hop)).or_insert(0);
-                    let start = at.max(*free);
-                    *free = start + flits * self.p.cycles_per_flit;
-                    at = start + self.p.hop_latency;
-                    let ls = self.stats.entry((prev, hop)).or_default();
-                    ls.flits += flits;
-                    ls.messages += 1;
-                    prev = hop;
-                }
-                at + self.p.local_latency
-            }
-        }
-
-        let p = NocParams { width: 5, height: 3, ..NocParams::default() };
-        let mut m = Mesh::new(p.clone());
-        let mut r = Reference { p, links: BTreeMap::new(), stats: BTreeMap::new() };
-        // Deterministic traffic pattern mixing hotspots and crossings.
-        let n = m.nodes() as u64;
-        let mut seed = 0x5EEDu64;
-        for i in 0..200u64 {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let src = NodeId(((seed >> 33) % n) as u16 % m.nodes());
-            let dst = NodeId((seed >> 17) as u16 % m.nodes());
-            let flits = 1 + (seed % 7);
-            let depart = i * 3;
-            assert_eq!(m.send(depart, src, dst, flits), r.send(depart, src, dst, flits));
-        }
-        for (link, ls) in m.link_stats() {
-            let rs = r.stats.get(&link).expect("link exists in reference");
-            assert_eq!((ls.flits, ls.messages), (rs.flits, rs.messages), "{link:?}");
-        }
-        assert_eq!(m.link_stats().len(), r.stats.len());
-    }
 }

@@ -52,8 +52,8 @@ impl Flags {
                 exited_class: OpClass::Paired,
                 // Comfortably above the worst-case worker runtime (each
                 // worker iteration spans at least one main join poll);
-                // the differential suite pins the resulting op stream
-                // against the retired state-machine implementation.
+                // the micro-kernel digest pins the resulting timing to
+                // the retired state-machine implementation's.
                 join_polls: 4 * max_polls + 64,
                 join_target: (blocks * tpb - 1) as drfrlx_core::program::Value,
                 tail: flags::Tail::PublishDirty(OpClass::NonOrdering),
