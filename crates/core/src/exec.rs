@@ -2,8 +2,8 @@
 //!
 //! The enumerator walks an explicit interleaving tree with a **single
 //! mutable [`SearchState`]** and an undo journal: each step pushes its
-//! effects (thread state, memory, events, relation edges) and pops them
-//! on backtrack. Completed executions are fed, one at a time, to an
+//! effects (thread state, memory, events, dependency edges) and pops
+//! them on backtrack. Completed executions are fed, one at a time, to an
 //! [`ExecutionVisitor`] — nothing is materialized on the default path.
 //! The resulting [`Execution`]s carry the relations Herd models are
 //! phrased over (`po`, `rf`, `co`, `fr`, dependency relations), ready
@@ -11,8 +11,13 @@
 //!
 //! Three layers compose:
 //!
-//! 1. [`visit_sc`] — the streaming DFS itself, with incremental relation
-//!    maintenance (extend `po`/`co`/`rf`/`fr` on push, retract on pop).
+//! 1. [`visit_sc`] — the streaming DFS itself. A tree node's work does
+//!    not grow with the events already performed: the DFS carries the
+//!    event list, and since event ids follow the SC order, `po`, `rf`,
+//!    `co` and `fr` are functions of that list alone (Herding Cats'
+//!    candidate-execution view, `fr = rf⁻¹;co`), derived once per
+//!    emitted execution. Only the dependency relations are kept
+//!    incrementally, and only the thread that moved is drained.
 //! 2. [`Reduction::SleepSet`] — sound partial-order reduction: two
 //!    pending steps commute when they touch different locations or are
 //!    both reads, so only one order of each commuting pair is explored;
@@ -443,8 +448,9 @@ pub fn visit_sc(
     visitor: &mut dyn ExecutionVisitor,
 ) -> Result<EnumStats, EnumError> {
     let counter = AtomicUsize::new(0);
-    let mut eng = Engine::new(p, limits, quantum, reduction, visitor, &counter, None);
-    eng.node(0, 0)?;
+    let st = SearchState::new(p);
+    let mut eng = Engine::new(p, limits, quantum, reduction, visitor, &counter, None, st);
+    eng.root(0)?;
     Ok(eng.stats)
 }
 
@@ -552,8 +558,9 @@ fn collect_frontier(
     // closure), cut before any scheduling choice.
     let mut shards = {
         let mut sink = Sink;
-        let mut eng = Engine::new(p, limits, quantum, reduction, &mut sink, &counter, Some(0));
-        eng.node(0, 0).expect("frontier collection emits no executions");
+        let st = SearchState::new(p);
+        let mut eng = Engine::new(p, limits, quantum, reduction, &mut sink, &counter, Some(0), st);
+        eng.root(0).expect("frontier collection emits no executions");
         pruned += eng.stats.pruned;
         std::mem::take(&mut eng.shards)
     };
@@ -570,9 +577,9 @@ fn collect_frontier(
             }
             grew = true;
             let mut sink = Sink;
-            let mut eng = Engine::new(p, limits, quantum, reduction, &mut sink, &counter, Some(1));
-            eng.st = shard.st;
-            eng.node(shard.sleep, 0).expect("frontier collection emits no executions");
+            let mut eng =
+                Engine::new(p, limits, quantum, reduction, &mut sink, &counter, Some(1), shard.st);
+            eng.root(shard.sleep).expect("frontier collection emits no executions");
             pruned += eng.stats.pruned;
             next.append(&mut eng.shards);
         }
@@ -607,9 +614,8 @@ fn run_shard(
     visitor: &mut dyn ExecutionVisitor,
     counter: &AtomicUsize,
 ) -> Result<EnumStats, EnumError> {
-    let mut eng = Engine::new(p, limits, quantum, reduction, visitor, counter, None);
-    eng.st = shard.st;
-    eng.node(shard.sleep, 0)?;
+    let mut eng = Engine::new(p, limits, quantum, reduction, visitor, counter, None, shard.st);
+    eng.root(shard.sleep)?;
     Ok(eng.stats)
 }
 
@@ -845,49 +851,22 @@ struct ThreadState {
     ctrl: IdSet,
 }
 
-/// The single mutable search state. Relations live over a carrier
-/// pre-sized to the program's memory-instruction count; a completed
-/// execution takes their prefix restriction. Everything is dense —
-/// memory and the per-location side lists index by `Loc.0`, observed
-/// flags by event id — so the hot loop is map-free.
+/// The single mutable search state. Everything is dense — memory and
+/// the per-location side lists index by `Loc.0`, observed flags and
+/// memo terms by event id — so the hot loop is map-free. `po`, `rf`,
+/// `co` and `fr` are not kept here: [`derive_relations`] builds them
+/// from the event list when an execution completes.
 #[derive(Clone)]
 struct SearchState {
     threads: Vec<ThreadState>,
     /// Memory by `Loc.0`.
     memory: Vec<Value>,
+    /// Performed events; an event's id is its index (the SC order).
     events: Vec<Event>,
-    order: Vec<usize>,
-    /// Per location: write event ids in coherence (SC) order.
-    writes: Vec<Vec<usize>>,
-    /// Per location: read event ids in SC order (for `fr` maintenance:
-    /// a new write is `fr`-after every existing read of its location).
-    reads: Vec<Vec<usize>>,
-    /// Per thread: its event ids in program order (for `po` pushes).
-    thread_events: Vec<Vec<usize>>,
     /// Observed flags by event id (carrier-sized).
     observed: Vec<bool>,
-    /// Memoization bookkeeping, maintained under
-    /// [`Reduction::SleepSetMemo`] only. Per location: a commutative
-    /// rolling hash over the *static labels* of past release-side
-    /// writes — the `so1`-relevant history an acquire-side read can
-    /// synchronize with.
-    rel_hash: Vec<u64>,
-    /// Per event id: snapshot of `rel_hash[loc]` taken when an
-    /// acquire-side read performed — pins the read's incoming `so1`
-    /// edges. Overwritten on id reuse; no undo entry needed.
-    so1h: Vec<u64>,
-    /// Per event id: source write of a read's `rf` edge (`u32::MAX` =
-    /// read from the initial value).
-    rf_src: Vec<u32>,
-    /// Per event id: commutative hash over the static labels of the
-    /// event's data-dependency sources — pins past `data` edges.
-    data_h: Vec<u64>,
-    /// Per event id: likewise for control-dependency sources.
-    ctrl_h: Vec<u64>,
-    po: Relation,
-    rf: Relation,
-    co: Relation,
-    fr: Relation,
+    /// Dependency relations over the program's carrier; a completed
+    /// execution takes their prefix restriction.
     data_dep: Relation,
     ctrl_dep: Relation,
     /// Block-shared scratch memory: address → (value, taint — the load
@@ -902,15 +881,78 @@ struct SearchState {
     /// Event-count watermarks of released barriers (see
     /// [`Execution::barrier_cuts`]).
     barrier_cuts: Vec<usize>,
+    /// Memoization bookkeeping, maintained under
+    /// [`Reduction::SleepSetMemo`] only (see [`Engine::fingerprint`]).
+    /// Per location: a commutative rolling hash over the *static
+    /// labels* of past release-side writes — the `so1`-relevant history
+    /// an acquire-side read can synchronize with.
+    rel_hash: Vec<u64>,
+    /// Per event id: `mix64` of the event's static label. Overwritten on
+    /// id reuse; no undo entry needed.
+    lmix: Vec<u64>,
+    /// Per event id: the event's term of the fingerprint's event
+    /// multiset, fixed when the event is performed.
+    term: Vec<u64>,
+    /// Sum of `term` over the performed events.
+    eh: u64,
+    /// Sum of `lmix` over the observed events.
+    oh: u64,
+    /// Per thread: one prefix hash of its static-label sequence per
+    /// performed event (pins `po` and the thread's instruction path).
+    thread_h: Vec<Vec<u64>>,
+    /// Per location, in exact mode only: `(write id, prefix hash of the
+    /// coherence-order label sequence through it)` per write.
+    writes: Vec<Vec<(u32, u64)>>,
 }
 
-/// Which relation an undo-journal edge belongs to.
+impl SearchState {
+    /// The state before any step: pcs at 0, memory at its initial
+    /// values, no events.
+    fn new(p: &Program) -> SearchState {
+        let cap = carrier(p);
+        let nlocs = p.num_locs();
+        SearchState {
+            threads: p
+                .threads()
+                .iter()
+                .map(|t| {
+                    let nregs = reg_count(&t.instrs);
+                    ThreadState {
+                        pc: 0,
+                        regs: vec![None; nregs],
+                        taint: vec![IdSet::default(); nregs],
+                        ctrl: IdSet::default(),
+                    }
+                })
+                .collect(),
+            memory: (0..nlocs as u32).map(|l| p.init_value(Loc(l))).collect(),
+            events: Vec::with_capacity(cap),
+            observed: vec![false; cap],
+            data_dep: Relation::empty(cap),
+            ctrl_dep: Relation::empty(cap),
+            scratch: BTreeMap::new(),
+            bdone: vec![0; p.threads().len()],
+            barrier_cuts: Vec::new(),
+            rel_hash: vec![0; nlocs],
+            lmix: vec![0; cap],
+            term: vec![0; cap],
+            eh: 0,
+            oh: 0,
+            thread_h: vec![Vec::new(); p.threads().len()],
+            writes: vec![Vec::new(); nlocs],
+        }
+    }
+}
+
+/// Carrier bound: every memory instruction runs at most once (pcs only
+/// move forward), and the quantum transformation never adds events.
+fn carrier(p: &Program) -> usize {
+    p.threads().iter().flat_map(|t| &t.instrs).filter(|i| i.is_memory()).count()
+}
+
+/// Which dependency relation an undo-journal edge belongs to.
 #[derive(Clone, Copy)]
 enum RelId {
-    Po,
-    Rf,
-    Co,
-    Fr,
     Data,
     Ctrl,
 }
@@ -918,7 +960,8 @@ enum RelId {
 /// One entry of the undo journal. A tree node records the journal
 /// length on entry (a watermark) and backtracking pops entries down to
 /// it, inverting each — no per-node collections, no thread-state
-/// clones, no allocation on the hot path.
+/// clones, no allocation on the hot path. Entries whose old value is
+/// large keep it on a side stack popped in the same LIFO order.
 enum Undo {
     Pc {
         tid: u32,
@@ -929,10 +972,10 @@ enum Undo {
         reg: u32,
         old: Option<Value>,
     },
+    /// The register's previous taint set is on the taint side stack.
     Taint {
         tid: u32,
         reg: u32,
-        old: IdSet,
     },
     /// One id was appended to the thread's ctrl set (LIFO pop undoes).
     CtrlAdd {
@@ -945,26 +988,25 @@ enum Undo {
         loc: u32,
         old: Value,
     },
-    /// One event (and its order slot) was pushed.
+    /// One event was pushed.
     Event,
+    /// One prefix hash was pushed on the thread's label stack.
+    ThreadHash {
+        tid: u32,
+    },
+    /// One write was pushed on the location's coherence stack.
     WritePush {
         loc: u32,
-    },
-    ReadPush {
-        loc: u32,
-    },
-    TePush {
-        tid: u32,
     },
     Edge(RelId, u32, u32),
     RelHash {
         loc: u32,
         old: u64,
     },
-    /// A scratch slot was written (restore the previous entry).
+    /// A scratch slot was written; its previous entry is on the scratch
+    /// side stack.
     Scratch {
         addr: Value,
-        old: Option<(Value, IdSet)>,
     },
     /// One barrier rendezvous released: pop the recorded cut (released
     /// pcs and counters are journaled separately).
@@ -974,6 +1016,8 @@ enum Undo {
         tid: u32,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<Undo>() <= 24);
 
 /// SplitMix64 finalizer — the same mixer as the in-tree PRNG.
 fn mix64(mut x: u64) -> u64 {
@@ -1016,11 +1060,6 @@ struct Memo {
     /// can never influence future events, and the race detectors do
     /// not read register files.
     live: Vec<Vec<Vec<u16>>>,
-    /// Hash coherence order and rf sources exactly? Required when the
-    /// viewed program can trigger the path-based detectors
-    /// (non-ordering or one-sided classes), which walk `co`/`rf`/`fr`
-    /// structure beyond what the `so1` summaries pin.
-    exact: bool,
     table: Vec<MemoEntry>,
     mask: usize,
     len: usize,
@@ -1028,13 +1067,8 @@ struct Memo {
 
 impl Memo {
     fn new(p: &Program) -> Memo {
-        let classes = p.classes_used();
-        let exact = classes.contains(&OpClass::NonOrdering)
-            || classes.contains(&OpClass::Acquire)
-            || classes.contains(&OpClass::Release);
         Memo {
             live: p.threads().iter().map(|t| live_regs(&t.instrs)).collect(),
-            exact,
             table: vec![MemoEntry { fp: 0, sleep: 0 }; MEMO_INIT_ENTRIES],
             mask: MEMO_INIT_ENTRIES - 1,
             len: 0,
@@ -1091,6 +1125,17 @@ impl Memo {
             }
         }
     }
+}
+
+/// Does the fingerprint hash coherence order and rf sources exactly?
+/// Required when the viewed program can trigger the path-based
+/// detectors (non-ordering or one-sided classes), which walk
+/// `co`/`rf`/`fr` structure beyond what the `so1` summaries pin.
+fn exact_fingerprint(p: &Program) -> bool {
+    let classes = p.classes_used();
+    classes.contains(&OpClass::NonOrdering)
+        || classes.contains(&OpClass::Acquire)
+        || classes.contains(&OpClass::Release)
 }
 
 /// Conservative backward liveness over one thread's instructions: a
@@ -1174,8 +1219,64 @@ enum Drained {
     /// No local-deterministic instruction is pending anywhere.
     Done,
     /// A quantum load (under the quantum transformation) — a local
-    /// *choice* point the caller must branch over.
-    QuantumLoad { tid: usize, dst: Reg },
+    /// *choice* point the caller must branch over. `undrained` holds
+    /// `tid` and every thread the drain had not reached yet.
+    QuantumLoad { tid: usize, dst: Reg, undrained: u64 },
+}
+
+/// Every thread of a `n`-thread program, as a tid bitmask.
+fn all_threads(n: usize) -> u64 {
+    if n == 0 {
+        0
+    } else {
+        u64::MAX >> (64 - n)
+    }
+}
+
+/// Fill `out`'s `po`, `rf`, `co` and `fr` from its event list. Event
+/// ids follow the SC order, so one backward pass suffices:
+///
+/// - an event's `po` row is the later events of its thread;
+/// - a write's `co` row and a read's `fr` row are the later writes of
+///   its location (a read reads the latest earlier write, so every
+///   later write is co-after its source: `fr = rf⁻¹;co`, initial-value
+///   reads included);
+/// - a write's `rf` row is the reads of its location performed after it
+///   and before the next write.
+///
+/// `masks` is scratch space: per thread its later events, per location
+/// its later writes and its later reads not yet claimed by a write.
+fn derive_relations(out: &mut Execution, nthreads: usize, nlocs: usize, masks: &mut Vec<u64>) {
+    let n = out.events.len();
+    let stride = n.div_ceil(64);
+    for r in [&mut out.po, &mut out.rf, &mut out.co, &mut out.fr] {
+        r.reset(n);
+    }
+    masks.clear();
+    masks.resize((nthreads + 2 * nlocs) * stride, 0);
+    let (later_in_thread, per_loc) = masks.split_at_mut(nthreads * stride);
+    let (later_writes, later_reads) = per_loc.split_at_mut(nlocs * stride);
+    for ev in out.events.iter().rev() {
+        let a = ev.id;
+        let (w, bit) = (a / 64, 1u64 << (a % 64));
+        let t = &mut later_in_thread[ev.tid * stride..(ev.tid + 1) * stride];
+        out.po.row_mut(a).copy_from_slice(t);
+        t[w] |= bit;
+        let l = ev.loc.0 as usize * stride..(ev.loc.0 as usize + 1) * stride;
+        let (writes, reads) = (&mut later_writes[l.clone()], &mut later_reads[l]);
+        if ev.access.writes() {
+            out.co.row_mut(a).copy_from_slice(writes);
+            out.rf.row_mut(a).copy_from_slice(reads);
+            reads.fill(0);
+        }
+        if ev.access.reads() {
+            out.fr.row_mut(a).copy_from_slice(writes);
+            reads[w] |= bit;
+        }
+        if ev.access.writes() {
+            writes[w] |= bit;
+        }
+    }
 }
 
 struct Engine<'a> {
@@ -1183,14 +1284,24 @@ struct Engine<'a> {
     limits: &'a EnumLimits,
     quantum: bool,
     por: bool,
-    /// Maintain the memo bookkeeping columns (`rel_hash`/`so1h`/…)?
+    /// Maintain the memo bookkeeping columns (`rel_hash`, `term`, …)?
     /// True for [`Reduction::SleepSetMemo`] even during frontier
     /// collection, so shard snapshots carry correct history summaries.
     track: bool,
+    /// Track coherence order and rf sources too (see
+    /// [`exact_fingerprint`]); implies `track`.
+    exact: bool,
+    /// Does the program contain a block barrier? Only then can a drain
+    /// end in a rendezvous release.
+    has_barrier: bool,
     st: SearchState,
     /// The undo journal; tree nodes record a watermark on entry and
     /// [`Engine::undo`] pops back to it.
     journal: Vec<Undo>,
+    /// Side stacks of the journal: the old values of [`Undo::Taint`] and
+    /// [`Undo::Scratch`] entries, in journal order.
+    taint_undo: Vec<IdSet>,
+    scratch_undo: Vec<Option<(Value, IdSet)>>,
     visitor: &'a mut dyn ExecutionVisitor,
     /// Executions emitted so far, shared across shards so the limit is
     /// a global resource bound.
@@ -1211,6 +1322,8 @@ struct Engine<'a> {
     tset: IdSet,
     /// Scratch: completed-execution snapshot reused across emits.
     out: Execution,
+    /// Scratch: the masks [`derive_relations`] fills rows from.
+    masks: Vec<u64>,
     /// Budget-poll countdown: the budget (when present) is consulted
     /// once every [`BUDGET_POLL_INTERVAL`] tree nodes.
     poll: u32,
@@ -1223,6 +1336,9 @@ struct Engine<'a> {
 const BUDGET_POLL_INTERVAL: u32 = 4096;
 
 impl<'a> Engine<'a> {
+    /// An engine that walks the tree below `st` — the root state
+    /// ([`SearchState::new`]) or a shard snapshot.
+    #[allow(clippy::too_many_arguments)] // the walk's inputs plus its start state
     fn new(
         p: &'a Program,
         limits: &'a EnumLimits,
@@ -1231,48 +1347,11 @@ impl<'a> Engine<'a> {
         visitor: &'a mut dyn ExecutionVisitor,
         counter: &'a AtomicUsize,
         frontier_depth: Option<usize>,
+        st: SearchState,
     ) -> Engine<'a> {
-        // Carrier bound: every memory instruction runs at most once
-        // (pcs only move forward), and the quantum transformation never
-        // adds events.
-        let cap = p.threads().iter().flat_map(|t| &t.instrs).filter(|i| i.is_memory()).count();
+        let cap = carrier(p);
         let nlocs = p.num_locs();
-        let st = SearchState {
-            threads: p
-                .threads()
-                .iter()
-                .map(|t| {
-                    let nregs = reg_count(&t.instrs);
-                    ThreadState {
-                        pc: 0,
-                        regs: vec![None; nregs],
-                        taint: vec![IdSet::default(); nregs],
-                        ctrl: IdSet::default(),
-                    }
-                })
-                .collect(),
-            memory: (0..nlocs as u32).map(|l| p.init_value(Loc(l))).collect(),
-            events: Vec::with_capacity(cap),
-            order: Vec::with_capacity(cap),
-            writes: vec![Vec::new(); nlocs],
-            reads: vec![Vec::new(); nlocs],
-            thread_events: vec![Vec::new(); p.threads().len()],
-            observed: vec![false; cap],
-            rel_hash: vec![0; nlocs],
-            so1h: vec![0; cap],
-            rf_src: vec![u32::MAX; cap],
-            data_h: vec![0; cap],
-            ctrl_h: vec![0; cap],
-            po: Relation::empty(cap),
-            rf: Relation::empty(cap),
-            co: Relation::empty(cap),
-            fr: Relation::empty(cap),
-            data_dep: Relation::empty(cap),
-            ctrl_dep: Relation::empty(cap),
-            scratch: BTreeMap::new(),
-            bdone: vec![0; p.threads().len()],
-            barrier_cuts: Vec::new(),
-        };
+        let track = reduction == Reduction::SleepSetMemo;
         let mut base = Vec::with_capacity(p.threads().len());
         let mut acc = 1u64;
         for t in p.threads() {
@@ -1301,9 +1380,13 @@ impl<'a> Engine<'a> {
             limits,
             quantum,
             por: reduction != Reduction::Exhaustive,
-            track: reduction == Reduction::SleepSetMemo,
+            track,
+            exact: track && exact_fingerprint(p),
+            has_barrier: p.threads().iter().any(|t| t.instrs.contains(&Instr::Barrier)),
             st,
             journal: Vec::new(),
+            taint_undo: Vec::new(),
+            scratch_undo: Vec::new(),
             visitor,
             counter,
             stats: EnumStats::default(),
@@ -1311,12 +1394,19 @@ impl<'a> Engine<'a> {
             frontier_depth,
             shards: Vec::new(),
             base,
-            memo: (reduction == Reduction::SleepSetMemo && frontier_depth.is_none())
-                .then(|| Memo::new(p)),
+            memo: (track && frontier_depth.is_none()).then(|| Memo::new(p)),
             tset: IdSet::default(),
             out,
+            masks: Vec::new(),
             poll: BUDGET_POLL_INTERVAL,
         }
+    }
+
+    /// Walk the tree below the engine's start state under sleep set
+    /// `sleep`. Every thread may have pending local instructions here.
+    fn root(&mut self, sleep: u64) -> Result<(), EnumError> {
+        let dirty = all_threads(self.st.threads.len());
+        self.node(sleep, 0, dirty)
     }
 
     /// Amortized cooperative budget poll — called once per tree node,
@@ -1335,15 +1425,10 @@ impl<'a> Engine<'a> {
             return Ok(());
         }
         let approx = self.journal.capacity() * std::mem::size_of::<Undo>()
+            + self.taint_undo.capacity() * std::mem::size_of::<IdSet>()
+            + self.scratch_undo.capacity() * std::mem::size_of::<Option<(Value, IdSet)>>()
             + self.memo.as_ref().map_or(0, |m| m.table.len() * std::mem::size_of::<MemoEntry>());
         budget.check(approx).map_err(EnumError::from)
-    }
-
-    /// Static label of an already-pushed event: stable across
-    /// interleavings (instruction identity, not dynamic id).
-    fn label(&self, id: usize) -> u64 {
-        let ev = &self.st.events[id];
-        self.base[ev.tid] + ev.iid as u64
     }
 
     fn set_pc(&mut self, tid: usize, pc: usize) {
@@ -1365,7 +1450,8 @@ impl<'a> Engine<'a> {
             &mut self.st.threads[tid].taint[r.0 as usize],
             std::mem::take(&mut self.tset),
         );
-        self.journal.push(Undo::Taint { tid: tid as u32, reg: r.0 as u32, old });
+        self.taint_undo.push(old);
+        self.journal.push(Undo::Taint { tid: tid as u32, reg: r.0 as u32 });
     }
 
     /// Merge the scratch taint set into `tid`'s ctrl set, which the
@@ -1401,10 +1487,6 @@ impl<'a> Engine<'a> {
 
     fn add_edge(&mut self, rel: RelId, a: usize, b: usize) {
         let r = match rel {
-            RelId::Po => &mut self.st.po,
-            RelId::Rf => &mut self.st.rf,
-            RelId::Co => &mut self.st.co,
-            RelId::Fr => &mut self.st.fr,
             RelId::Data => &mut self.st.data_dep,
             RelId::Ctrl => &mut self.st.ctrl_dep,
         };
@@ -1421,42 +1503,42 @@ impl<'a> Engine<'a> {
                 Undo::Reg { tid, reg, old } => {
                     self.st.threads[tid as usize].regs[reg as usize] = old;
                 }
-                Undo::Taint { tid, reg, old } => {
+                Undo::Taint { tid, reg } => {
+                    let old = self.taint_undo.pop().expect("taint side stack");
                     self.st.threads[tid as usize].taint[reg as usize] = old;
                 }
                 Undo::CtrlAdd { tid } => {
                     self.st.threads[tid as usize].ctrl.pop();
                 }
-                Undo::Observed { id } => self.st.observed[id as usize] = false,
+                Undo::Observed { id } => {
+                    self.st.observed[id as usize] = false;
+                    if self.track {
+                        self.st.oh = self.st.oh.wrapping_sub(self.st.lmix[id as usize]);
+                    }
+                }
                 Undo::Mem { loc, old } => self.st.memory[loc as usize] = old,
                 Undo::Event => {
-                    let n = self.st.events.len() - 1;
-                    self.st.events.truncate(n);
-                    self.st.order.truncate(n);
+                    let ev = self.st.events.pop().expect("journaled event");
+                    if self.track {
+                        self.st.eh = self.st.eh.wrapping_sub(self.st.term[ev.id]);
+                    }
+                }
+                Undo::ThreadHash { tid } => {
+                    self.st.thread_h[tid as usize].pop();
                 }
                 Undo::WritePush { loc } => {
                     self.st.writes[loc as usize].pop();
                 }
-                Undo::ReadPush { loc } => {
-                    self.st.reads[loc as usize].pop();
-                }
-                Undo::TePush { tid } => {
-                    self.st.thread_events[tid as usize].pop();
-                }
                 Undo::Edge(rel, a, b) => {
                     let r = match rel {
-                        RelId::Po => &mut self.st.po,
-                        RelId::Rf => &mut self.st.rf,
-                        RelId::Co => &mut self.st.co,
-                        RelId::Fr => &mut self.st.fr,
                         RelId::Data => &mut self.st.data_dep,
                         RelId::Ctrl => &mut self.st.ctrl_dep,
                     };
                     r.remove(a as usize, b as usize);
                 }
                 Undo::RelHash { loc, old } => self.st.rel_hash[loc as usize] = old,
-                Undo::Scratch { addr, old } => {
-                    match old {
+                Undo::Scratch { addr } => {
+                    match self.scratch_undo.pop().expect("scratch side stack") {
                         Some(e) => self.st.scratch.insert(addr, e),
                         None => self.st.scratch.remove(&addr),
                     };
@@ -1469,195 +1551,209 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Register a new event: relation pushes, side lists, order, memo
-    /// bookkeeping. Data-dependency sources are taken from the scratch
-    /// taint set (left cleared); control sources from the thread's
-    /// ctrl set.
+    /// Register a new event: dependency edges and, under memoization,
+    /// its fingerprint terms. Data-dependency sources are taken from the
+    /// scratch taint set (left cleared); control sources from the
+    /// thread's ctrl set.
     fn push_event(&mut self, ev: Event) {
         let id = ev.id;
         let tid = ev.tid;
-        let loc = ev.loc;
-        let access = ev.access;
-        let li = loc.0 as usize;
-        // po: every earlier event of the thread precedes the new one
-        // (events are created in program order, so this stays the full
-        // transitive po).
-        for i in 0..self.st.thread_events[tid].len() {
-            let a = self.st.thread_events[tid][i];
-            self.add_edge(RelId::Po, a, id);
-        }
-        self.st.thread_events[tid].push(id);
-        self.journal.push(Undo::TePush { tid: tid as u32 });
-        if access.reads() {
-            // rf: read from the coherence-latest write, if any. Reads
-            // of the initial value have no rf edge; every later write
-            // of the location will add an fr edge instead.
-            let src = self.st.writes[li].last().copied();
-            if let Some(w) = src {
-                self.add_edge(RelId::Rf, w, id);
-            }
-            self.st.reads[li].push(id);
-            self.journal.push(Undo::ReadPush { loc: loc.0 });
-            if self.track {
-                self.st.rf_src[id] = src.map_or(u32::MAX, |w| w as u32);
-                if ev.class.is_acquire_side() {
-                    self.st.so1h[id] = self.st.rel_hash[li];
-                }
-            }
-        }
-        if access.writes() {
-            // co: after every existing write of the location; fr: every
-            // existing read of the location read from a co-earlier
-            // write (or the initial value), so it is fr-before the new
-            // write.
-            for i in 0..self.st.writes[li].len() {
-                let w = self.st.writes[li][i];
-                self.add_edge(RelId::Co, w, id);
-            }
-            for i in 0..self.st.reads[li].len() {
-                let r = self.st.reads[li][i];
-                if r != id {
-                    self.add_edge(RelId::Fr, r, id);
-                }
-            }
-            self.st.writes[li].push(id);
-            self.journal.push(Undo::WritePush { loc: loc.0 });
-            if self.track && ev.class.is_release_side() {
-                let old = self.st.rel_hash[li];
-                self.journal.push(Undo::RelHash { loc: loc.0, old });
-                self.st.rel_hash[li] = old.wrapping_add(mix64(self.base[tid] + ev.iid as u64));
-            }
-        }
         let data = std::mem::take(&mut self.tset);
-        let mut dh = 0u64;
         for src in data.iter() {
             self.add_edge(RelId::Data, src as usize, id);
-            if self.track {
-                dh = dh.wrapping_add(mix64(self.label(src as usize)));
-            }
         }
-        self.tset = data;
-        self.tset.clear();
         let ctrl = std::mem::take(&mut self.st.threads[tid].ctrl);
-        let mut ch = 0u64;
         for src in ctrl.iter() {
             self.add_edge(RelId::Ctrl, src as usize, id);
-            if self.track {
-                ch = ch.wrapping_add(mix64(self.label(src as usize)));
-            }
+        }
+        if self.track {
+            self.track_event(&ev, &data, &ctrl);
         }
         self.st.threads[tid].ctrl = ctrl;
-        if self.track {
-            self.st.data_h[id] = dh;
-            self.st.ctrl_h[id] = ch;
-        }
+        self.tset = data;
+        self.tset.clear();
         self.st.events.push(ev);
-        self.st.order.push(id);
         self.journal.push(Undo::Event);
     }
 
-    /// Phase 1: drain local-deterministic instructions of every thread;
-    /// they commute with everything, so running them eagerly prunes
-    /// redundant interleavings. Stops at a quantum load (a local choice
-    /// point the caller branches over).
-    fn drain(&mut self) -> Drained {
-        loop {
-            let mut progressed = false;
-            for tid in 0..self.st.threads.len() {
-                loop {
-                    let p = self.p;
-                    let pc = self.st.threads[tid].pc;
-                    let Some(instr) = p.threads()[tid].instrs.get(pc) else { break };
-                    match instr {
-                        Instr::Assign { dst, expr } => {
-                            let v = expr.eval_slice(&self.st.threads[tid].regs);
-                            self.tset.clear();
-                            self.gather_taint(tid, expr);
-                            self.set_reg(tid, *dst, v);
-                            self.set_taint_from_scratch(tid, *dst);
-                            self.set_pc(tid, pc + 1);
-                            progressed = true;
-                        }
-                        Instr::BranchOn { cond } => {
-                            self.tset.clear();
-                            self.gather_taint(tid, cond);
-                            self.extend_ctrl_from_scratch(tid);
-                            self.set_pc(tid, pc + 1);
-                            progressed = true;
-                        }
-                        Instr::Observe { expr } => {
-                            self.tset.clear();
-                            self.gather_taint(tid, expr);
-                            let tset = std::mem::take(&mut self.tset);
-                            for id in tset.iter() {
-                                let i = id as usize;
-                                if !self.st.observed[i] {
-                                    self.st.observed[i] = true;
-                                    self.journal.push(Undo::Observed { id });
-                                }
-                            }
-                            self.tset = tset;
-                            self.tset.clear();
-                            self.set_pc(tid, pc + 1);
-                            progressed = true;
-                        }
-                        Instr::JumpIfZero { cond, skip } => {
-                            let v = cond.eval_slice(&self.st.threads[tid].regs);
-                            self.tset.clear();
-                            self.gather_taint(tid, cond);
-                            self.extend_ctrl_from_scratch(tid);
-                            self.set_pc(tid, pc + if v == 0 { *skip + 1 } else { 1 });
-                            progressed = true;
-                        }
-                        Instr::Think { .. } => {
-                            // Axiomatic no-op: a pure timing hint with
-                            // no event and no register effect.
-                            self.set_pc(tid, pc + 1);
-                            progressed = true;
-                        }
-                        Instr::ScratchLoad { addr, dst } => {
-                            let a = addr.eval_slice(&self.st.threads[tid].regs);
-                            self.tset.clear();
-                            self.gather_taint(tid, addr);
-                            let v = match self.st.scratch.get(&a) {
-                                Some((v, t)) => {
-                                    self.tset.extend_from(t);
-                                    *v
-                                }
-                                None => 0,
-                            };
-                            self.set_reg(tid, *dst, v);
-                            self.set_taint_from_scratch(tid, *dst);
-                            self.set_pc(tid, pc + 1);
-                            progressed = true;
-                        }
-                        Instr::ScratchStore { addr, val } => {
-                            let a = addr.eval_slice(&self.st.threads[tid].regs);
-                            let v = val.eval_slice(&self.st.threads[tid].regs);
-                            self.tset.clear();
-                            self.gather_taint(tid, addr);
-                            self.gather_taint(tid, val);
-                            let taint = std::mem::take(&mut self.tset);
-                            let old = self.st.scratch.insert(a, (v, taint));
-                            self.journal.push(Undo::Scratch { addr: a, old });
-                            self.set_pc(tid, pc + 1);
-                            progressed = true;
-                        }
-                        Instr::Load { class: OpClass::Quantum, dst, .. } if self.quantum => {
-                            return Drained::QuantumLoad { tid, dst: *dst };
-                        }
-                        _ => break,
-                    }
-                }
+    /// Fix a new event's fingerprint terms, once: its label hash, its
+    /// event-multiset term (label, access, class, write function, and
+    /// incoming `so1`/`data`/`ctrl` summaries — `so1` pins which
+    /// release-side writes an acquire-side read synchronizes with — plus
+    /// the rf source in exact mode), and the prefix hashes of its
+    /// thread's label sequence and, in exact mode, its location's
+    /// coherence order.
+    fn track_event(&mut self, ev: &Event, data: &IdSet, ctrl: &IdSet) {
+        let st = &mut self.st;
+        let li = ev.loc.0 as usize;
+        let lm = mix64(self.base[ev.tid] + ev.iid as u64);
+        st.lmix[ev.id] = lm;
+        let sum = |s: &IdSet| s.iter().fold(0u64, |h, src| h.wrapping_add(st.lmix[src as usize]));
+        let (dh, ch) = (sum(data), sum(ctrl));
+        let mut h = mix64(
+            lm ^ match ev.access {
+                Access::Read => 1,
+                Access::Write => 2,
+                Access::Rmw => 3,
+            },
+        );
+        h = mix64(h ^ (ev.class as u64 + 1));
+        if let Some(wf) = ev.write_fn {
+            let (tag, val) = match wf {
+                WriteFn::Set(v) => (1u64, v),
+                WriteFn::Add(v) => (2, v),
+                WriteFn::And(v) => (3, v),
+                WriteFn::Or(v) => (4, v),
+                WriteFn::Xor(v) => (5, v),
+                WriteFn::Min(v) => (6, v),
+                WriteFn::Max(v) => (7, v),
+                WriteFn::Cas => (8, 0),
+            };
+            h = mix64(h ^ tag);
+            h = mix64(h ^ val as u64);
+        }
+        if ev.class.is_acquire_side() && ev.access.reads() {
+            h = mix64(h ^ st.rel_hash[li]);
+        }
+        h = mix64(h ^ dh);
+        h = mix64(h ^ ch);
+        if self.exact && ev.access.reads() {
+            let src = st.writes[li].last().map_or(u64::MAX, |&(w, _)| st.lmix[w as usize]);
+            h = mix64(h ^ src);
+        }
+        st.term[ev.id] = h;
+        st.eh = st.eh.wrapping_add(h);
+        let prev = st.thread_h[ev.tid].last().copied().unwrap_or(0);
+        st.thread_h[ev.tid].push(mix64(prev ^ lm));
+        self.journal.push(Undo::ThreadHash { tid: ev.tid as u32 });
+        if ev.access.writes() {
+            if self.exact {
+                let prev = st.writes[li].last().map_or(0, |&(_, h)| h);
+                st.writes[li].push((ev.id as u32, mix64(prev ^ lm)));
+                self.journal.push(Undo::WritePush { loc: ev.loc.0 });
             }
-            if !progressed {
-                // Barrier rendezvous is deterministic (no scheduling
-                // choice), so it belongs to the drain closure: release
-                // and keep draining the freed threads.
-                if self.try_release_barrier() {
-                    continue;
+            if ev.class.is_release_side() {
+                let old = st.rel_hash[li];
+                self.journal.push(Undo::RelHash { loc: ev.loc.0, old });
+                st.rel_hash[li] = old.wrapping_add(lm);
+            }
+        }
+    }
+
+    /// Phase 1: drain the local-deterministic instructions of the
+    /// `dirty` threads, in tid order; they commute with everything, so
+    /// running them eagerly prunes redundant interleavings. Every other
+    /// thread is already parked at a memory instruction, a barrier or
+    /// its end — draining one thread never unblocks another, except
+    /// through a barrier release, whose freed threads are drained next.
+    /// Stops at a quantum load (a local choice point the caller
+    /// branches over).
+    fn drain(&mut self, mut dirty: u64) -> Drained {
+        loop {
+            while dirty != 0 {
+                let tid = dirty.trailing_zeros() as usize;
+                if let Some(dst) = self.drain_thread(tid) {
+                    return Drained::QuantumLoad { tid, dst, undrained: dirty };
                 }
+                dirty &= dirty - 1;
+            }
+            // Barrier rendezvous is deterministic (no scheduling
+            // choice), so it belongs to the drain closure: release and
+            // keep draining the freed threads.
+            if !self.has_barrier {
                 return Drained::Done;
+            }
+            dirty = self.try_release_barrier();
+            if dirty == 0 {
+                return Drained::Done;
+            }
+        }
+    }
+
+    /// Run thread `tid`'s local-deterministic instructions until it
+    /// reaches a memory instruction, a barrier or its end. Returns the
+    /// destination register when it stops at a quantum load instead.
+    fn drain_thread(&mut self, tid: usize) -> Option<Reg> {
+        let p = self.p;
+        loop {
+            let pc = self.st.threads[tid].pc;
+            let instr = p.threads()[tid].instrs.get(pc)?;
+            match instr {
+                Instr::Assign { dst, expr } => {
+                    let v = expr.eval_slice(&self.st.threads[tid].regs);
+                    self.tset.clear();
+                    self.gather_taint(tid, expr);
+                    self.set_reg(tid, *dst, v);
+                    self.set_taint_from_scratch(tid, *dst);
+                    self.set_pc(tid, pc + 1);
+                }
+                Instr::BranchOn { cond } => {
+                    self.tset.clear();
+                    self.gather_taint(tid, cond);
+                    self.extend_ctrl_from_scratch(tid);
+                    self.set_pc(tid, pc + 1);
+                }
+                Instr::Observe { expr } => {
+                    self.tset.clear();
+                    self.gather_taint(tid, expr);
+                    let tset = std::mem::take(&mut self.tset);
+                    for id in tset.iter() {
+                        let i = id as usize;
+                        if !self.st.observed[i] {
+                            self.st.observed[i] = true;
+                            if self.track {
+                                self.st.oh = self.st.oh.wrapping_add(self.st.lmix[i]);
+                            }
+                            self.journal.push(Undo::Observed { id });
+                        }
+                    }
+                    self.tset = tset;
+                    self.tset.clear();
+                    self.set_pc(tid, pc + 1);
+                }
+                Instr::JumpIfZero { cond, skip } => {
+                    let v = cond.eval_slice(&self.st.threads[tid].regs);
+                    self.tset.clear();
+                    self.gather_taint(tid, cond);
+                    self.extend_ctrl_from_scratch(tid);
+                    self.set_pc(tid, pc + if v == 0 { *skip + 1 } else { 1 });
+                }
+                Instr::Think { .. } => {
+                    // Axiomatic no-op: a pure timing hint with no event
+                    // and no register effect.
+                    self.set_pc(tid, pc + 1);
+                }
+                Instr::ScratchLoad { addr, dst } => {
+                    let a = addr.eval_slice(&self.st.threads[tid].regs);
+                    self.tset.clear();
+                    self.gather_taint(tid, addr);
+                    let v = match self.st.scratch.get(&a) {
+                        Some((v, t)) => {
+                            self.tset.extend_from(t);
+                            *v
+                        }
+                        None => 0,
+                    };
+                    self.set_reg(tid, *dst, v);
+                    self.set_taint_from_scratch(tid, *dst);
+                    self.set_pc(tid, pc + 1);
+                }
+                Instr::ScratchStore { addr, val } => {
+                    let a = addr.eval_slice(&self.st.threads[tid].regs);
+                    let v = val.eval_slice(&self.st.threads[tid].regs);
+                    self.tset.clear();
+                    self.gather_taint(tid, addr);
+                    self.gather_taint(tid, val);
+                    let taint = std::mem::take(&mut self.tset);
+                    let old = self.st.scratch.insert(a, (v, taint));
+                    self.scratch_undo.push(old);
+                    self.journal.push(Undo::Scratch { addr: a });
+                    self.set_pc(tid, pc + 1);
+                }
+                Instr::Load { class: OpClass::Quantum, dst, .. } if self.quantum => {
+                    return Some(*dst);
+                }
+                _ => return None,
             }
         }
     }
@@ -1669,8 +1765,9 @@ impl<'a> Engine<'a> {
     /// blocks the rendezvous forever — a deadlock, so the search path
     /// is dropped with no result, mirroring real-hardware behavior.
     /// Records an event-count cut (the synchronization watermark) and
-    /// advances every released pc, all journaled.
-    fn try_release_barrier(&mut self) -> bool {
+    /// advances every released pc, all journaled. Returns the released
+    /// threads as a tid bitmask (0 when nothing was released).
+    fn try_release_barrier(&mut self) -> u64 {
         let p = self.p;
         let parked = |t: &ThreadState, tid: usize| {
             p.threads()[tid].instrs.get(t.pc).is_some_and(|i| matches!(i, Instr::Barrier))
@@ -1684,25 +1781,27 @@ impl<'a> Engine<'a> {
             }
         }
         if k == u32::MAX {
-            return false;
+            return 0;
         }
         for (tid, t) in self.st.threads.iter().enumerate() {
             let done = self.st.bdone[tid];
             if !(done > k || (done == k && parked(t, tid))) {
-                return false;
+                return 0;
             }
         }
         self.st.barrier_cuts.push(self.st.events.len());
         self.journal.push(Undo::BarrierCut);
+        let mut released = 0;
         for tid in 0..self.st.threads.len() {
             if self.st.bdone[tid] == k {
                 let pc = self.st.threads[tid].pc;
                 self.set_pc(tid, pc + 1);
                 self.st.bdone[tid] += 1;
                 self.journal.push(Undo::Bdone { tid: tid as u32 });
+                released |= 1 << tid;
             }
         }
-        true
+        released
     }
 
     /// The next memory operation of `tid`, as `(loc, writes)` — the
@@ -1727,16 +1826,18 @@ impl<'a> Engine<'a> {
     /// One tree node: drain locals, then branch on which thread moves.
     /// `sleep` is the sleep set (bitmask of enabled threads whose moves
     /// are covered by an already-explored sibling order); `depth`
-    /// counts choice points for frontier collection.
-    fn node(&mut self, sleep: u64, depth: usize) -> Result<(), EnumError> {
+    /// counts choice points for frontier collection; `dirty` is the
+    /// threads that may have pending local instructions — the one that
+    /// just moved, or more after a quantum-load branch.
+    fn node(&mut self, sleep: u64, depth: usize, dirty: u64) -> Result<(), EnumError> {
         if self.stop {
             return Ok(());
         }
         self.poll_budget()?;
         let mark = self.journal.len();
-        match self.drain() {
+        match self.drain(dirty) {
             Drained::Done => {}
-            Drained::QuantumLoad { tid, dst } => {
+            Drained::QuantumLoad { tid, dst, undrained } => {
                 // Quantum transformation: ri = random(). No memory
                 // event; the load is gone in Pq. A local choice, so the
                 // sleep set carries through unchanged.
@@ -1748,7 +1849,7 @@ impl<'a> Engine<'a> {
                     self.set_taint_from_scratch(tid, dst);
                     let pc = self.st.threads[tid].pc;
                     self.set_pc(tid, pc + 1);
-                    self.node(sleep, depth + 1)?;
+                    self.node(sleep, depth + 1, undrained)?;
                     self.undo(m2);
                     if self.stop {
                         break;
@@ -1850,11 +1951,13 @@ impl<'a> Engine<'a> {
 
     /// Take thread `tid`'s pending memory step and recurse. Quantum
     /// stores/RMWs branch over the domain internally (every branch is
-    /// the same scheduling choice, so they share one sleep set).
+    /// the same scheduling choice, so they share one sleep set). Only
+    /// `tid` moved, so only `tid` is drained below.
     fn step(&mut self, tid: usize, child_sleep: u64, depth: usize) -> Result<(), EnumError> {
         let p = self.p;
         let pc = self.st.threads[tid].pc;
         let instr = &p.threads()[tid].instrs[pc];
+        let moved = 1 << tid;
         if self.quantum && instr.class() == Some(OpClass::Quantum) {
             // Quantum transformation (§3.4.3): quantum stores write
             // random(); a quantum RMW's load returns random() and its
@@ -1865,7 +1968,7 @@ impl<'a> Engine<'a> {
                     for &v in &limits.quantum_domain {
                         let m = self.journal.len();
                         self.quantum_store_event(tid, *class, *loc, v, None);
-                        self.node(child_sleep, depth + 1)?;
+                        self.node(child_sleep, depth + 1, moved)?;
                         self.undo(m);
                         if self.stop {
                             break;
@@ -1878,7 +1981,7 @@ impl<'a> Engine<'a> {
                         for &new in &limits.quantum_domain {
                             let m = self.journal.len();
                             self.quantum_store_event(tid, *class, *loc, new, Some((*dst, old)));
-                            self.node(child_sleep, depth + 1)?;
+                            self.node(child_sleep, depth + 1, moved)?;
                             self.undo(m);
                             if self.stop {
                                 break 'outer;
@@ -1892,7 +1995,7 @@ impl<'a> Engine<'a> {
         }
         let m = self.journal.len();
         self.perform(tid);
-        self.node(child_sleep, depth + 1)?;
+        self.node(child_sleep, depth + 1, moved)?;
         self.undo(m);
         Ok(())
     }
@@ -2017,9 +2120,9 @@ impl<'a> Engine<'a> {
     }
 
     /// A complete execution: snapshot the state into the reused scratch
-    /// [`Execution`] and hand it to the visitor. The scratch keeps its
-    /// buffers across emits, so the per-execution cost is copies, not
-    /// allocations.
+    /// [`Execution`], derive its `po`/`rf`/`co`/`fr`, and hand it to the
+    /// visitor. The scratch keeps its buffers across emits, so the
+    /// per-execution cost is copies, not allocations.
     fn emit(&mut self) -> Result<(), EnumError> {
         let seen = self.counter.fetch_add(1, Ordering::Relaxed);
         if seen >= self.limits.max_executions {
@@ -2029,23 +2132,15 @@ impl<'a> Engine<'a> {
         let n = self.st.events.len();
         let out = &mut self.out;
         out.events.clone_from(&self.st.events);
-        out.order.clone_from(&self.st.order);
+        out.order.clear();
+        out.order.extend(0..n);
         for (l, v) in out.result.memory.iter_mut() {
             *v = self.st.memory[l.0 as usize];
         }
-        for (tid, t) in self.st.threads.iter().enumerate() {
-            let m = &mut out.result.regs[tid];
-            m.clear();
-            for (i, r) in t.regs.iter().enumerate() {
-                if let Some(v) = r {
-                    m.insert(Reg(i as u16), *v);
-                }
-            }
+        for (t, m) in self.st.threads.iter().zip(&mut out.result.regs) {
+            fill_regs(m, &t.regs);
         }
-        self.st.po.restrict_into(n, &mut out.po);
-        self.st.rf.restrict_into(n, &mut out.rf);
-        self.st.co.restrict_into(n, &mut out.co);
-        self.st.fr.restrict_into(n, &mut out.fr);
+        derive_relations(out, self.st.threads.len(), self.st.memory.len(), &mut self.masks);
         self.st.data_dep.restrict_into(n, &mut out.data_dep);
         out.addr_dep.reset(n);
         self.st.ctrl_dep.restrict_into(n, &mut out.ctrl_dep);
@@ -2056,6 +2151,12 @@ impl<'a> Engine<'a> {
             self.stop = true;
         }
         Ok(())
+    }
+
+    /// Commutative hash of a set of events: the sum of their label
+    /// hashes.
+    fn set_hash(&self, s: &IdSet) -> u64 {
+        s.iter().fold(0, |h, id| h.wrapping_add(self.st.lmix[id as usize]))
     }
 
     /// Canonical fingerprint of the current search state, SplitMix64-
@@ -2071,12 +2172,14 @@ impl<'a> Engine<'a> {
     ///   which the race detectors ignore — could expose them);
     /// - per-thread ctrl sources, memory, observed flags;
     /// - the event multiset: label, access, class, write function,
-    ///   incoming `so1`/`data`/`ctrl` summary hashes (`so1h` pins which
-    ///   release-side writes an acquire-side read synchronizes with;
-    ///   `data_h`/`ctrl_h` pin past dependency edges);
+    ///   incoming `so1`/`data`/`ctrl` summary hashes;
     /// - per-location release-write history (`rel_hash`), and — in
     ///   exact mode — the full per-location coherence order and rf
     ///   sources (the path-based detectors read them).
+    ///
+    /// Every per-event term is fixed when the event is performed
+    /// ([`Engine::track_event`]) and sequences enter as prefix hashes,
+    /// so the cost does not grow with the events already performed.
     fn fingerprint(&self, memo: &Memo) -> u128 {
         let mut a: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut b: u64 = 0x243F_6A88_85A3_08D3;
@@ -2084,103 +2187,42 @@ impl<'a> Engine<'a> {
             a = mix64(a ^ v);
             b = mix64(b.rotate_left(17) ^ v ^ 0xA076_1D64_78BD_642F);
         };
-        for (tid, t) in self.st.threads.iter().enumerate() {
+        let st = &self.st;
+        for (tid, t) in st.threads.iter().enumerate() {
             feed(t.pc as u64);
-            for &e in &self.st.thread_events[tid] {
-                feed(self.label(e));
-            }
+            feed(st.thread_h[tid].last().copied().unwrap_or(0));
             let live_tbl = &memo.live[tid];
             let live = &live_tbl[t.pc.min(live_tbl.len() - 1)];
             for &r in live {
                 let ri = r as usize;
                 feed(r as u64);
                 feed(t.regs.get(ri).copied().flatten().unwrap_or(0) as u64);
-                let mut th = 0u64;
-                if let Some(ts) = t.taint.get(ri) {
-                    for id in ts.iter() {
-                        th = th.wrapping_add(mix64(self.label(id as usize)));
-                    }
-                }
-                feed(th);
+                feed(t.taint.get(ri).map_or(0, |ts| self.set_hash(ts)));
             }
-            let mut ch = 0u64;
-            for id in t.ctrl.iter() {
-                ch = ch.wrapping_add(mix64(self.label(id as usize)));
-            }
-            feed(ch);
+            feed(self.set_hash(&t.ctrl));
         }
-        for &v in &self.st.memory {
+        for &v in &st.memory {
             feed(v as u64);
         }
-        for (a, (v, t)) in &self.st.scratch {
+        for (a, (v, t)) in &st.scratch {
             feed(*a as u64);
             feed(*v as u64);
-            let mut th = 0u64;
-            for id in t.iter() {
-                th = th.wrapping_add(mix64(self.label(id as usize)));
-            }
-            feed(th);
+            feed(self.set_hash(t));
         }
-        for &b in &self.st.bdone {
+        for &b in &st.bdone {
             feed(b as u64);
         }
-        for &c in &self.st.barrier_cuts {
+        for &c in &st.barrier_cuts {
             feed(c as u64);
         }
-        let mut oh = 0u64;
-        for (id, &o) in self.st.observed.iter().enumerate().take(self.st.events.len()) {
-            if o {
-                oh = oh.wrapping_add(mix64(self.label(id)));
-            }
-        }
-        feed(oh);
-        let mut eh = 0u64;
-        for ev in &self.st.events {
-            let mut h = mix64(self.base[ev.tid] + ev.iid as u64);
-            h = mix64(
-                h ^ match ev.access {
-                    Access::Read => 1,
-                    Access::Write => 2,
-                    Access::Rmw => 3,
-                },
-            );
-            h = mix64(h ^ (ev.class as u64 + 1));
-            if let Some(wf) = ev.write_fn {
-                let (tag, val) = match wf {
-                    WriteFn::Set(v) => (1u64, v),
-                    WriteFn::Add(v) => (2, v),
-                    WriteFn::And(v) => (3, v),
-                    WriteFn::Or(v) => (4, v),
-                    WriteFn::Xor(v) => (5, v),
-                    WriteFn::Min(v) => (6, v),
-                    WriteFn::Max(v) => (7, v),
-                    WriteFn::Cas => (8, 0),
-                };
-                h = mix64(h ^ tag);
-                h = mix64(h ^ val as u64);
-            }
-            if ev.class.is_acquire_side() && ev.access.reads() {
-                h = mix64(h ^ self.st.so1h[ev.id]);
-            }
-            h = mix64(h ^ self.st.data_h[ev.id]);
-            h = mix64(h ^ self.st.ctrl_h[ev.id]);
-            if memo.exact && ev.access.reads() {
-                let src = self.st.rf_src[ev.id];
-                let sl = if src == u32::MAX { u64::MAX } else { mix64(self.label(src as usize)) };
-                h = mix64(h ^ sl);
-            }
-            eh = eh.wrapping_add(h);
-        }
-        feed(eh);
-        for &rh in &self.st.rel_hash {
+        feed(st.oh);
+        feed(st.eh);
+        for &rh in &st.rel_hash {
             feed(rh);
         }
-        if memo.exact {
-            for ws in &self.st.writes {
-                for &w in ws {
-                    feed(self.label(w));
-                }
-                feed(0xDEAD_BEEF);
+        if self.exact {
+            for ws in &st.writes {
+                feed(ws.last().map_or(0, |&(_, h)| h));
             }
         }
         let fp = ((a as u128) << 64) | b as u128;
@@ -2189,6 +2231,28 @@ impl<'a> Engine<'a> {
         } else {
             fp
         }
+    }
+}
+
+/// Refill a final register file in place. Registers are only ever
+/// written, never cleared, so consecutive executions usually define the
+/// same registers and only the values change; when the defined set
+/// differs, the map is rebuilt.
+fn fill_regs(m: &mut BTreeMap<Reg, Value>, regs: &[Option<Value>]) {
+    let mut defined = regs.iter().enumerate().filter_map(|(i, r)| r.map(|v| (i, v)));
+    let mut same = true;
+    for (k, slot) in m.iter_mut() {
+        match defined.next() {
+            Some((i, v)) if i == k.0 as usize => *slot = v,
+            _ => {
+                same = false;
+                break;
+            }
+        }
+    }
+    if !same || defined.next().is_some() {
+        m.clear();
+        m.extend(regs.iter().enumerate().filter_map(|(i, r)| r.map(|v| (Reg(i as u16), v))));
     }
 }
 
@@ -2382,6 +2446,28 @@ mod tests {
         let vals: BTreeSet<Value> =
             q.iter().map(|e| *e.result.regs[0].get(&Reg(0)).unwrap()).collect();
         assert_eq!(vals, BTreeSet::from([0, 1, JUNK]));
+    }
+
+    #[test]
+    fn quantum_load_branches_drain_the_threads_not_yet_reached() {
+        // The root drain stops at thread 0's quantum load before it
+        // reaches thread 1's assign; every branch must drain it later.
+        let mut p = Program::new("qdrain");
+        {
+            let mut t = p.thread();
+            let r = t.load(OpClass::Quantum, "q");
+            t.observe(r);
+        }
+        {
+            let mut t = p.thread();
+            let r = t.assign(Expr::from(5));
+            t.store(OpClass::Data, "x", r);
+        }
+        let p = p.build();
+        let x = p.find_loc("x").unwrap();
+        let q = enumerate_sc_quantum(&p, &limits()).unwrap();
+        assert_eq!(q.len(), 3);
+        assert!(q.iter().all(|e| e.result.memory[&x] == 5));
     }
 
     #[test]

@@ -24,8 +24,9 @@ const WORD: usize = 64;
 /// Words kept inline before spilling to the heap. 24 words is one row
 /// set for a 24-event execution at stride 1 (or 3 rows at 8 events) —
 /// enough for the whole litmus corpus including the 4-thread stress
-/// programs, so the streaming enumerator's six incrementally-maintained
-/// relations never touch the allocator on the hot path.
+/// programs, so neither the streaming enumerator's two incrementally
+/// maintained dependency relations nor the `po`/`rf`/`co`/`fr` it
+/// derives per emitted execution touch the allocator on the hot path.
 const INLINE_WORDS: usize = 24;
 
 /// Packed word storage: inline for litmus-sized carriers, heap beyond.
@@ -203,7 +204,7 @@ impl Relation {
     }
 
     /// Remove a pair (no-op if absent). The retract half of the
-    /// streaming enumerator's push/pop relation maintenance.
+    /// streaming enumerator's push/pop dependency-edge maintenance.
     pub fn remove(&mut self, a: usize, b: usize) {
         assert!(a < self.n && b < self.n, "pair out of carrier");
         self.words.as_mut()[a * self.stride + b / WORD] &= !(1u64 << (b % WORD));
@@ -216,8 +217,8 @@ impl Relation {
 
     /// The restriction of the relation to the carrier prefix `0..m`.
     ///
-    /// The streaming enumerator maintains relations over a carrier
-    /// sized for the whole program; a completed execution only uses the
+    /// The streaming enumerator maintains its dependency relations over
+    /// a carrier sized for the whole program; a completed execution only uses the
     /// events actually performed, so its relations are the prefix
     /// restriction. Requires `m <= carrier()` and that no pair touches
     /// an event `>= m` (which holds by construction for the enumerator:

@@ -9,12 +9,17 @@
 
 mod rng;
 
+use drfrlx::conform::{generate, template_corpus};
+use drfrlx::litmus::all_tests;
 use drfrlx::model::axiomatic::enumerate_axiomatic;
 use drfrlx::model::emit::emit;
-use drfrlx::model::exec::{enumerate_sc, EnumLimits};
+use drfrlx::model::exec::{
+    enumerate_sc, visit_sc, EnumLimits, Event, Execution, ExecutionVisitor, Reduction,
+};
 use drfrlx::model::parse::parse as parse_litmus;
 use drfrlx::model::program::{Program, RmwOp};
 use drfrlx::model::quantum::has_quantum;
+use drfrlx::model::relation::Relation;
 use drfrlx::model::syscentric::compare_with_sc;
 use drfrlx::sim::mem::{Cache, CacheParams, LineAddr, StoreBuffer};
 use drfrlx::{check_program, MemoryModel, OpClass};
@@ -115,6 +120,82 @@ fn enumerator_only_produces_sc_executions() {
             }
         }
     });
+}
+
+/// Checks an execution's `po`, `co`, `rf` and `fr` against their
+/// definitions, pair by pair.
+struct RelationDefinitions<'p> {
+    program: &'p Program,
+    executions: usize,
+}
+
+impl ExecutionVisitor for RelationDefinitions<'_> {
+    fn visit(&mut self, e: &Execution) -> bool {
+        let n = e.len();
+        let writes =
+            |a: &Event, b: &Event| a.loc == b.loc && a.access.writes() && b.access.writes();
+        for a in &e.events {
+            for b in &e.events {
+                let (i, j) = (a.id, b.id);
+                // po: total on each thread's events, pointing forward.
+                assert_eq!(e.po.contains(i, j), a.tid == b.tid && i < j, "po({i}, {j})");
+                // co: a strict total order on each location's writes,
+                // following the SC order.
+                assert_eq!(e.co.contains(i, j), writes(a, b) && i < j, "co({i}, {j})");
+                if e.rf.contains(i, j) {
+                    assert!(a.access.writes() && b.access.reads() && a.loc == b.loc);
+                    assert!(i < j, "rf({i}, {j}) points backward");
+                }
+            }
+        }
+        let mut initial_reads = Vec::new();
+        for r in e.events.iter().filter(|ev| ev.access.reads()) {
+            let sources: Vec<usize> = (0..n).filter(|&w| e.rf.contains(w, r.id)).collect();
+            assert!(sources.len() <= 1, "read {} has rf sources {sources:?}", r.id);
+            match sources.first() {
+                Some(&w) => assert_eq!(r.rval, e.events[w].wval, "read {} value", r.id),
+                None => {
+                    assert_eq!(r.rval, Some(self.program.init_value(r.loc)), "read {}", r.id);
+                    initial_reads.push(r);
+                }
+            }
+        }
+        // fr = rf⁻¹;co ∪ (initial-value reads × same-location writes),
+        // without the identity pairs of RMWs.
+        let init = Relation::from_pairs(
+            n,
+            initial_reads.iter().flat_map(|r| {
+                e.events
+                    .iter()
+                    .filter(|w| w.loc == r.loc && w.access.writes())
+                    .map(|w| (r.id, w.id))
+            }),
+        );
+        let fr = e.rf.inverse().seq(&e.co).union(&init).minus(&Relation::identity(n));
+        assert!(e.fr == fr, "fr differs from rf⁻¹;co: {:?} vs {:?}", e.fr.pairs(), fr.pairs());
+        self.executions += 1;
+        true
+    }
+}
+
+/// The enumerator derives `po`, `rf`, `co` and `fr` from the event
+/// list; every emitted execution of the registry, the template corpus
+/// and generated programs — plain and quantum-transformed — must match
+/// the relations' definitions.
+#[test]
+fn derived_relations_match_their_definitions() {
+    let registry = all_tests().into_iter().map(|t| ((t.build)(), t.reduction));
+    let templates = template_corpus().into_iter().map(|(_, p)| (p, Reduction::SleepSetMemo));
+    let generated = (0..64).map(|seed| (generate(seed), Reduction::SleepSet));
+    for (p, reduction) in registry.chain(templates).chain(generated) {
+        let quantum_views: &[bool] = if has_quantum(&p) { &[false, true] } else { &[false] };
+        for &quantum in quantum_views {
+            let mut v = RelationDefinitions { program: &p, executions: 0 };
+            visit_sc(&p, &EnumLimits::default(), quantum, reduction, &mut v)
+                .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+            assert!(v.executions > 0, "{}", p.name());
+        }
+    }
 }
 
 /// Theorem 3.1, fuzzed: a program the checker declares DRFrlx
