@@ -2,11 +2,18 @@
 //!
 //! Context selection — "which context runs next?" — is the innermost
 //! loop of every simulation: one pick per executed operation. The
-//! engine keeps an indexed ready queue (a min-[`BinaryHeap`] keyed by
+//! engine keeps an indexed ready queue (a min-[`BinaryHeap`] ordered by
 //! `(ready cycle, context id)`), so each pick costs O(log contexts)
 //! instead of a linear scan over every resident context. Ties still
 //! break by context id, so schedules — and therefore all reports —
 //! are deterministic.
+//!
+//! The heap stores that pair packed into one `u64`, `at << 20 | ctx`,
+//! so every sift compares one word instead of a tuple. Numeric order of
+//! the packed key is the order of the pair as long as both fit: a
+//! kernel may have at most 2^20 contexts (checked when it launches) and
+//! a ready cycle must stay below 2^44 (checked on every push); either
+//! violation panics rather than mis-scheduling.
 
 use crate::consistency::{AccessActions, ConsistencyPolicy, DrfPolicy};
 use crate::ir::{Kernel, Op, WorkItem};
@@ -169,8 +176,15 @@ impl IssuePort {
     }
 }
 
-/// The ready queue: a min-heap over `(ready cycle, context id)`, so
-/// the engine finds the next runnable context in O(log contexts).
+/// Bits of a ready-queue key that hold the context id.
+const CTX_BITS: u32 = 20;
+
+/// Contexts one kernel may have: ids must fit in [`CTX_BITS`].
+const MAX_CONTEXTS: usize = 1 << CTX_BITS;
+
+/// The ready queue: a min-heap over `(ready cycle, context id)` packed
+/// as `at << CTX_BITS | ctx`, so the engine finds the next runnable
+/// context in O(log contexts) with one-word comparisons.
 ///
 /// Every `Ready` transition pushes exactly one entry and every entry is
 /// consumed at most once, so the heap never holds stale entries for a
@@ -178,19 +192,30 @@ impl IssuePort {
 /// invariant guard, not a lazy-deletion scheme.
 #[derive(Default)]
 struct HeapQueue {
-    heap: BinaryHeap<Reverse<(Cycle, usize)>>,
+    heap: BinaryHeap<Reverse<u64>>,
 }
 
 impl HeapQueue {
-    /// Note that context `ctx` became `Ready(at)`.
+    /// Note that context `ctx` became `Ready(at)`. `ctx` fits in
+    /// [`CTX_BITS`]: `run_kernel_with` checks the context count up front.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` needs more than `64 - CTX_BITS` bits.
     fn push(&mut self, at: Cycle, ctx: usize) {
-        self.heap.push(Reverse((at, ctx)));
+        assert!(
+            at >> (u64::BITS - CTX_BITS) == 0,
+            "ready cycle {at} does not fit the ready queue's {}-bit cycle field",
+            u64::BITS - CTX_BITS
+        );
+        self.heap.push(Reverse(at << CTX_BITS | ctx as u64));
     }
 
     /// Remove and return the minimum `(ready cycle, context id)`, or
     /// `None` when no context is runnable.
     fn pop(&mut self, ctxs: &[Ctx]) -> Option<(Cycle, usize)> {
-        while let Some(Reverse((at, i))) = self.heap.pop() {
+        while let Some(Reverse(key)) = self.heap.pop() {
+            let (at, i) = (key >> CTX_BITS, (key & (MAX_CONTEXTS as u64 - 1)) as usize);
             if ctxs[i].state == CtxState::Ready(at) {
                 return Some((at, i));
             }
@@ -209,7 +234,9 @@ impl HeapQueue {
 /// # Panics
 ///
 /// Panics if the kernel has no blocks, a block exceeds the CU context
-/// capacity, or a work item keeps emitting ops after `Done`.
+/// capacity, the kernel has more than 2^20 contexts (blocks × threads
+/// per block; see the module doc), or a work item keeps emitting ops
+/// after `Done`.
 pub fn run_kernel(
     kernel: &dyn Kernel,
     params: &EngineParams,
@@ -272,6 +299,10 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
     assert!(
         kernel.threads_per_block() <= params.max_contexts_per_cu,
         "block larger than CU context capacity"
+    );
+    assert!(
+        kernel.blocks().saturating_mul(kernel.threads_per_block()) <= MAX_CONTEXTS,
+        "kernel has more than {MAX_CONTEXTS} contexts, the most the ready queue can order"
     );
     let mut memory = vec![0; kernel.memory_words()];
     kernel.init_memory(&mut memory);
@@ -1085,5 +1116,103 @@ mod tests {
         let mut b2 = FixedLat::default();
         let again = run_kernel(&k, &p, &mut b2);
         assert_eq!(jit, again);
+    }
+
+    /// The ids of the contexts issuing their second and third ops, in
+    /// issue order.
+    type OrderLog = std::sync::Arc<std::sync::Mutex<[Vec<usize>; 2]>>;
+
+    struct OrderKernel {
+        contexts: usize,
+        log: OrderLog,
+    }
+
+    struct OrderItem {
+        id: usize,
+        n: usize,
+        calls: usize,
+        log: OrderLog,
+    }
+
+    impl WorkItem for OrderItem {
+        fn next(&mut self, _last: Option<Value>) -> Op {
+            let (id, n) = (self.id, self.n);
+            self.calls += 1;
+            if self.calls > 1 {
+                self.log.lock().unwrap()[self.calls - 2].push(id);
+            }
+            match self.calls {
+                // Issued at cycle `id` (one port): ready again at
+                // 2n + 1 - id, so higher ids come back first.
+                1 => Op::Think((2 * n - 2 * id) as u32),
+                // Issued at 2n + 1 - id: every context is ready again at
+                // 3n + 2, pushed in descending id order.
+                2 => Op::Think((n + id) as u32),
+                _ => Op::Done,
+            }
+        }
+    }
+
+    impl Kernel for OrderKernel {
+        fn name(&self) -> String {
+            "order".into()
+        }
+        fn blocks(&self) -> usize {
+            1
+        }
+        fn threads_per_block(&self) -> usize {
+            self.contexts
+        }
+        fn memory_words(&self) -> usize {
+            1
+        }
+        fn item(&self, _b: usize, t: usize) -> Box<dyn WorkItem> {
+            Box::new(OrderItem { id: t, n: self.contexts, calls: 0, log: self.log.clone() })
+        }
+    }
+
+    #[test]
+    fn contexts_ready_at_the_same_cycle_run_in_id_order() {
+        // 1,040 contexts: ids on both sides of 512 and 1,024, so a
+        // context field too narrow for them would mis-order the ties.
+        let n = 1040;
+        let k = OrderKernel { contexts: n, log: Default::default() };
+        let p = EngineParams { num_cus: 1, max_contexts_per_cu: n, ..Default::default() };
+        let r = run_kernel(&k, &p, &mut FixedLat::default());
+        let [second, third] = std::mem::take(&mut *k.log.lock().unwrap());
+        let ascending: Vec<usize> = (0..n).collect();
+        let descending: Vec<usize> = (0..n).rev().collect();
+        assert_eq!(second, descending, "second ops issue at distinct cycles, high ids first");
+        assert_eq!(third, ascending, "ties at cycle 3n + 2 must break by context id");
+        // The last tie-breaker issues at 3n + 2 + (n - 1) and retires.
+        assert_eq!(r.cycles, 4 * n as Cycle + 1);
+    }
+
+    /// A kernel that only reports its shape; running any item is a bug.
+    struct Oversized;
+
+    impl Kernel for Oversized {
+        fn name(&self) -> String {
+            "oversized".into()
+        }
+        fn blocks(&self) -> usize {
+            MAX_CONTEXTS / 64 + 1
+        }
+        fn threads_per_block(&self) -> usize {
+            64
+        }
+        fn memory_words(&self) -> usize {
+            1
+        }
+        fn item(&self, _b: usize, _t: usize) -> Box<dyn WorkItem> {
+            unreachable!("an oversized kernel must be rejected before it launches")
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel has more than 1048576 contexts")]
+    fn kernels_with_more_contexts_than_the_ready_queue_orders_panic() {
+        let p = EngineParams { max_contexts_per_cu: 64, ..Default::default() };
+        run_kernel(&Oversized, &p, &mut FixedLat::default());
     }
 }

@@ -91,6 +91,15 @@ pub struct EvictedLine<S> {
 /// them, so building and dropping the whole table per job would dominate
 /// its cost. Until then every read-side call takes the miss path.
 ///
+/// A one-word occupancy summary lets flash invalidation skip empty
+/// sets: bit `g` means "set group `g` may hold a line", where a group is
+/// `⌈sets/64⌉` consecutive sets (one set per bit on a Table-2 L1).
+/// [`Cache::insert_with_pin`] sets the bit; [`Cache::invalidate_where`]
+/// visits only groups whose bit is set and clears the bit of a group it
+/// empties. GPU coherence self-invalidates the whole L1 at every acquire
+/// while the L1 typically holds a line or two, so walking all 64 sets
+/// there would cost far more than the lines dropped.
+///
 /// ```
 /// use hsim_mem::{Cache, CacheParams, LineAddr};
 ///
@@ -105,6 +114,8 @@ pub struct EvictedLine<S> {
 pub struct Cache<S> {
     params: CacheParams,
     sets: Vec<Va<S>>,
+    /// Bit `g`: set group `g` may hold a line (see [`Cache`]).
+    occupied: u64,
     clock: u64,
     stats: CacheStats,
 }
@@ -115,11 +126,16 @@ impl<S: Clone + Debug> Cache<S> {
     /// Create an empty cache. Allocates nothing: the set table is built
     /// by the first insert (see [`Cache`]).
     pub fn new(params: CacheParams) -> Cache<S> {
-        Cache { params, sets: Vec::new(), clock: 0, stats: CacheStats::default() }
+        Cache { params, sets: Vec::new(), occupied: 0, clock: 0, stats: CacheStats::default() }
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
         (line.0 as usize) % self.params.sets
+    }
+
+    /// Sets per bit of the occupancy summary.
+    fn group_sets(&self) -> usize {
+        self.params.sets.div_ceil(u64::BITS as usize)
     }
 
     /// Look up a line; hits bump LRU. Counted in the statistics.
@@ -163,6 +179,7 @@ impl<S: Clone + Debug> Cache<S> {
         if self.sets.is_empty() {
             self.sets.resize_with(self.params.sets, Vec::new);
         }
+        self.occupied |= 1 << (set / self.group_sets());
         if let Some(w) = self.sets[set].iter_mut().find(|w| w.tag == line) {
             w.state = state;
             w.lru = clock;
@@ -208,18 +225,32 @@ impl<S: Clone + Debug> Cache<S> {
     }
 
     /// Invalidate every line for which `victim` returns true (flash /
-    /// self-invalidation); returns how many were dropped.
+    /// self-invalidation); returns how many were dropped. Visits only
+    /// the set groups the occupancy summary marks (see [`Cache`]).
     pub fn invalidate_where(&mut self, victim: impl Fn(&LineAddr, &S) -> bool) -> u64 {
+        let group_sets = self.group_sets();
         let mut n = 0;
-        for set in &mut self.sets {
-            set.retain(|w| {
-                if victim(&w.tag, &w.state) {
-                    n += 1;
-                    false
-                } else {
-                    true
-                }
-            });
+        let mut groups = self.occupied;
+        while groups != 0 {
+            let g = groups.trailing_zeros() as usize;
+            groups &= groups - 1;
+            let first = g * group_sets;
+            let last = (first + group_sets).min(self.sets.len());
+            let mut empty = true;
+            for set in &mut self.sets[first..last] {
+                set.retain(|w| {
+                    if victim(&w.tag, &w.state) {
+                        n += 1;
+                        false
+                    } else {
+                        true
+                    }
+                });
+                empty &= set.is_empty();
+            }
+            if empty {
+                self.occupied &= !(1 << g);
+            }
         }
         self.stats.invalidations += n;
         n

@@ -9,13 +9,12 @@
 
 use crate::{Cycle, LineAddr};
 use hsim_trace::{EventKind, NoTrace, Trace, TraceEvent};
-use std::collections::BTreeMap;
 
 /// Result of trying to allocate an MSHR entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrOutcome {
-    /// A new entry was allocated; the caller must issue the request.
-    /// Carries the number of entries now live.
+    /// A new entry was allocated; the caller must issue the request and
+    /// then report its completion with [`Mshr::set_completion`].
     Allocated,
     /// Merged into an in-flight entry for the same line; no new request
     /// goes out. Carries the cycle the in-flight request completes.
@@ -26,6 +25,12 @@ pub enum MshrOutcome {
 }
 
 /// A fixed-capacity MSHR file keyed by line address.
+///
+/// Every access asks the file whether its line is in flight, and each
+/// question first retires completed entries. A lower bound on the
+/// earliest completion makes that retirement free until some entry can
+/// actually have completed, so the per-access cost follows the work
+/// done rather than the entries held.
 ///
 /// ```
 /// use hsim_mem::{LineAddr, Mshr, MshrOutcome};
@@ -39,8 +44,13 @@ pub enum MshrOutcome {
 #[derive(Debug, Clone)]
 pub struct Mshr<T: Trace = NoTrace> {
     capacity: usize,
-    /// line -> completion cycle of the outstanding request.
-    inflight: BTreeMap<LineAddr, Cycle>,
+    /// (line, completion cycle) of each outstanding request, one entry
+    /// per line, unordered. A request allocated but not yet given its
+    /// completion holds `Cycle::MAX`.
+    inflight: Vec<(LineAddr, Cycle)>,
+    /// Lower bound on every completion cycle in `inflight` (`Cycle::MAX`
+    /// when empty): [`Mshr::expire`] has nothing to retire before it.
+    min_done: Cycle,
     allocated: u64,
     coalesced: u64,
     full_stalls: u64,
@@ -72,7 +82,8 @@ impl<T: Trace> Mshr<T> {
         assert!(capacity > 0, "MSHR needs at least one entry");
         Mshr {
             capacity,
-            inflight: BTreeMap::new(),
+            inflight: Vec::new(),
+            min_done: Cycle::MAX,
             allocated: 0,
             coalesced: 0,
             full_stalls: 0,
@@ -82,8 +93,18 @@ impl<T: Trace> Mshr<T> {
     }
 
     /// Retire every entry whose request completed at or before `now`.
+    /// Returns at once while `now` is below the earliest completion.
     pub fn expire(&mut self, now: Cycle) {
-        self.inflight.retain(|_, done| *done > now);
+        if now < self.min_done {
+            return;
+        }
+        self.inflight.retain(|&(_, done)| done > now);
+        self.min_done = self.inflight.iter().map(|&(_, done)| done).min().unwrap_or(Cycle::MAX);
+    }
+
+    /// The completion cycle of `line`'s entry, if one is live.
+    fn find(&self, line: LineAddr) -> Option<Cycle> {
+        self.inflight.iter().find(|&&(l, _)| l == line).map(|&(_, done)| done)
     }
 
     /// Try to allocate (or merge into) an entry for `line` at `now`.
@@ -91,7 +112,7 @@ impl<T: Trace> Mshr<T> {
     /// [`Mshr::set_completion`] once it knows when the request finishes.
     pub fn request(&mut self, now: Cycle, line: LineAddr) -> MshrOutcome {
         self.expire(now);
-        if let Some(done) = self.inflight.get(&line) {
+        if let Some(done) = self.find(line) {
             self.coalesced += 1;
             if T::ENABLED {
                 self.tracer.record(TraceEvent::new(
@@ -103,11 +124,11 @@ impl<T: Trace> Mshr<T> {
                     done.saturating_sub(now),
                 ));
             }
-            return MshrOutcome::Coalesced(*done);
+            return MshrOutcome::Coalesced(done);
         }
         if self.inflight.len() >= self.capacity {
             self.full_stalls += 1;
-            let earliest = self.inflight.values().copied().min().unwrap_or(now);
+            let earliest = self.inflight.iter().map(|&(_, done)| done).min().unwrap_or(now);
             if T::ENABLED {
                 self.tracer.record(TraceEvent::new(
                     EventKind::MshrStall,
@@ -121,7 +142,7 @@ impl<T: Trace> Mshr<T> {
             return MshrOutcome::Full(earliest);
         }
         self.allocated += 1;
-        self.inflight.insert(line, Cycle::MAX);
+        self.inflight.push((line, Cycle::MAX));
         MshrOutcome::Allocated
     }
 
@@ -131,13 +152,14 @@ impl<T: Trace> Mshr<T> {
     /// simulator installs state at issue time).
     pub fn pending(&mut self, now: Cycle, line: LineAddr) -> Option<Cycle> {
         self.expire(now);
-        self.inflight.get(&line).copied()
+        self.find(line)
     }
 
     /// Record when the outstanding request for `line` completes.
     pub fn set_completion(&mut self, line: LineAddr, done: Cycle) {
-        if let Some(d) = self.inflight.get_mut(&line) {
-            *d = done;
+        if let Some(e) = self.inflight.iter_mut().find(|(l, _)| *l == line) {
+            e.1 = done;
+            self.min_done = self.min_done.min(done);
         }
     }
 

@@ -38,6 +38,9 @@ pub struct StoreBuffer<T: Trace = NoTrace> {
     capacity: usize,
     /// (line, cycle the drain of this entry completes).
     entries: Vec<(LineAddr, Cycle)>,
+    /// Lower bound on every drain cycle in `entries` (`Cycle::MAX` when
+    /// empty): [`StoreBuffer::expire`] has nothing to drop before it.
+    min_done: Cycle,
     stats: StoreBufferStats,
     /// Trace lane (the owning CU).
     owner: u16,
@@ -67,15 +70,22 @@ impl<T: Trace> StoreBuffer<T> {
         StoreBuffer {
             capacity,
             entries: Vec::new(),
+            min_done: Cycle::MAX,
             stats: StoreBufferStats::default(),
             owner,
             tracer,
         }
     }
 
-    /// Drop entries whose drain completed by `now`.
+    /// Drop entries whose drain completed by `now`. Returns at once
+    /// while `now` is below the earliest drain, so the check every push
+    /// makes costs nothing until some entry can actually have drained.
     pub fn expire(&mut self, now: Cycle) {
+        if now < self.min_done {
+            return;
+        }
         self.entries.retain(|&(_, done)| done > now);
+        self.min_done = self.entries.iter().map(|&(_, done)| done).min().unwrap_or(Cycle::MAX);
     }
 
     /// Push a store to `line` at `now`; `drain_done` says when the
@@ -86,7 +96,8 @@ impl<T: Trace> StoreBuffer<T> {
         self.expire(now);
         self.stats.stores += 1;
         if let Some(e) = self.entries.iter_mut().find(|(l, _)| *l == line) {
-            // Coalesce into the pending entry; drain covers both.
+            // Coalesce into the pending entry; drain covers both. The
+            // entry only moves later, so `min_done` stays a lower bound.
             e.1 = e.1.max(drain_done);
             self.stats.coalesced += 1;
             return now;
@@ -110,6 +121,7 @@ impl<T: Trace> StoreBuffer<T> {
             self.expire(at);
         }
         self.entries.push((line, drain_done));
+        self.min_done = self.min_done.min(drain_done);
         at
     }
 
@@ -129,6 +141,7 @@ impl<T: Trace> StoreBuffer<T> {
             ));
         }
         self.entries.clear();
+        self.min_done = Cycle::MAX;
         done
     }
 

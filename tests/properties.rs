@@ -21,7 +21,7 @@ use drfrlx::model::program::{Program, RmwOp};
 use drfrlx::model::quantum::has_quantum;
 use drfrlx::model::relation::Relation;
 use drfrlx::model::syscentric::compare_with_sc;
-use drfrlx::sim::mem::{Cache, CacheParams, LineAddr, StoreBuffer};
+use drfrlx::sim::mem::{Cache, CacheParams, LineAddr, Mshr, MshrOutcome, StoreBuffer};
 use drfrlx::{check_program, MemoryModel, OpClass};
 use rng::SplitMix64;
 
@@ -322,5 +322,247 @@ fn store_buffer_flush_covers_all_entries() {
         let flushed = sb.flush(0);
         assert!(flushed >= max_drain, "flush {flushed} < {max_drain} for {drains:?}");
         assert!(sb.is_empty());
+    }
+}
+
+/// A cycle for a request stream whose clock is not monotone: the
+/// structures under test must not assume `now` only grows.
+fn wandering_now(r: &mut SplitMix64) -> u64 {
+    r.below(200)
+}
+
+/// The MSHR file against a naive reference that retires completed
+/// entries on every call, over streams whose `now` jumps back and forth.
+/// Capacities of 1..4 entries over 8 lines hit `Full` often; some
+/// entries never get a completion and stay in flight.
+#[test]
+fn mshr_matches_naive_reference() {
+    struct Reference {
+        capacity: usize,
+        inflight: Vec<(LineAddr, u64)>,
+        counters: (u64, u64, u64),
+    }
+    impl Reference {
+        fn expire(&mut self, now: u64) {
+            self.inflight.retain(|&(_, done)| done > now);
+        }
+        fn find(&self, line: LineAddr) -> Option<u64> {
+            self.inflight.iter().find(|&&(l, _)| l == line).map(|&(_, d)| d)
+        }
+        fn request(&mut self, now: u64, line: LineAddr) -> MshrOutcome {
+            self.expire(now);
+            if let Some(done) = self.find(line) {
+                self.counters.1 += 1;
+                return MshrOutcome::Coalesced(done);
+            }
+            if self.inflight.len() >= self.capacity {
+                self.counters.2 += 1;
+                let earliest = self.inflight.iter().map(|&(_, d)| d).min().unwrap_or(now);
+                return MshrOutcome::Full(earliest);
+            }
+            self.counters.0 += 1;
+            self.inflight.push((line, u64::MAX));
+            MshrOutcome::Allocated
+        }
+    }
+
+    let mut r = SplitMix64::new(0xD5F0_0008);
+    let mut full_stalls = 0;
+    for case in 0..256 {
+        let capacity = 1 + r.below(4) as usize;
+        let mut mshr = Mshr::new(capacity);
+        let mut reference = Reference { capacity, inflight: Vec::new(), counters: (0, 0, 0) };
+        for step in 0..64 {
+            let now = wandering_now(&mut r);
+            let line = LineAddr(r.below(8));
+            let at = format!("case {case} step {step} now {now} {line:?}");
+            match r.below(20) {
+                0..=7 => {
+                    let got = mshr.request(now, line);
+                    assert_eq!(got, reference.request(now, line), "request at {at}");
+                    // Most allocations learn their completion; a few
+                    // stay in flight for good.
+                    if got == MshrOutcome::Allocated && r.below(8) != 0 {
+                        let done = now + 1 + r.below(60);
+                        mshr.set_completion(line, done);
+                        if let Some(e) = reference.inflight.iter_mut().find(|(l, _)| *l == line) {
+                            e.1 = done;
+                        }
+                    }
+                }
+                8..=12 => {
+                    reference.expire(now);
+                    assert_eq!(mshr.pending(now, line), reference.find(line), "pending at {at}");
+                }
+                13..=16 => {
+                    // Moves a live entry's completion either way, or
+                    // touches a line with no entry.
+                    let done = now + r.below(60);
+                    mshr.set_completion(line, done);
+                    if let Some(e) = reference.inflight.iter_mut().find(|(l, _)| *l == line) {
+                        e.1 = done;
+                    }
+                }
+                _ => {
+                    mshr.expire(now);
+                    reference.expire(now);
+                }
+            }
+            assert_eq!(mshr.live(), reference.inflight.len(), "live after {at}");
+            assert_eq!(mshr.counters(), reference.counters, "counters after {at}");
+        }
+        full_stalls += reference.counters.2;
+    }
+    assert!(full_stalls > 0, "the streams never filled the MSHR file");
+}
+
+/// The store buffer against a naive reference that drops drained
+/// entries on every call, over streams whose `now` jumps back and
+/// forth. Capacities of 1..4 entries over 8 lines hit the full-buffer
+/// stall often.
+#[test]
+fn store_buffer_matches_naive_reference() {
+    #[derive(Default)]
+    struct Reference {
+        capacity: usize,
+        entries: Vec<(LineAddr, u64)>,
+        stores: u64,
+        coalesced: u64,
+        flushes: u64,
+        stall_cycles: u64,
+    }
+    impl Reference {
+        fn expire(&mut self, now: u64) {
+            self.entries.retain(|&(_, done)| done > now);
+        }
+        fn push(&mut self, now: u64, line: LineAddr, drain_done: u64) -> u64 {
+            self.expire(now);
+            self.stores += 1;
+            if let Some(e) = self.entries.iter_mut().find(|(l, _)| *l == line) {
+                e.1 = e.1.max(drain_done);
+                self.coalesced += 1;
+                return now;
+            }
+            let mut at = now;
+            if self.entries.len() >= self.capacity {
+                let oldest = self.entries.iter().map(|&(_, d)| d).min().unwrap_or(now);
+                self.stall_cycles += oldest.saturating_sub(now);
+                at = at.max(oldest);
+                self.expire(at);
+            }
+            self.entries.push((line, drain_done));
+            at
+        }
+        fn flush(&mut self, now: u64) -> u64 {
+            self.flushes += 1;
+            let done = self.entries.iter().map(|&(_, d)| d).max().unwrap_or(now).max(now);
+            self.stall_cycles += done - now;
+            self.entries.clear();
+            done
+        }
+    }
+
+    let mut r = SplitMix64::new(0xD5F0_0009);
+    let mut stalled = 0;
+    for case in 0..256 {
+        let capacity = 1 + r.below(4) as usize;
+        let mut sb = StoreBuffer::new(capacity);
+        let mut reference = Reference { capacity, ..Reference::default() };
+        for step in 0..64 {
+            let now = wandering_now(&mut r);
+            let at = format!("case {case} step {step} now {now}");
+            match r.below(10) {
+                0..=6 => {
+                    let line = LineAddr(r.below(8));
+                    let drain_done = now + 1 + r.below(60);
+                    let accepted = sb.push(now, line, drain_done);
+                    assert_eq!(
+                        accepted,
+                        reference.push(now, line, drain_done),
+                        "push of {line:?} draining at {drain_done}, {at}"
+                    );
+                    stalled += u64::from(accepted > now);
+                }
+                7 => assert_eq!(sb.flush(now), reference.flush(now), "flush at {at}"),
+                _ => {
+                    sb.expire(now);
+                    reference.expire(now);
+                }
+            }
+            assert_eq!(sb.len(), reference.entries.len(), "len after {at}");
+            let stats = sb.stats();
+            assert_eq!(
+                (stats.stores, stats.coalesced, stats.flushes, stats.stall_cycles),
+                (reference.stores, reference.coalesced, reference.flushes, reference.stall_cycles),
+                "stats after {at}"
+            );
+        }
+    }
+    assert!(stalled > 0, "the streams never stalled on a full buffer");
+}
+
+/// Flash invalidation against a reference set of resident lines, after
+/// random inserts, removes and selective invalidations. The geometries
+/// include more than 64 sets, where one occupancy bit covers a group of
+/// sets (130 sets: groups of 3, the last one partial).
+#[test]
+fn cache_invalidation_matches_reference_set() {
+    let mut r = SplitMix64::new(0xD5F0_000A);
+    for (sets, ways) in [(2, 2), (64, 2), (128, 1), (130, 2)] {
+        for case in 0..64 {
+            let mut cache: Cache<u8> = Cache::new(CacheParams { sets, ways });
+            let mut reference: Vec<(u64, u8)> = Vec::new();
+            let mut invalidated = 0;
+            // Few lines per case, so most sets stay empty and the
+            // summary has groups to skip.
+            let lines = 1 + r.below(4 * sets as u64);
+            for step in 0..96 {
+                let at = format!("{sets}x{ways} case {case} step {step}");
+                match r.below(10) {
+                    0..=4 => {
+                        let (line, state) = (r.below(lines), r.below(4) as u8);
+                        if let Some(ev) = cache.insert(LineAddr(line), state) {
+                            let i = reference
+                                .iter()
+                                .position(|&(l, _)| l == ev.line.0)
+                                .unwrap_or_else(|| panic!("evicted a non-resident line at {at}"));
+                            assert_eq!(ev.line.0 % sets as u64, line % sets as u64, "{at}");
+                            reference.remove(i);
+                        }
+                        reference.retain(|&(l, _)| l != line);
+                        reference.push((line, state));
+                    }
+                    5 => {
+                        let line = r.below(lines);
+                        let i = reference.iter().position(|&(l, _)| l == line);
+                        let expect = i.map(|i| reference.remove(i).1);
+                        assert_eq!(cache.remove(LineAddr(line)), expect, "remove {line} at {at}");
+                    }
+                    _ => {
+                        let (kind, k) = (r.below(3), r.below(4));
+                        let victim = |line: u64, state: u8| match kind {
+                            0 => true,
+                            1 => u64::from(state) == k,
+                            _ => line % 4 == k,
+                        };
+                        let before = reference.len();
+                        reference.retain(|&(l, s)| !victim(l, s));
+                        let dropped = (before - reference.len()) as u64;
+                        invalidated += dropped;
+                        assert_eq!(
+                            cache.invalidate_where(|l, s| victim(l.0, *s)),
+                            dropped,
+                            "invalidation kind {kind} key {k} at {at}"
+                        );
+                    }
+                }
+                let mut resident: Vec<(u64, u8)> = cache.iter().map(|(l, s)| (l.0, *s)).collect();
+                resident.sort_unstable();
+                let mut expect = reference.clone();
+                expect.sort_unstable();
+                assert_eq!(resident, expect, "resident lines after {at}");
+                assert_eq!(cache.stats().invalidations, invalidated, "{at}");
+            }
+        }
     }
 }
