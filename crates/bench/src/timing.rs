@@ -4,11 +4,10 @@
 //! so the workspace builds offline: warm up, then run timed batches
 //! and report the per-iteration median, minimum and mean.
 //!
-//! The machine-readable half ([`PerfReport`]) backs the committed perf
-//! trajectory (`BENCH_*.json`): `drfrlx bench all --threads 1 --perf
-//! FILE` records per-experiment wall-clock, and `--perf-baseline FILE`
-//! joins a previous run of the same shape so the written file carries
-//! before/after seconds and speedups.
+//! End-to-end measurements of record come from the `benchmark/`
+//! package (declared in `BENCHMARK.json`), which samples each workload
+//! repeatedly and reports spreads; the committed `BENCH_*.json` files
+//! are frozen history from the earlier single-sample recorder.
 
 use std::time::{Duration, Instant};
 
@@ -93,231 +92,4 @@ pub fn bench<T>(name: &str, config: &TimingConfig, mut f: impl FnMut() -> T) -> 
 /// produced it (a `black_box` substitute on stable without unsafe).
 fn sink<T>(value: T) {
     std::hint::black_box(&value);
-}
-
-/// One experiment's measured wall-clock.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfEntry {
-    /// Experiment id (`fig3`, `table4`, ...).
-    pub id: String,
-    /// Wall-clock seconds for one full run of the experiment.
-    pub seconds: f64,
-}
-
-/// Per-experiment wall-clock for one invocation of a command, written
-/// as (and re-parsed from) a stable JSON shape so consecutive runs can
-/// be joined into a before/after trajectory file.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PerfReport {
-    /// The command the measurements describe, e.g.
-    /// `drfrlx bench all --threads 1`.
-    pub command: String,
-    /// Entries in run order.
-    pub entries: Vec<PerfEntry>,
-}
-
-impl PerfReport {
-    /// An empty report for `command`.
-    pub fn new(command: &str) -> PerfReport {
-        PerfReport { command: command.to_string(), entries: Vec::new() }
-    }
-
-    /// Append one measurement.
-    pub fn record(&mut self, id: &str, seconds: f64) {
-        self.entries.push(PerfEntry { id: id.to_string(), seconds });
-    }
-
-    /// Total wall-clock over all entries.
-    pub fn total_seconds(&self) -> f64 {
-        self.entries.iter().map(|e| e.seconds).sum()
-    }
-
-    /// Render the standalone JSON shape (no baseline): one entry per
-    /// line so [`PerfReport::parse`] can re-read it.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{{\n  \"command\": \"{}\",\n  \"experiments\": [\n", self.command));
-        for (i, e) in self.entries.iter().enumerate() {
-            let sep = if i + 1 == self.entries.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"seconds\": {:.6}}}{sep}\n",
-                e.id, e.seconds
-            ));
-        }
-        out.push_str(&format!("  ],\n  \"total_seconds\": {:.6}\n}}\n", self.total_seconds()));
-        out
-    }
-
-    /// Render the before/after trajectory shape, joining `self` (the
-    /// *after* run) against `before` by experiment id. Experiments
-    /// missing from `before` get `null` before/speedup fields, and the
-    /// aggregates join by id too: `total_seconds_before` sums only the
-    /// baseline rows that match an after row (so it is consistent with
-    /// the rows actually printed), and when *nothing* joins — e.g. the
-    /// baseline file describes a different command — the
-    /// `total_seconds_before` and `aggregate_speedup` keys are omitted
-    /// entirely rather than written as misleading zeros.
-    pub fn to_json_vs(&self, before: &PerfReport) -> String {
-        let look = |id: &str| before.entries.iter().find(|e| e.id == id).map(|e| e.seconds);
-        let mut out = String::new();
-        out.push_str(&format!("{{\n  \"command\": \"{}\",\n  \"experiments\": [\n", self.command));
-        for (i, e) in self.entries.iter().enumerate() {
-            let sep = if i + 1 == self.entries.len() { "" } else { "," };
-            let (b, s) = match look(&e.id) {
-                Some(b) if e.seconds > 0.0 => (format!("{b:.6}"), format!("{:.3}", b / e.seconds)),
-                Some(b) => (format!("{b:.6}"), "null".to_string()),
-                None => ("null".to_string(), "null".to_string()),
-            };
-            out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"seconds_before\": {b}, \"seconds_after\": {:.6}, \
-                 \"speedup\": {s}}}{sep}\n",
-                e.id, e.seconds
-            ));
-        }
-        let ta = self.total_seconds();
-        let (mut jb, mut ja, mut joined) = (0.0, 0.0, 0usize);
-        for e in &self.entries {
-            if let Some(b) = look(&e.id) {
-                jb += b;
-                ja += e.seconds;
-                joined += 1;
-            }
-        }
-        out.push_str("  ],\n");
-        if joined > 0 {
-            out.push_str(&format!("  \"total_seconds_before\": {jb:.6},\n"));
-        }
-        out.push_str(&format!("  \"total_seconds_after\": {ta:.6}"));
-        if joined > 0 && ja > 0.0 {
-            out.push_str(&format!(",\n  \"aggregate_speedup\": {:.3}", jb / ja));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Parse the standalone shape written by [`PerfReport::to_json`],
-    /// or the trajectory shape written by [`PerfReport::to_json_vs`]
-    /// (its *after* column — so each PR's committed trajectory is the
-    /// next PR's baseline). Deliberately minimal (line-oriented, no
-    /// general JSON parser): only consumes files this module wrote.
-    pub fn parse(text: &str) -> Option<PerfReport> {
-        fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-            let pat = format!("\"{key}\": ");
-            let start = line.find(&pat)? + pat.len();
-            let rest = &line[start..];
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            Some(rest[..end].trim().trim_matches('"'))
-        }
-        let mut report = PerfReport::default();
-        for line in text.lines() {
-            let line = line.trim();
-            if let Some(cmd) = field(line, "command") {
-                report.command = cmd.to_string();
-            }
-            let secs = field(line, "seconds").or_else(|| field(line, "seconds_after"));
-            if let (Some(id), Some(secs)) = (field(line, "id"), secs) {
-                report.record(id, secs.parse().ok()?);
-            }
-        }
-        if report.entries.is_empty() {
-            None
-        } else {
-            Some(report)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn perf_report_roundtrips_through_json() {
-        let mut r = PerfReport::new("drfrlx bench all --threads 1");
-        r.record("fig1", 1.25);
-        r.record("fig3", 0.5);
-        let parsed = PerfReport::parse(&r.to_json()).expect("parses own output");
-        assert_eq!(parsed, r);
-        assert!((r.total_seconds() - 1.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn vs_json_reports_speedups() {
-        let mut before = PerfReport::new("cmd");
-        before.record("fig1", 3.0);
-        let mut after = PerfReport::new("cmd");
-        after.record("fig1", 1.5);
-        after.record("new_exp", 1.0);
-        let j = after.to_json_vs(&before);
-        assert!(j.contains("\"speedup\": 2.000"), "{j}");
-        assert!(j.contains("\"seconds_before\": null"), "{j}");
-        // Aggregate joins by id: `new_exp` has no baseline, so it
-        // widens the totals but not the speedup (3.0 / 1.5, not
-        // 3.0 / 2.5).
-        assert!(j.contains("\"aggregate_speedup\": 2.000"), "{j}");
-        assert!(j.contains("\"total_seconds_after\": 2.500"), "{j}");
-        // ... and so does `total_seconds_before`: only fig1's baseline
-        // counts, not whatever else the baseline file carried.
-        assert!(j.contains("\"total_seconds_before\": 3.000000"), "{j}");
-    }
-
-    #[test]
-    fn vs_json_omits_aggregates_when_nothing_joins() {
-        // A baseline from a different command shares no ids: the rows
-        // are all-null and the joined aggregates would be vacuous, so
-        // they must be omitted — not written as 0.000 (which reads as
-        // an infinite slowdown).
-        let mut before = PerfReport::new("other_cmd");
-        before.record("fig9", 4.0);
-        let mut after = PerfReport::new("cmd");
-        after.record("new_exp", 1.0);
-        let j = after.to_json_vs(&before);
-        assert!(j.contains("\"seconds_before\": null"), "{j}");
-        assert!(!j.contains("total_seconds_before"), "{j}");
-        assert!(!j.contains("aggregate_speedup"), "{j}");
-        assert!(j.contains("\"total_seconds_after\": 1.000000"), "{j}");
-        // The degenerate shape still parses as a baseline for the next run.
-        assert_eq!(PerfReport::parse(&j).expect("parses"), after);
-    }
-
-    #[test]
-    fn after_only_experiment_never_degrades_aggregate_speedup() {
-        fn aggregate(json: &str) -> &str {
-            let key = "\"aggregate_speedup\": ";
-            let start = json.find(key).expect("aggregate present") + key.len();
-            json[start..].split(['\n', ','] as [char; 2]).next().unwrap().trim()
-        }
-        let mut before = PerfReport::new("checker_bench");
-        before.record("checker_suite_t1", 2.0);
-        before.record("checker_stress_streaming", 1.0);
-        let mut after = PerfReport::new("checker_bench");
-        after.record("checker_suite_t1", 1.0);
-        after.record("checker_stress_streaming", 0.5);
-        let baseline_aggregate = aggregate(&after.to_json_vs(&before)).to_string();
-        // A brand-new (after-only) experiment — however expensive —
-        // must leave the joined aggregate untouched: it has no
-        // baseline row to compare against.
-        after.record("conform_corpus", 100.0);
-        let with_new = after.to_json_vs(&before);
-        assert_eq!(aggregate(&with_new), baseline_aggregate, "{with_new}");
-        assert!(with_new.contains(
-            "\"id\": \"conform_corpus\", \"seconds_before\": null, \
-             \"seconds_after\": 100.000000, \"speedup\": null"
-        ));
-    }
-
-    #[test]
-    fn parse_reads_trajectory_after_column() {
-        let mut before = PerfReport::new("cmd");
-        before.record("fig1", 3.0);
-        let mut after = PerfReport::new("cmd");
-        after.record("fig1", 1.5);
-        let parsed = PerfReport::parse(&after.to_json_vs(&before)).expect("parses vs shape");
-        assert_eq!(parsed, after);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert_eq!(PerfReport::parse("not json at all"), None);
-    }
 }

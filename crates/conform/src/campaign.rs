@@ -1,4 +1,4 @@
-//! Resumable fuzz campaigns with an escalating oracle-budget ladder.
+//! Fuzz campaigns with an escalating oracle-budget ladder.
 //!
 //! A campaign runs `total` [generated](crate::fuzz::generate) programs
 //! (program `i` uses seed `root + i`) through the conformance loop.
@@ -8,10 +8,7 @@
 //! **skipped** — skipped programs appear in the summary with their
 //! seed, so no fuzz input silently vanishes from the report.
 //!
-//! The campaign is a pure function of `(root seed, total, options)`:
-//! [`CampaignState`] checkpoints `next_index` plus the accumulated
-//! tallies, and resuming from a checkpoint produces exactly the
-//! summary an uninterrupted run would have produced.
+//! The campaign is a pure function of `(root seed, total, options)`.
 
 use crate::fuzz::generate;
 use crate::harness::{
@@ -23,16 +20,14 @@ use drfrlx_core::resilience::{EngineId, ExhaustReason, Pool, RunStatus};
 /// A program is skipped only after the whole ladder is exhausted.
 pub const BUDGET_LADDER: [usize; 3] = [1, 4, 16];
 
-/// Checkpointable progress of a fuzz campaign.
+/// The tallies of a fuzz campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignState {
     /// Root seed: program `i` is `generate(seed + i)`.
     pub seed: u64,
-    /// Total programs in the campaign.
-    pub total: u64,
-    /// Next program index to run (`== total` when the campaign is
-    /// done). This is the resume point.
-    pub next_index: u64,
+    /// Programs run (fewer than requested when a budget stopped the
+    /// campaign).
+    pub ran: u64,
     /// Programs whose report was sound.
     pub sound: u64,
     /// Seeds that demonstrated a violation, in discovery order.
@@ -42,25 +37,6 @@ pub struct CampaignState {
     pub skipped: Vec<u64>,
 }
 
-impl CampaignState {
-    /// A fresh campaign of `total` programs rooted at `seed`.
-    pub fn new(seed: u64, total: u64) -> Self {
-        CampaignState {
-            seed,
-            total,
-            next_index: 0,
-            sound: 0,
-            violations: Vec::new(),
-            skipped: Vec::new(),
-        }
-    }
-
-    /// Has every program been run?
-    pub fn done(&self) -> bool {
-        self.next_index >= self.total
-    }
-}
-
 /// What one program's ladder run amounted to.
 enum Ladder {
     Verdict(ConformReport),
@@ -68,32 +44,34 @@ enum Ladder {
     Abort(ExhaustReason),
 }
 
-/// Run (or resume) a fuzz campaign, mutating `state` as it goes.
+/// Run a fuzz campaign of `total` programs rooted at seed `root`.
 ///
 /// Every program climbs the oracle budget ladder, each rung one
 /// [`Pool::attempt`] (panics caught there); `res.fault_plan` injects
 /// faults per `(EngineId::Conform, program index, ladder rung)` on
 /// top of whatever it injects into the inner simulation sweeps. A tripped
 /// `res.budget` (deadline or cancellation) stops the campaign between
-/// programs and returns `Inconclusive` whose frontier holds the
-/// resume index — `state` is then a valid checkpoint.
+/// programs and returns `Inconclusive` whose frontier holds the index
+/// of the first program not run; the tallies cover the programs before
+/// it.
 ///
 /// `on_violation` fires once per unsound program with its seed and
 /// report (the CLI prints and shrinks there).
-pub fn resume_campaign(
-    state: &mut CampaignState,
+pub fn run_campaign(
+    root: u64,
+    total: u64,
     opts: &ConformOptions,
     res: &ConformResilience,
     on_violation: &mut dyn FnMut(u64, &ConformReport),
-) -> RunStatus {
-    while !state.done() {
-        let i = state.next_index;
-        if let Some(b) = &res.budget {
-            if let Err(reason) = b.check(0) {
-                return RunStatus::Inconclusive { reason, frontier: vec![i as usize] };
-            }
+) -> (CampaignState, RunStatus) {
+    let mut state =
+        CampaignState { seed: root, ran: 0, sound: 0, violations: Vec::new(), skipped: Vec::new() };
+    for i in 0..total {
+        let stop = |reason| RunStatus::Inconclusive { reason, frontier: vec![i as usize] };
+        if let Some(Err(reason)) = res.budget.as_ref().map(|b| b.check(0)) {
+            return (state, stop(reason));
         }
-        let seed = state.seed.wrapping_add(i);
+        let seed = root.wrapping_add(i);
         match run_ladder(seed, i, opts, res) {
             Ladder::Verdict(report) => {
                 if report.sound() {
@@ -104,17 +82,15 @@ pub fn resume_campaign(
                 }
             }
             Ladder::Skipped => state.skipped.push(seed),
-            Ladder::Abort(reason) => {
-                return RunStatus::Inconclusive { reason, frontier: vec![i as usize] }
-            }
+            Ladder::Abort(reason) => return (state, stop(reason)),
         }
-        state.next_index = i + 1;
+        state.ran = i + 1;
     }
-    RunStatus::Complete
+    (state, RunStatus::Complete)
 }
 
 /// One program through the budget ladder. Pure in `(seed, index)`
-/// given fixed options, so resumed campaigns replay identically.
+/// given fixed options.
 fn run_ladder(seed: u64, index: u64, opts: &ConformOptions, res: &ConformResilience) -> Ladder {
     let p = generate(seed);
     if p.threads().is_empty() {
@@ -152,7 +128,7 @@ fn run_ladder(seed: u64, index: u64, opts: &ConformOptions, res: &ConformResilie
 pub fn render_summary(state: &CampaignState) -> String {
     let mut out = format!(
         "fuzz: {} programs from seed {}, {} sound, {} violations, {} skipped\n",
-        state.next_index,
+        state.ran,
         state.seed,
         state.sound,
         state.violations.len(),
@@ -189,15 +165,12 @@ mod tests {
 
     #[test]
     fn a_clean_campaign_completes_and_counts_every_program() {
-        let mut state = CampaignState::new(1, 5);
-        let status = resume_campaign(
-            &mut state,
-            &quick_opts(),
-            &ConformResilience::default(),
-            &mut |_, _| panic!("fuzz seeds 1..=5 are sound"),
-        );
+        let (state, status) =
+            run_campaign(1, 5, &quick_opts(), &ConformResilience::default(), &mut |_, _| {
+                panic!("fuzz seeds 1..=5 are sound")
+            });
         assert_eq!(status, RunStatus::Complete);
-        assert!(state.done());
+        assert_eq!(state.ran, 5);
         assert_eq!(state.sound + state.violations.len() as u64 + state.skipped.len() as u64, 5);
         assert!(state.skipped.is_empty(), "default limits never exhaust on tiny programs");
     }
@@ -210,9 +183,8 @@ mod tests {
             limits: EnumLimits { max_executions: 0, ..EnumLimits::default() },
             ..quick_opts()
         };
-        let mut state = CampaignState::new(7, 3);
-        let status =
-            resume_campaign(&mut state, &opts, &ConformResilience::default(), &mut |_, _| {});
+        let (state, status) =
+            run_campaign(7, 3, &opts, &ConformResilience::default(), &mut |_, _| {});
         assert_eq!(status, RunStatus::Complete);
         assert_eq!(state.skipped, vec![7, 8, 9]);
         let summary = render_summary(&state);
@@ -221,35 +193,16 @@ mod tests {
     }
 
     #[test]
-    fn a_cancelled_budget_checkpoints_between_programs() {
+    fn a_cancelled_budget_stops_between_programs() {
         let budget = Arc::new(Budget::unlimited());
         budget.cancel();
         let res = ConformResilience { budget: Some(budget), fault_plan: None };
-        let mut state = CampaignState::new(1, 4);
-        let status = resume_campaign(&mut state, &quick_opts(), &res, &mut |_, _| {});
+        let (state, status) = run_campaign(1, 4, &quick_opts(), &res, &mut |_, _| {});
         assert_eq!(
             status,
             RunStatus::Inconclusive { reason: ExhaustReason::Cancelled, frontier: vec![0] }
         );
-        assert_eq!(state.next_index, 0, "nothing ran; the checkpoint resumes from the start");
-    }
-
-    #[test]
-    fn a_resumed_campaign_matches_an_uninterrupted_one() {
-        let opts = quick_opts();
-        let res = ConformResilience::default();
-
-        let mut whole = CampaignState::new(3, 6);
-        assert_eq!(resume_campaign(&mut whole, &opts, &res, &mut |_, _| {}), RunStatus::Complete);
-
-        // Interrupt by cancelling after 3 programs, then resume.
-        let mut split = CampaignState::new(3, 6);
-        split.total = 3;
-        assert_eq!(resume_campaign(&mut split, &opts, &res, &mut |_, _| {}), RunStatus::Complete);
-        split.total = 6;
-        assert_eq!(resume_campaign(&mut split, &opts, &res, &mut |_, _| {}), RunStatus::Complete);
-
-        assert_eq!(split, whole, "resumed == uninterrupted");
+        assert_eq!(state.ran, 0, "nothing ran");
     }
 
     #[test]
@@ -257,10 +210,8 @@ mod tests {
         let opts = quick_opts();
         for seed in 1..=3u64 {
             let res = ConformResilience { budget: None, fault_plan: Some(FaultPlan::seeded(seed)) };
-            let mut a = CampaignState::new(1, 4);
-            let mut b = CampaignState::new(1, 4);
-            let sa = resume_campaign(&mut a, &opts, &res, &mut |_, _| {});
-            let sb = resume_campaign(&mut b, &opts, &res, &mut |_, _| {});
+            let (a, sa) = run_campaign(1, 4, &opts, &res, &mut |_, _| {});
+            let (b, sb) = run_campaign(1, 4, &opts, &res, &mut |_, _| {});
             assert_eq!(sa, RunStatus::Complete, "chaos seed {seed}");
             assert_eq!(sa, sb, "chaos seed {seed}");
             assert_eq!(a, b, "chaos seed {seed}");

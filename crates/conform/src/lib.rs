@@ -30,7 +30,7 @@ pub mod schedule;
 pub mod shrink;
 pub mod templates;
 
-pub use campaign::{render_summary, resume_campaign, CampaignState, BUDGET_LADDER};
+pub use campaign::{render_summary, run_campaign, CampaignState, BUDGET_LADDER};
 pub use compile::{compile, CompiledLitmus};
 pub use fuzz::generate;
 pub use harness::{

@@ -25,8 +25,8 @@
 
 use crate::classes::{MemoryModel, OpClass};
 use crate::exec::{
-    enumerate_sc, enumerate_sc_quantum, visit_sc_resilient, EnumError, EnumLimits, EnumStats,
-    Execution, ExecutionVisitor, Reduction, ResilienceOptions,
+    enumerate_sc, enumerate_sc_quantum, visit_sc_resilient, EnumError, EnumLimits, Execution,
+    ExecutionVisitor, Reduction,
 };
 use crate::program::Program;
 use crate::quantum::has_quantum;
@@ -245,25 +245,9 @@ pub fn check_program_with(
     model: MemoryModel,
     opts: &CheckOptions,
 ) -> Result<CheckReport, EnumError> {
-    let (out, lost_panic) = check_shards(p, model, opts, &CheckResilience::default(), false);
+    let (out, lost_panic) = check_shards(p, model, opts, &CheckResilience::default());
     require_complete(out.status, lost_panic)?;
     Ok(out.report)
-}
-
-/// One completed shard of a resilient check — the unit of
-/// checkpoint/resume. The shard plan is a deterministic function of
-/// the program and options, so an index recorded by one process names
-/// the same subtree in the next.
-#[derive(Debug, Clone)]
-pub struct ShardRecord {
-    /// Index in the deterministic shard plan.
-    pub index: usize,
-    /// The shard's explored/pruned counts.
-    pub stats: EnumStats,
-    /// Did this shard alone witness every attainable race kind?
-    pub saturated: bool,
-    /// Races found in this shard, shard-local `exec_index`.
-    pub races: Vec<FoundRace>,
 }
 
 /// Resilience options for [`check_program_resilient`]. The budget
@@ -273,13 +257,10 @@ pub struct ShardRecord {
 pub struct CheckResilience {
     /// Deterministic fault injection (chaos testing only).
     pub fault_plan: Option<FaultPlan>,
-    /// Completed-shard records from a previous run's checkpoint; they
-    /// are not re-run and merge into the final report as-is.
-    pub completed: Vec<ShardRecord>,
 }
 
 /// Result of a resilient check: the (possibly partial) report plus how
-/// the run ended and the per-shard state a checkpoint serializes.
+/// the run ended.
 #[derive(Debug, Clone)]
 pub struct CheckOutcome {
     /// The merged report. Under [`RunStatus::Inconclusive`] or
@@ -290,10 +271,8 @@ pub struct CheckOutcome {
     pub report: CheckReport,
     /// How the run ended.
     pub status: RunStatus,
-    /// Every completed shard — previous runs' (from the checkpoint)
-    /// plus this run's — in index order. This is the checkpoint
-    /// payload.
-    pub shards: Vec<ShardRecord>,
+    /// Number of shards that completed.
+    pub completed_shards: usize,
     /// Size of the deterministic shard plan.
     pub total_shards: usize,
 }
@@ -308,35 +287,32 @@ impl CheckOutcome {
 
 /// [`check_program_with`], resilient: panic-isolated shards with one
 /// retry (backing off [`Reduction::SleepSetMemo`] to
-/// [`Reduction::SleepSet`]), cooperative budgets, deterministic fault
-/// injection, and resume over a checkpoint's completed shards.
-/// Infallible — exhaustion comes back as [`RunStatus::Inconclusive`],
-/// lost shards as [`RunStatus::Degraded`], never an error or abort.
+/// [`Reduction::SleepSet`]), cooperative budgets and deterministic
+/// fault injection. Infallible — exhaustion comes back as
+/// [`RunStatus::Inconclusive`], lost shards as [`RunStatus::Degraded`],
+/// never an error or abort.
 ///
-/// Determinism: with the same program, options, fault plan and
-/// completed set, the merged report and status are identical at
-/// `threads: 1`; at higher thread counts the *completed* prefix under
-/// a real budget trip depends on timing, but every reported race is
-/// still drawn from the same deterministic per-shard sets
-/// (prefix-soundness).
+/// Determinism: with the same program, options and fault plan, the
+/// merged report and status are identical at `threads: 1`; at higher
+/// thread counts the *completed* prefix under a real budget trip
+/// depends on timing, but every reported race is still drawn from the
+/// same deterministic per-shard sets (prefix-soundness).
 pub fn check_program_resilient(
     p: &Program,
     model: MemoryModel,
     opts: &CheckOptions,
     res: &CheckResilience,
 ) -> CheckOutcome {
-    check_shards(p, model, opts, res, true).0
+    check_shards(p, model, opts, res).0
 }
 
-/// The one checker body. `keep_shards` fills [`CheckOutcome::shards`]
-/// (the checkpoint payload); without it the merge moves each race into
-/// the report instead of cloning it, and `shards` comes back empty.
+/// The one checker body, plus the lowest lost shard's panic for
+/// [`check_program_with`] to re-raise.
 fn check_shards(
     p: &Program,
     model: MemoryModel,
     opts: &CheckOptions,
     res: &CheckResilience,
-    keep_shards: bool,
 ) -> (CheckOutcome, Option<LostPanic>) {
     let view = model_view(p, model);
     let quantum = model == MemoryModel::Drfrlx && has_quantum(&view);
@@ -345,17 +321,6 @@ fn check_shards(
     // CPU-bound and the report is worker-count-invariant, so extra
     // threads can only add scheduling overhead.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let completed_cutoff = if opts.early_exit {
-        res.completed.iter().filter(|r| r.saturated).map(|r| r.index).min()
-    } else {
-        None
-    };
-    let ropts = ResilienceOptions {
-        fault_plan: res.fault_plan,
-        completed: res.completed.iter().map(|r| r.index).collect(),
-        completed_explored: res.completed.iter().map(|r| r.stats.explored).sum(),
-        completed_cutoff,
-    };
     let run = visit_sc_resilient(
         &view,
         &opts.limits,
@@ -364,57 +329,39 @@ fn check_shards(
         opts.threads.min(cores.max(1)),
         &|| RaceCollector::new(&view, &attainable, opts.early_exit),
         &|v: &RaceCollector| opts.early_exit && v.saturated(),
-        &ropts,
+        res.fault_plan.as_ref(),
     );
-    let mut shards: Vec<ShardRecord> = res.completed.clone();
-    for (index, v, stats) in run.shards {
-        let saturated = v.saturated();
-        shards.push(ShardRecord {
-            index,
-            stats,
-            saturated,
-            races: v.races.into_iter().map(|(_, f)| f).collect(),
-        });
-    }
-    shards.sort_by_key(|r| r.index);
+    let completed_shards = run.shards.len();
     // Deterministic merge: shards in index order, races deduped by
     // static key, execution indices offset by prior shards' work — so
-    // the report is identical at any thread count, and a resumed run
-    // reproduces the uninterrupted report exactly.
+    // the report is identical at any thread count.
     let mut keys: BTreeSet<RaceKey> = BTreeSet::new();
     let mut races: Vec<FoundRace> = Vec::new();
     let mut offset = 0;
-    let mut agg = EnumStats::default();
-    for r in &mut shards {
-        let found = if keep_shards { r.races.clone() } else { std::mem::take(&mut r.races) };
-        for mut f in found {
-            if keys.insert(f.key) {
+    for (v, stats) in run.shards {
+        for (key, mut f) in v.races {
+            if keys.insert(key) {
                 f.exec_index += offset;
                 races.push(f);
             }
         }
-        offset += r.stats.explored;
-        agg.absorb(r.stats);
-    }
-    agg.pruned += run.frontier_pruned;
-    if !keep_shards {
-        shards.clear();
+        offset += stats.explored;
     }
     let verdict = if races.is_empty() { Verdict::RaceFree } else { Verdict::Racy };
     let outcome = CheckOutcome {
         report: CheckReport {
             program: p.name().to_string(),
             model,
-            executions: agg.explored,
-            pruned: agg.pruned,
-            memo_pruned: agg.memo_pruned,
-            table_peak: agg.table_peak,
+            executions: run.stats.explored,
+            pruned: run.stats.pruned,
+            memo_pruned: run.stats.memo_pruned,
+            table_peak: run.stats.table_peak,
             quantum_transformed: quantum,
             races,
             verdict,
         },
         status: run.status,
-        shards,
+        completed_shards,
         total_shards: run.total_shards,
     };
     (outcome, run.lost_panic)

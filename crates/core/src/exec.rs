@@ -29,7 +29,7 @@
 //!    results merge in shard order. The shard set is independent of the
 //!    thread count, so explored/pruned counts and visitor results are
 //!    byte-identical at any `--threads`. [`visit_sc_sharded`] is the
-//!    same run with default options, mapped back to a `Result`.
+//!    same run with no fault plan, mapped back to a `Result`.
 //!
 //! [`enumerate_sc`] / [`enumerate_sc_quantum`] survive as collect()
 //! visitors over the exhaustive (unreduced) walk — the materializing
@@ -494,7 +494,7 @@ fn shard_target(p: &Program) -> usize {
 const SHARD_MAX_DEPTH: usize = 6;
 
 /// Stream executions to per-shard visitors, in parallel:
-/// [`visit_sc_resilient`] with default options, for callers that want
+/// [`visit_sc_resilient`] with no fault plan, for callers that want
 /// the full result or an error.
 ///
 /// # Errors
@@ -516,14 +516,9 @@ pub fn visit_sc_sharded<V: ExecutionVisitor + Send>(
     make: &(dyn Fn() -> V + Sync),
     saturated: &(dyn Fn(&V) -> bool + Sync),
 ) -> Result<ShardedRun<V>, EnumError> {
-    let res = ResilienceOptions::default();
-    let run = visit_sc_resilient(p, limits, quantum, reduction, threads, make, saturated, &res);
+    let run = visit_sc_resilient(p, limits, quantum, reduction, threads, make, saturated, None);
     require_complete(run.status, run.lost_panic)?;
-    Ok(ShardedRun {
-        shards: run.shards.into_iter().map(|(_, v, stats)| (v, stats)).collect(),
-        stats: run.stats,
-        early_exit: run.early_exit,
-    })
+    Ok(ShardedRun { shards: run.shards, stats: run.stats, early_exit: run.early_exit })
 }
 
 /// One frontier job: a search-state snapshot plus the sleep set it was
@@ -619,42 +614,16 @@ fn run_shard(
     Ok(eng.stats)
 }
 
-/// Resilience options for [`visit_sc_resilient`]. The default injects
-/// nothing, skips nothing and pre-charges nothing — a fresh run.
-#[derive(Debug, Clone, Default)]
-pub struct ResilienceOptions {
-    /// Deterministic fault injection (chaos testing); `None` injects
-    /// nothing.
-    pub fault_plan: Option<FaultPlan>,
-    /// Shard indices a previous (checkpointed) run already completed:
-    /// they are skipped here and merged back by the caller. Non-empty
-    /// also disables the serial probe — a checkpoint only exists for a
-    /// run that sharded.
-    pub completed: Vec<usize>,
-    /// Executions the completed shards already charged against the
-    /// shared execution budget.
-    pub completed_explored: usize,
-    /// Smallest completed shard index whose visitor saturated, if any
-    /// (restores the early-exit cutoff on resume).
-    pub completed_cutoff: Option<usize>,
-}
-
 /// Result of a resilient sharded enumeration ([`visit_sc_resilient`]).
 pub struct ResilientRun<V> {
-    /// `(shard index, visitor, stats)` for every shard completed *by
-    /// this run*, in shard-index order. Shards listed in
-    /// [`ResilienceOptions::completed`] are not re-run and not listed.
-    pub shards: Vec<(usize, V, EnumStats)>,
-    /// Aggregate over this run's completed shards, frontier-level
-    /// pruning included.
+    /// `(visitor, stats)` for every completed shard, in shard-index
+    /// order.
+    pub shards: Vec<(V, EnumStats)>,
+    /// Aggregate over the completed shards, frontier-level pruning
+    /// included.
     pub stats: EnumStats,
-    /// The frontier-level share of `stats.pruned` (scheduling choices
-    /// pruned while cutting the shard plan, not inside any shard) —
-    /// what a resuming caller adds exactly once when re-aggregating
-    /// checkpointed per-shard stats.
-    pub frontier_pruned: usize,
     /// How the run ended. [`RunStatus::Inconclusive`]'s frontier is
-    /// the shard indices still to run — the `--resume` work list.
+    /// the shard indices that did not finish.
     pub status: RunStatus,
     /// Did the saturation predicate cut the run short?
     pub early_exit: bool,
@@ -667,10 +636,10 @@ pub struct ResilientRun<V> {
 }
 
 /// Stream executions to per-shard visitors, in parallel and
-/// resiliently: panic isolation with one retry, cooperative budgets,
-/// deterministic fault injection, and resume over a previous run's
-/// completed-shard set. Infallible — exhaustion and lost shards come
-/// back as [`RunStatus::Inconclusive`] / [`RunStatus::Degraded`].
+/// resiliently: panic isolation with one retry, cooperative budgets
+/// and deterministic fault injection (`faults`, chaos testing only).
+/// Infallible — exhaustion and lost shards come back as
+/// [`RunStatus::Inconclusive`] / [`RunStatus::Degraded`].
 ///
 /// A serial probe with the real visitor runs first under a
 /// [`PROBE_BUDGET`]-execution cap: small trees complete inside it and
@@ -680,9 +649,7 @@ pub struct ResilientRun<V> {
 /// snapshot + sleep set), collected in DFS order, and run on the
 /// [`Pool`]; results come back in shard order. Both the probe decision
 /// and the shard plan depend only on the program and limits, so the
-/// outcome is independent of `threads` and of scheduling, and
-/// `completed` indices from a checkpoint mean the same subtrees in the
-/// next process.
+/// outcome is independent of `threads` and of scheduling.
 ///
 /// `make` creates one fresh visitor per shard; `saturated` returns
 /// `true` when a finished shard's visitor alone proves the final
@@ -696,9 +663,9 @@ pub struct ResilientRun<V> {
 /// and is reported lost if the retry fails too. A budget trip (shared
 /// execution counter, deadline, cancel, memory) stops the run:
 /// completed shards are kept — a sound prefix, since every race was
-/// found by exploring real executions — and the rest become the resume
+/// found by exploring real executions — and the rest become the
 /// frontier.
-#[allow(clippy::too_many_arguments)] // visit_sc_sharded's signature + resilience
+#[allow(clippy::too_many_arguments)] // visit_sc_sharded's signature + fault plan
 pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
     p: &Program,
     limits: &EnumLimits,
@@ -707,46 +674,41 @@ pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
     threads: usize,
     make: &(dyn Fn() -> V + Sync),
     saturated: &(dyn Fn(&V) -> bool + Sync),
-    res: &ResilienceOptions,
+    faults: Option<&FaultPlan>,
 ) -> ResilientRun<V> {
-    if res.completed.is_empty() && res.completed_cutoff.is_none() {
-        // Adaptive fast path: probe the tree serially with a tight
-        // budget. On any failure — tree bigger than the probe budget,
-        // a budget trip, even a panic — fall through to the sharded
-        // path, which isolates and classifies all three per shard. The
-        // probe draws no faults.
-        let probe_limits = EnumLimits {
-            max_executions: PROBE_BUDGET.min(limits.max_executions),
-            quantum_domain: limits.quantum_domain.clone(),
-            budget: limits.budget.clone(),
+    // Adaptive fast path: probe the tree serially with a tight budget.
+    // On any failure — tree bigger than the probe budget, a budget
+    // trip, even a panic — fall through to the sharded path, which
+    // isolates and classifies all three per shard. The probe draws no
+    // faults.
+    let probe_limits = EnumLimits {
+        max_executions: PROBE_BUDGET.min(limits.max_executions),
+        quantum_domain: limits.quantum_domain.clone(),
+        budget: limits.budget.clone(),
+    };
+    let mut probe = make();
+    let outcome = Pool::new(EngineId::Checker, 1)
+        .attempt(0, 0, || visit_sc(p, &probe_limits, quantum, reduction, &mut probe));
+    if let Ok(Ok(stats)) = outcome {
+        let early_exit = saturated(&probe);
+        return ResilientRun {
+            shards: vec![(probe, stats)],
+            stats,
+            status: RunStatus::Complete,
+            early_exit,
+            total_shards: 1,
+            lost_panic: None,
         };
-        let mut probe = make();
-        let outcome = Pool::new(EngineId::Checker, 1)
-            .attempt(0, 0, || visit_sc(p, &probe_limits, quantum, reduction, &mut probe));
-        if let Ok(Ok(stats)) = outcome {
-            let early_exit = saturated(&probe);
-            return ResilientRun {
-                shards: vec![(0, probe, stats)],
-                stats,
-                frontier_pruned: 0,
-                status: RunStatus::Complete,
-                early_exit,
-                total_shards: 1,
-                lost_panic: None,
-            };
-        }
     }
 
     let (plan, frontier_pruned) = collect_frontier(p, limits, quantum, reduction);
-    let counter = AtomicUsize::new(res.completed_explored);
+    let counter = AtomicUsize::new(0);
     let backoff = match reduction {
         Reduction::SleepSetMemo => Reduction::SleepSet,
         r => r,
     };
-    let pool = Pool::new(EngineId::Checker, threads)
-        .budget(limits.budget.as_deref())
-        .faults(res.fault_plan.as_ref())
-        .resume(&res.completed, res.completed_cutoff);
+    let pool =
+        Pool::new(EngineId::Checker, threads).budget(limits.budget.as_deref()).faults(faults);
     let run = pool.run(
         plan.len(),
         |j, attempt| {
@@ -759,20 +721,14 @@ pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
         },
         |(v, _): &(V, EnumStats)| saturated(v),
     );
-    let shards: Vec<(usize, V, EnumStats)> = run
-        .results
-        .into_iter()
-        .enumerate()
-        .filter_map(|(j, r)| r.map(|(v, stats)| (j, v, stats)))
-        .collect();
+    let shards: Vec<(V, EnumStats)> = run.results.into_iter().flatten().collect();
     let mut stats = EnumStats { pruned: frontier_pruned, ..EnumStats::default() };
-    for (_, _, s) in &shards {
+    for (_, s) in &shards {
         stats.absorb(*s);
     }
     ResilientRun {
         shards,
         stats,
-        frontier_pruned,
         status: run.status,
         early_exit: run.cutoff.is_some(),
         total_shards: plan.len(),

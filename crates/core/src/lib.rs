@@ -79,8 +79,7 @@ pub mod prelude {
 }
 
 pub use checker::{
-    check_program, check_program_resilient, CheckOutcome, CheckReport, CheckResilience,
-    ShardRecord, Verdict,
+    check_program, check_program_resilient, CheckOutcome, CheckReport, CheckResilience, Verdict,
 };
 pub use classes::{MemoryModel, OpClass, Protocol, SystemConfig};
 pub use exec::{enumerate_sc, EnumLimits, Execution};

@@ -172,7 +172,7 @@ pub enum RunStatus {
     },
     /// A global budget ran out before every unit finished. The report
     /// covers the completed units — a sound prefix — and `frontier`
-    /// names the units still to run (the input to `--resume`).
+    /// names the units that did not finish.
     Inconclusive {
         /// What ran out.
         reason: ExhaustReason,
@@ -342,8 +342,6 @@ pub struct Pool<'a> {
     threads: usize,
     budget: Option<&'a Budget>,
     faults: Option<&'a FaultPlan>,
-    skip: &'a [usize],
-    cutoff: Option<usize>,
 }
 
 /// The result of [`Pool::run`].
@@ -351,10 +349,10 @@ pub struct PoolRun<T> {
     /// One entry per unit, in unit order: `Some` for every unit this
     /// run completed at or below the cutoff.
     pub results: Vec<Option<T>>,
-    /// How the run ended; skipped units and units above the cutoff are
-    /// neither lost nor on the frontier.
+    /// How the run ended; units above the cutoff are neither lost nor
+    /// on the frontier.
     pub status: RunStatus,
-    /// The smallest saturating (or resumed) cutoff unit, if any.
+    /// The smallest saturating unit, if any.
     pub cutoff: Option<usize>,
     /// The lowest lost unit's panic, for [`require_complete`].
     pub lost_panic: Option<LostPanic>,
@@ -362,9 +360,9 @@ pub struct PoolRun<T> {
 
 impl<'a> Pool<'a> {
     /// `threads` workers (clamped to the unit count) for `engine`, with
-    /// no budget, no faults and nothing to skip.
+    /// no budget and no faults.
     pub fn new(engine: EngineId, threads: usize) -> Pool<'a> {
-        Pool { engine, threads, budget: None, faults: None, skip: &[], cutoff: None }
+        Pool { engine, threads, budget: None, faults: None }
     }
 
     /// Poll `budget` before every attempt; stalls end when it trips.
@@ -375,12 +373,6 @@ impl<'a> Pool<'a> {
     /// Inject the faults `plan` draws for this engine.
     pub fn faults(self, faults: Option<&'a FaultPlan>) -> Pool<'a> {
         Pool { faults, ..self }
-    }
-
-    /// Resume a checkpointed run: never run the `completed` units, and
-    /// start the early-exit cutoff at `cutoff`.
-    pub fn resume(self, completed: &'a [usize], cutoff: Option<usize>) -> Pool<'a> {
-        Pool { skip: completed, cutoff, ..self }
     }
 
     /// One attempt at `unit`: draw its fault, then run `work` under
@@ -435,7 +427,7 @@ impl<'a> Pool<'a> {
         // the slot mutexes, and the scope's join orders the final
         // reads), so their operations are `Relaxed`.
         let next = AtomicUsize::new(0);
-        let cutoff = AtomicUsize::new(self.cutoff.unwrap_or(usize::MAX));
+        let cutoff = AtomicUsize::new(usize::MAX);
         let exhausted: OnceLock<ExhaustReason> = OnceLock::new();
 
         // First try plus one retry; `None` when the budget trips first.
@@ -469,10 +461,8 @@ impl<'a> Pool<'a> {
             if u >= units || u > cutoff.load(Ordering::Relaxed) || exhausted.get().is_some() {
                 break;
             }
-            if !self.skip.contains(&u) {
-                let out = unit(u);
-                *slots[u].lock().expect("slot lock") = out;
-            }
+            let out = unit(u);
+            *slots[u].lock().expect("slot lock") = out;
         };
         match self.threads.clamp(1, units.max(1)) {
             1 => worker(),
@@ -489,7 +479,7 @@ impl<'a> Pool<'a> {
             .into_iter()
             .enumerate()
             .map(|(u, slot)| match slot.into_inner().expect("slot lock") {
-                _ if u > cut || self.skip.contains(&u) => None,
+                _ if u > cut => None,
                 Some(Ok(t)) => Some(t),
                 Some(Err(payload)) => {
                     lost.push(u);
@@ -593,7 +583,7 @@ mod tests {
         assert_eq!(plan.fault_for(EngineId::Checker, 3, 0), None);
     }
 
-    /// A pool over `units` squares with no faults, budget or skips.
+    /// A pool over `units` squares with no faults or budget.
     fn squares(threads: usize, units: usize) -> PoolRun<usize> {
         Pool::new(EngineId::Checker, threads).run(units, |u, _| Ok(u * u), |_: &_| false)
     }
@@ -622,38 +612,6 @@ mod tests {
             assert_eq!(run.cutoff, Some(17), "t={threads}");
             for (u, r) in run.results.iter().enumerate() {
                 assert_eq!(r.is_some(), u <= 17, "t={threads} unit {u}");
-            }
-        }
-        // A resumed cutoff discards everything above it up front.
-        let run = Pool::new(EngineId::Checker, 2).resume(&[], Some(4)).run(
-            10,
-            |u, _| Ok(u),
-            |_: &_| false,
-        );
-        assert_eq!(run.cutoff, Some(4));
-        assert_eq!(run.results.iter().flatten().count(), 5);
-    }
-
-    #[test]
-    fn pool_never_runs_skipped_units() {
-        let skip = [1, 4, 5, 11];
-        for threads in [1, 2, 4] {
-            let ran = Mutex::new(Vec::new());
-            let run = Pool::new(EngineId::Checker, threads).resume(&skip, None).run(
-                12,
-                |u, _| {
-                    ran.lock().unwrap().push(u);
-                    Ok(u)
-                },
-                |_: &_| false,
-            );
-            assert_eq!(run.status, RunStatus::Complete, "t={threads}");
-            let mut ran = ran.into_inner().unwrap();
-            ran.sort_unstable();
-            let want: Vec<usize> = (0..12).filter(|u| !skip.contains(u)).collect();
-            assert_eq!(ran, want, "t={threads}");
-            for u in skip {
-                assert!(run.results[u].is_none(), "t={threads}: skipped unit {u} has a result");
             }
         }
     }

@@ -1,8 +1,7 @@
 //! Chaos suite for the resilient checker: deterministic fault
 //! injection (panics, stalls, budget exhaustion) must always come back
 //! as a structured `Degraded`/`Inconclusive` report — never a process
-//! abort — and checkpoint/resume must reproduce the uninterrupted
-//! report exactly.
+//! abort.
 
 use drfrlx_core::checker::{
     check_program_resilient, check_program_with, CheckOptions, CheckReport, CheckResilience,
@@ -72,7 +71,6 @@ fn injected_panic_is_retried_and_the_run_completes() {
     let plain = check_program_with(&p, MemoryModel::Drfrlx, &opts(1)).unwrap();
     let res = CheckResilience {
         fault_plan: Some(FaultPlan::pinned(EngineId::Checker, 2, 1, Fault::Panic)),
-        ..CheckResilience::default()
     };
     let out = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(1), &res);
     assert_eq!(out.status, RunStatus::Complete, "one panic is absorbed by the retry");
@@ -85,7 +83,6 @@ fn injected_stall_is_retried_and_the_run_completes() {
     let plain = check_program_with(&p, MemoryModel::Drfrlx, &opts(1)).unwrap();
     let res = CheckResilience {
         fault_plan: Some(FaultPlan::pinned(EngineId::Checker, 0, 1, Fault::Stall)),
-        ..CheckResilience::default()
     };
     let out = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(1), &res);
     assert_eq!(out.status, RunStatus::Complete);
@@ -98,7 +95,6 @@ fn repeated_panic_degrades_instead_of_aborting() {
     let plain = check_program_with(&p, MemoryModel::Drfrlx, &opts(1)).unwrap();
     let res = CheckResilience {
         fault_plan: Some(FaultPlan::pinned(EngineId::Checker, 3, 2, Fault::Panic)),
-        ..CheckResilience::default()
     };
     for threads in [1, 4] {
         let out = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(threads), &res);
@@ -126,7 +122,7 @@ fn execution_budget_yields_inconclusive_with_a_frontier() {
             assert_eq!(*reason, ExhaustReason::Executions { limit: 600 });
             assert!(!frontier.is_empty());
             assert_eq!(
-                frontier.len() + out.shards.len(),
+                frontier.len() + out.completed_shards,
                 out.total_shards,
                 "every shard is either completed or on the frontier"
             );
@@ -179,38 +175,10 @@ fn cancellation_mid_run_keeps_a_sound_prefix() {
 }
 
 #[test]
-fn resume_reproduces_the_uninterrupted_report_exactly() {
-    let p = wide();
-    let uninterrupted =
-        check_program_resilient(&p, MemoryModel::Drfrlx, &opts(1), &CheckResilience::default());
-    assert_eq!(uninterrupted.status, RunStatus::Complete);
-
-    // Leg 1: a tight execution budget interrupts the run mid-plan.
-    let tight = CheckOptions {
-        limits: EnumLimits { max_executions: 600, ..EnumLimits::default() },
-        ..opts(1)
-    };
-    let leg1 =
-        check_program_resilient(&p, MemoryModel::Drfrlx, &tight, &CheckResilience::default());
-    assert!(matches!(leg1.status, RunStatus::Inconclusive { .. }));
-    assert!(!leg1.shards.is_empty(), "the interruption left completed shards to checkpoint");
-
-    // Leg 2: resume from leg 1's completed shards with the full budget.
-    let res = CheckResilience { fault_plan: None, completed: leg1.shards };
-    let leg2 = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(1), &res);
-    assert_eq!(leg2.status, RunStatus::Complete);
-    assert_eq!(sig(&leg2.report), sig(&uninterrupted.report), "resumed == uninterrupted");
-    assert_eq!(leg2.shards.len(), uninterrupted.shards.len());
-}
-
-#[test]
 fn seeded_fault_plans_are_deterministic_and_never_abort() {
     let p = wide();
     for seed in 1..=5u64 {
-        let res = CheckResilience {
-            fault_plan: Some(FaultPlan::seeded(seed)),
-            ..CheckResilience::default()
-        };
+        let res = CheckResilience { fault_plan: Some(FaultPlan::seeded(seed)) };
         let a = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(1), &res);
         let b = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(1), &res);
         assert_eq!(a.status, b.status, "seed {seed}");

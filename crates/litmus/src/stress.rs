@@ -6,8 +6,8 @@
 //! millions, while sleep-set partial-order reduction collapses them by
 //! orders of magnitude because most adjacent steps touch different
 //! locations (or are both reads) and therefore commute. They are the
-//! workload behind `results/checker_stress.txt` and the
-//! `checker-bench` CI job.
+//! workload behind `results/checker_stress.txt` and the full-size case
+//! of `tests/enumeration_digest.rs`.
 
 use drfrlx_core::program::{BinOp, Expr, Program, RmwOp};
 use drfrlx_core::OpClass;
@@ -46,7 +46,7 @@ pub fn iriw_stress() -> Program {
 /// bins and a main thread joining on all three paired done flags before
 /// reading the bins. Race-free under every model; small enough that the
 /// materializing reference still finishes, which makes it the
-/// apples-to-apples timing case in `checker_bench`.
+/// apples-to-apples case for comparing it with the streaming checker.
 pub fn event_counter_stress() -> Program {
     let mut p = Program::new("event_counter_stress");
     for (i, bin) in ["bin0", "bin1", "bin0"].into_iter().enumerate() {

@@ -16,9 +16,9 @@
 //! The help text, README table and unknown-subcommand error are all
 //! rendered from the one table in [`drfrlx::cli`].
 
-use drfrlx::model::checker::{
-    check_program_resilient, check_program_with, CheckOptions, CheckResilience,
-};
+use drfrlx::cli::Subcommand;
+use drfrlx::conform::ConformResilience;
+use drfrlx::model::checker::{check_program_resilient, CheckOptions, CheckResilience};
 use drfrlx::model::emit::emit;
 use drfrlx::model::exec::{enumerate_sc, EnumLimits, Reduction};
 use drfrlx::model::infer::infer;
@@ -51,17 +51,6 @@ fn main() -> ExitCode {
     // a crash from a finding; elsewhere errors keep the historic 2.
     let verdict_cmd = matches!(args.first().map(String::as_str), Some("check" | "conform"));
     let result = match args.first().map(String::as_str) {
-        Some("check") => cmd_check(&args[1..]),
-        Some("explore") => cmd_explore(&args[1..]),
-        Some("machine") => cmd_machine(&args[1..]),
-        Some("infer") => cmd_infer(&args[1..]),
-        Some("fmt") => cmd_fmt(&args[1..]),
-        Some("list") => cmd_list(),
-        Some("configs") => cmd_configs(),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("conform") => cmd_conform(&args[1..]),
         Some("--help" | "-h" | "help") => {
             print!("{}", drfrlx::cli::usage());
             return ExitCode::SUCCESS;
@@ -70,11 +59,14 @@ fn main() -> ExitCode {
             eprintln!("{}", drfrlx::cli::usage());
             return ExitCode::from(2);
         }
-        Some(other) => {
-            eprintln!("{}", drfrlx::cli::unknown(other));
-            eprintln!("\n{}", drfrlx::cli::usage());
-            return ExitCode::from(2);
-        }
+        Some(cmd) => match drfrlx::cli::find(cmd) {
+            Some(sub) => run(sub, &args[1..]),
+            None => {
+                eprintln!("{}", drfrlx::cli::unknown(cmd));
+                eprintln!("\n{}", drfrlx::cli::usage());
+                return ExitCode::from(2);
+            }
+        },
     };
     match result {
         Ok(code) => ExitCode::from(code),
@@ -88,61 +80,99 @@ fn main() -> ExitCode {
 /// Exit code (`Ok`) or an error the dispatcher prints and maps.
 type CmdResult = Result<u8, Box<dyn std::error::Error>>;
 
+/// Check `args` against `sub`'s usage line, then run it with its
+/// positional arguments.
+fn run(sub: &Subcommand, args: &[String]) -> CmdResult {
+    let pos = positionals(sub, args)?;
+    match sub.name {
+        "check" => cmd_check(args, &pos),
+        "explore" => cmd_explore(&pos),
+        "machine" => cmd_machine(&pos),
+        "infer" => cmd_infer(&pos),
+        "fmt" => cmd_fmt(&pos),
+        "list" => cmd_list(),
+        "configs" => cmd_configs(),
+        "simulate" => cmd_simulate(args, &pos),
+        "trace" => cmd_trace(args, &pos),
+        "bench" => cmd_bench(args, &pos),
+        "conform" => cmd_conform(args, &pos),
+        other => unreachable!("`{other}` is in the subcommand table but not dispatched"),
+    }
+}
+
+/// The arguments of `args` that are neither a flag nor a flag's
+/// operand. The flags `sub` accepts, and which of them take an
+/// operand, come from its usage line.
+///
+/// # Errors
+///
+/// A flag the usage line does not name, or a value flag with no
+/// operand.
+fn positionals<'a>(
+    sub: &Subcommand,
+    args: &'a [String],
+) -> Result<Vec<&'a str>, Box<dyn std::error::Error>> {
+    let flags = sub.flags();
+    let mut pos = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            pos.push(arg.as_str());
+            continue;
+        }
+        let Some(&(_, takes_operand)) = flags.iter().find(|&&(name, _)| name == arg) else {
+            let valid: Vec<&str> = flags.iter().map(|&(name, _)| name).collect();
+            let valid = if valid.is_empty() { "none".to_string() } else { valid.join(", ") };
+            return Err(
+                format!("unknown flag `{arg}` for `{}`; valid flags: {valid}", sub.name).into()
+            );
+        };
+        if takes_operand && it.next().is_none_or(|v| v.starts_with("--")) {
+            return Err(format!("{arg} needs a value").into());
+        }
+    }
+    Ok(pos)
+}
+
 /// The traditional boolean exit mapping of the non-verdict
 /// subcommands: 0 when clean, 1 otherwise.
 fn ok01(clean: bool) -> CmdResult {
     Ok(if clean { 0 } else { 1 })
 }
 
-/// The `--timeout-secs`, `--checkpoint`, `--resume` and `--chaos-seed`
-/// flags shared by `check` and `conform`. Any of them engages the
-/// resilient execution path; all default off.
-struct ResilienceFlags<'a> {
-    timeout: Option<f64>,
-    chaos_seed: Option<u64>,
-    checkpoint: Option<&'a str>,
-    resume: Option<&'a str>,
+/// The exit code of a verdict subcommand: a finding wins over a run
+/// that ended short, which wins over clean.
+fn verdict_exit(finding: bool, complete: bool) -> u8 {
+    if finding {
+        EXIT_FINDING
+    } else if !complete {
+        EXIT_INCONCLUSIVE
+    } else {
+        EXIT_CLEAN
+    }
 }
 
-impl<'a> ResilienceFlags<'a> {
-    fn parse(args: &'a [String]) -> Result<Self, Box<dyn std::error::Error>> {
-        let timeout = match flag_value(args, "--timeout-secs") {
-            None => None,
-            Some(v) => Some(
-                v.parse::<f64>()
-                    .ok()
-                    .filter(|s| s.is_finite() && *s > 0.0)
-                    .ok_or("--timeout-secs needs a positive number")?,
-            ),
-        };
-        let chaos_seed = match flag_value(args, "--chaos-seed") {
-            None => None,
-            Some(v) => {
-                Some(v.parse::<u64>().map_err(|_| "--chaos-seed needs an unsigned integer")?)
-            }
-        };
-        Ok(ResilienceFlags {
-            timeout,
-            chaos_seed,
-            checkpoint: flag_value(args, "--checkpoint"),
-            resume: flag_value(args, "--resume"),
-        })
-    }
-
-    fn engaged(&self) -> bool {
-        self.timeout.is_some()
-            || self.chaos_seed.is_some()
-            || self.checkpoint.is_some()
-            || self.resume.is_some()
-    }
-
-    fn budget(&self) -> Option<Arc<Budget>> {
-        self.timeout.map(|s| Arc::new(Budget::with_timeout(Duration::from_secs_f64(s))))
-    }
-
-    fn fault_plan(&self) -> Option<FaultPlan> {
-        self.chaos_seed.map(FaultPlan::seeded)
-    }
+/// The `--timeout-secs` budget and `--chaos-seed` fault plan shared by
+/// `check` and `conform`; both default off.
+fn resilience_flags(args: &[String]) -> Result<ConformResilience, Box<dyn std::error::Error>> {
+    let budget = match flag_value(args, "--timeout-secs") {
+        None => None,
+        Some(v) => {
+            let secs = v
+                .parse::<f64>()
+                .ok()
+                .filter(|s| s.is_finite() && *s > 0.0)
+                .ok_or("--timeout-secs needs a positive number")?;
+            Some(Arc::new(Budget::with_timeout(Duration::from_secs_f64(secs))))
+        }
+    };
+    let fault_plan = match flag_value(args, "--chaos-seed") {
+        None => None,
+        Some(v) => Some(FaultPlan::seeded(
+            v.parse().map_err(|_| "--chaos-seed needs an unsigned integer")?,
+        )),
+    };
+    Ok(ConformResilience { budget, fault_plan })
 }
 
 fn load_program(path: &str) -> Result<Program, Box<dyn std::error::Error>> {
@@ -162,8 +192,8 @@ fn create_parent_dirs(path: &std::path::Path) -> std::io::Result<()> {
     }
 }
 
-fn cmd_check(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("check needs a .litmus file")?;
+fn cmd_check(args: &[String], pos: &[&str]) -> CmdResult {
+    let path = pos.first().ok_or("check needs a .litmus file")?;
     let models: Vec<MemoryModel> = match flag_value(args, "--model") {
         None => MemoryModel::ALL.to_vec(),
         Some(m) => vec![match m.to_ascii_lowercase().as_str() {
@@ -193,102 +223,55 @@ fn cmd_check(args: &[String]) -> CmdResult {
         },
     };
     let stats = args.iter().any(|a| a == "--stats");
-    let res_flags = ResilienceFlags::parse(args)?;
-    if (res_flags.checkpoint.is_some() || res_flags.resume.is_some()) && models.len() != 1 {
-        return Err("--checkpoint/--resume need a single --model".into());
-    }
+    // One deadline for the whole command, shared by every model.
+    let flags = resilience_flags(args)?;
+    limits.budget = flags.budget;
+    let opts = CheckOptions { limits, threads, reduction, ..CheckOptions::default() };
+    let res = CheckResilience { fault_plan: flags.fault_plan };
 
-    let print_report = |report: &drfrlx::CheckReport, clean: &mut bool| {
-        let model = report.model;
-        if report.is_race_free() {
-            println!("{model}: race-free ({} SC executions)", report.executions);
+    let (mut finding, mut complete) = (false, true);
+    for model in models {
+        let out = check_program_resilient(&p, model, &opts, &res);
+        let report = &out.report;
+        if !out.is_complete() && report.is_race_free() {
+            println!(
+                "{model}: INCONCLUSIVE (no races in {} SC executions explored)",
+                report.executions
+            );
         } else {
-            *clean = false;
-            println!("{model}: RACY ({} SC executions)", report.executions);
-            for f in &report.races {
-                println!("  - {}", f.description);
+            if report.is_race_free() {
+                println!("{model}: race-free ({} SC executions)", report.executions);
+            } else {
+                finding = true;
+                println!("{model}: RACY ({} SC executions)", report.executions);
+                for f in &report.races {
+                    println!("  - {}", f.description);
+                }
+            }
+            println!(
+                "  executions: {} explored, {} pruned by partial-order reduction",
+                report.executions, report.pruned
+            );
+            if stats {
+                println!(
+                    "  stats: explored {}, sleep-set-pruned {}, memo-pruned {}, peak-table-size {}",
+                    report.executions, report.pruned, report.memo_pruned, report.table_peak
+                );
             }
         }
-        println!(
-            "  executions: {} explored, {} pruned by partial-order reduction",
-            report.executions, report.pruned
-        );
-        if stats {
+        if !out.is_complete() {
+            complete = false;
             println!(
-                "  stats: explored {}, sleep-set-pruned {}, memo-pruned {}, peak-table-size {}",
-                report.executions, report.pruned, report.memo_pruned, report.table_peak
+                "  status: {} — {} of {} shards completed",
+                out.status, out.completed_shards, out.total_shards
             );
         }
-    };
-
-    let mut clean = true;
-    let mut inconclusive = false;
-    if !res_flags.engaged() {
-        let opts = CheckOptions { limits, threads, reduction, ..CheckOptions::default() };
-        for model in models {
-            match check_program_with(&p, model, &opts) {
-                Ok(report) => print_report(&report, &mut clean),
-                Err(e) => {
-                    inconclusive = true;
-                    println!("{model}: INCONCLUSIVE ({e})");
-                }
-            }
-        }
-    } else {
-        let budget = res_flags.budget();
-        for model in models {
-            let mut limits = limits.clone();
-            limits.budget = budget.clone();
-            let opts = CheckOptions { limits, threads, reduction, ..CheckOptions::default() };
-            let completed = match res_flags.resume {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)?;
-                    drfrlx::checkpoint::parse_check_checkpoint(&text, &p, model, &opts)?
-                }
-                None => Vec::new(),
-            };
-            let res = CheckResilience { fault_plan: res_flags.fault_plan(), completed };
-            let out = check_program_resilient(&p, model, &opts, &res);
-            if out.status.is_complete() || !out.report.is_race_free() {
-                print_report(&out.report, &mut clean);
-            } else {
-                println!(
-                    "{model}: INCONCLUSIVE (no races in {} SC executions explored)",
-                    out.report.executions
-                );
-            }
-            if !out.status.is_complete() {
-                inconclusive = true;
-                println!(
-                    "  status: {} — {} of {} shards completed",
-                    out.status,
-                    out.shards.len(),
-                    out.total_shards
-                );
-            }
-            if let Some(path) = res_flags.checkpoint {
-                create_parent_dirs(std::path::Path::new(path))?;
-                let rendered = drfrlx::checkpoint::render_check_checkpoint(&p, model, &opts, &out);
-                std::fs::write(path, rendered)?;
-                eprintln!(
-                    "[checkpoint: wrote {path} ({} of {} shards)]",
-                    out.shards.len(),
-                    out.total_shards
-                );
-            }
-        }
     }
-    Ok(if !clean {
-        EXIT_FINDING
-    } else if inconclusive {
-        EXIT_INCONCLUSIVE
-    } else {
-        EXIT_CLEAN
-    })
+    Ok(verdict_exit(finding, complete))
 }
 
-fn cmd_explore(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("explore needs a .litmus file")?;
+fn cmd_explore(pos: &[&str]) -> CmdResult {
+    let path = pos.first().ok_or("explore needs a .litmus file")?;
     let p = load_program(path)?;
     let execs = enumerate_sc(&p, &EnumLimits::default())?;
     println!("{}: {} SC executions", p.name(), execs.len());
@@ -308,8 +291,8 @@ fn cmd_explore(args: &[String]) -> CmdResult {
     ok01(racy.is_none())
 }
 
-fn cmd_machine(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("machine needs a .litmus file")?;
+fn cmd_machine(pos: &[&str]) -> CmdResult {
+    let path = pos.first().ok_or("machine needs a .litmus file")?;
     let p = load_program(path)?;
     let cmp = compare_with_sc(&p, MemoryModel::Drfrlx, &EnumLimits::default())?;
     println!(
@@ -331,8 +314,8 @@ fn cmd_machine(args: &[String]) -> CmdResult {
     ok01(cmp.is_sc_only())
 }
 
-fn cmd_infer(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("infer needs a .litmus file")?;
+fn cmd_infer(pos: &[&str]) -> CmdResult {
+    let path = pos.first().ok_or("infer needs a .litmus file")?;
     let p = load_program(path)?;
     let inf = infer(&p, &EnumLimits::default())?;
     if inf.changes.is_empty() {
@@ -351,8 +334,8 @@ fn cmd_infer(args: &[String]) -> CmdResult {
     ok01(true)
 }
 
-fn cmd_fmt(args: &[String]) -> CmdResult {
-    let path = args.first().ok_or("fmt needs a .litmus file")?;
+fn cmd_fmt(pos: &[&str]) -> CmdResult {
+    let path = pos.first().ok_or("fmt needs a .litmus file")?;
     let p = load_program(path)?;
     print!("{}", emit(&p));
     ok01(true)
@@ -402,11 +385,10 @@ fn cmd_list() -> CmdResult {
     ok01(true)
 }
 
-fn cmd_bench(args: &[String]) -> CmdResult {
-    use drfrlx::bench::timing::PerfReport;
+fn cmd_bench(args: &[String], pos: &[&str]) -> CmdResult {
     use drfrlx::bench::{find, registry, run_experiment, write_artifacts};
 
-    let id = args.first().ok_or("bench needs an experiment id (see `drfrlx bench list`)")?;
+    let id = *pos.first().ok_or("bench needs an experiment id (see `drfrlx bench list`)")?;
     if id == "list" {
         println!("{:22} title", "id");
         for e in registry() {
@@ -436,11 +418,8 @@ fn cmd_bench(args: &[String]) -> CmdResult {
             format!("unknown experiment `{id}`; valid ids: all, {}", ids.join(", "))
         })?]
     };
-    let mut perf = PerfReport::new(&format!("drfrlx bench {id} --threads {threads}"));
     for e in experiments {
-        let t0 = std::time::Instant::now();
         let run = run_experiment(e.as_ref(), threads);
-        perf.record(e.id(), t0.elapsed().as_secs_f64());
         print!("{}", run.text);
         let (txt, json) = write_artifacts(&outdir, e.id(), &run)?;
         eprintln!(
@@ -450,32 +429,13 @@ fn cmd_bench(args: &[String]) -> CmdResult {
             json.display()
         );
     }
-    if let Some(perf_path) = flag_value(args, "--perf") {
-        let rendered = match flag_value(args, "--perf-baseline") {
-            Some(base_path) => {
-                let text = std::fs::read_to_string(base_path)?;
-                let before = PerfReport::parse(&text)
-                    .ok_or_else(|| format!("`{base_path}` is not a perf report"))?;
-                perf.to_json_vs(&before)
-            }
-            None => perf.to_json(),
-        };
-        create_parent_dirs(std::path::Path::new(perf_path))?;
-        std::fs::write(perf_path, rendered)?;
-        eprintln!(
-            "[perf: {} experiments, {:.2}s total -> {perf_path}]",
-            perf.entries.len(),
-            perf.total_seconds()
-        );
-    }
     ok01(true)
 }
 
-fn cmd_conform(args: &[String]) -> CmdResult {
+fn cmd_conform(args: &[String], pos: &[&str]) -> CmdResult {
     use drfrlx::conform::{
-        check_conformance, check_conformance_resilient, generate, is_unsound, render_corpus,
-        render_summary, resume_campaign, run_corpus, run_template_corpus, shrink, CampaignState,
-        ConformOptions, ConformResilience,
+        check_conformance_resilient, generate, is_unsound, render_corpus, render_summary,
+        run_campaign, shrink, table1_corpus, template_corpus, ConformOptions,
     };
     use drfrlx::litmus::all_tests;
 
@@ -535,38 +495,14 @@ fn cmd_conform(args: &[String]) -> CmdResult {
         );
     };
 
-    let res_flags = ResilienceFlags::parse(args)?;
-    let budget = res_flags.budget();
+    let res = resilience_flags(args)?;
     // The oracle polls the budget through its enumeration limits; the
     // simulation matrix polls it before every job attempt.
-    opts.limits.budget = budget.clone();
-    let res = ConformResilience { budget, fault_plan: res_flags.fault_plan() };
+    opts.limits.budget = res.budget.clone();
 
     if let Some(n) = flag_value(args, "--fuzz") {
         let n: u64 = n.parse().ok().filter(|&n| n > 0).ok_or("--fuzz needs a positive count")?;
-        let mut state = match res_flags.resume {
-            Some(path) => {
-                let text = std::fs::read_to_string(path)?;
-                let state = drfrlx::checkpoint::parse_fuzz_checkpoint(&text, &opts)?;
-                if state.total != n {
-                    return Err(format!(
-                        "checkpoint is for --fuzz {}, not --fuzz {n}",
-                        state.total
-                    )
-                    .into());
-                }
-                if state.seed != opts.seed {
-                    return Err(format!(
-                        "checkpoint campaign is rooted at seed {}, not --seed {}",
-                        state.seed, opts.seed
-                    )
-                    .into());
-                }
-                state
-            }
-            None => CampaignState::new(opts.seed, n),
-        };
-        let status = resume_campaign(&mut state, &opts, &res, &mut |seed, r| {
+        let (state, status) = run_campaign(opts.seed, n, &opts, &res, &mut |seed, r| {
             println!("fuzz seed {seed}: VIOLATION");
             print_report(r);
             let small = shrink(&generate(seed), &|q| is_unsound(q, &opts));
@@ -576,97 +512,54 @@ fn cmd_conform(args: &[String]) -> CmdResult {
         if !status.is_complete() {
             println!("status: {status}");
         }
-        if let Some(path) = res_flags.checkpoint {
-            create_parent_dirs(std::path::Path::new(path))?;
-            std::fs::write(path, drfrlx::checkpoint::render_fuzz_checkpoint(&opts, &state))?;
-            eprintln!(
-                "[checkpoint: wrote {path} ({} of {} programs)]",
-                state.next_index, state.total
-            );
-        }
-        return Ok(if !state.violations.is_empty() {
-            EXIT_FINDING
-        } else if !status.is_complete() || !state.skipped.is_empty() {
-            EXIT_INCONCLUSIVE
-        } else {
-            EXIT_CLEAN
-        });
-    }
-    if res_flags.checkpoint.is_some() || res_flags.resume.is_some() {
-        return Err("conform --checkpoint/--resume only apply to --fuzz campaigns".into());
+        let complete = status.is_complete() && state.skipped.is_empty();
+        return Ok(verdict_exit(!state.violations.is_empty(), complete));
     }
 
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_operand(args, a))
-        .ok_or("conform needs a test name, `corpus`, a .litmus file, or --fuzz N")?;
-    if target == "corpus" || target == "templates" {
-        let run = if target == "corpus" { run_corpus } else { run_template_corpus };
-        let reports = match run(&opts) {
-            Ok(reports) => reports,
-            Err(e) => {
-                eprintln!("inconclusive: {e}");
-                return Ok(EXIT_INCONCLUSIVE);
-            }
-        };
+    let target =
+        *pos.first().ok_or("conform needs a test name, `corpus`, a .litmus file, or --fuzz N")?;
+    let is_corpus = matches!(target, "corpus" | "templates");
+    let programs = match target {
+        "corpus" => table1_corpus(),
+        "templates" => template_corpus(),
+        _ if target.ends_with(".litmus") => vec![(target.to_string(), load_program(target)?)],
+        _ => {
+            let t =
+                all_tests().into_iter().find(|t| t.name.eq_ignore_ascii_case(target)).ok_or_else(
+                    || format!("unknown litmus test `{target}` (or pass a .litmus path)"),
+                )?;
+            vec![(t.name.to_string(), (t.build)())]
+        }
+    };
+    let mut reports = Vec::new();
+    // `(name, status)` of every run that ended short.
+    let mut short = Vec::new();
+    for (name, p) in &programs {
+        let out = check_conformance_resilient(p, &opts, &res);
+        reports.extend(out.report);
+        if !out.status.is_complete() {
+            short.push((name, out.status));
+        }
+    }
+    if is_corpus {
         print!("{}", render_corpus(&reports, &opts));
-        return Ok(if reports.iter().all(|r| r.sound()) { EXIT_CLEAN } else { EXIT_FINDING });
-    }
-    let p = if target.ends_with(".litmus") {
-        load_program(target)?
     } else {
-        all_tests()
-            .into_iter()
-            .find(|t| t.name.eq_ignore_ascii_case(target))
-            .map(|t| (t.build)())
-            .ok_or_else(|| format!("unknown litmus test `{target}` (or pass a .litmus path)"))?
-    };
-    if res_flags.engaged() {
-        let out = check_conformance_resilient(&p, &opts, &res);
-        return Ok(match out.report {
-            Some(r) => {
-                print_report(&r);
-                if !out.status.is_complete() {
-                    println!("status: {}", out.status);
-                }
-                if !r.sound() {
-                    EXIT_FINDING
-                } else if !out.status.is_complete() {
-                    EXIT_INCONCLUSIVE
-                } else {
-                    EXIT_CLEAN
-                }
-            }
-            None => {
-                println!("status: {}", out.status);
-                EXIT_INCONCLUSIVE
-            }
-        });
+        reports.iter().for_each(print_report);
     }
-    let r = match check_conformance(&p, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("inconclusive: {e}");
-            return Ok(EXIT_INCONCLUSIVE);
+    for (name, status) in &short {
+        if is_corpus {
+            println!("status: {name}: {status}");
+        } else {
+            println!("status: {status}");
         }
-    };
-    print_report(&r);
-    Ok(if r.sound() { EXIT_CLEAN } else { EXIT_FINDING })
+    }
+    Ok(verdict_exit(reports.iter().any(|r| !r.sound()), short.is_empty()))
 }
 
-/// Is `arg` the operand of a `--flag value` pair (so not a positional)?
-fn is_flag_operand(args: &[String], arg: &str) -> bool {
-    args.iter()
-        .position(|a| a == arg)
-        .and_then(|i| i.checked_sub(1))
-        .and_then(|i| args.get(i))
-        .is_some_and(|prev| prev.starts_with("--"))
-}
-
-fn cmd_trace(args: &[String]) -> CmdResult {
+fn cmd_trace(args: &[String], pos: &[&str]) -> CmdResult {
     use drfrlx::sim::{chrome_trace, render_diff, render_profile, run_workload_traced};
 
-    let name = args.first().ok_or("trace needs a workload name (see `drfrlx list`)")?;
+    let name = pos.first().ok_or("trace needs a workload name (see `drfrlx list`)")?;
     let config = parse_config(args, "GD0")?;
     let params = match flag_value(args, "--platform").unwrap_or("integrated") {
         "integrated" => SysParams::integrated(),
@@ -732,8 +625,8 @@ fn cmd_trace(args: &[String]) -> CmdResult {
     ok01(true)
 }
 
-fn cmd_simulate(args: &[String]) -> CmdResult {
-    let name = args.first().ok_or("simulate needs a workload name (see `drfrlx list`)")?;
+fn cmd_simulate(args: &[String], pos: &[&str]) -> CmdResult {
+    let name = pos.first().ok_or("simulate needs a workload name (see `drfrlx list`)")?;
     let config = parse_config(args, "DDR")?;
     let params = match flag_value(args, "--platform").unwrap_or("integrated") {
         "integrated" => SysParams::integrated(),

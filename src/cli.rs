@@ -5,7 +5,9 @@
 //! ([`readme_table`]) and the unknown-subcommand error ([`unknown`])
 //! are all rendered from it, so a new subcommand (or a new flag in a
 //! usage line) appears everywhere at once or nowhere — enforced by
-//! `tests/cli_help.rs`.
+//! `tests/cli_help.rs`. The binary also reads each subcommand's
+//! accepted flags off its usage lines ([`Subcommand::flags`]), so a
+//! flag the usage does not name is rejected.
 
 /// One subcommand of the `drfrlx` binary.
 pub struct Subcommand {
@@ -20,14 +22,39 @@ pub struct Subcommand {
     pub help: &'static str,
 }
 
+impl Subcommand {
+    /// The flags this subcommand's usage lines name, in order, each
+    /// with whether it takes an operand: `[--stats]` does not, while
+    /// `[--model drf0|drf1|drfrlx]` and `--fuzz N` do.
+    pub fn flags(&self) -> Vec<(&'static str, bool)> {
+        let words: Vec<&'static str> = self.usage.split_whitespace().collect();
+        let mut out: Vec<(&'static str, bool)> = Vec::new();
+        for (i, word) in words.iter().enumerate() {
+            let word = word.trim_start_matches('[');
+            let name = word.trim_end_matches(']');
+            if !name.starts_with("--") || out.iter().any(|&(n, _)| n == name) {
+                continue;
+            }
+            let operand = name == word
+                && words.get(i + 1).is_some_and(|w| !w.starts_with('[') && !w.starts_with("--"));
+            out.push((name, operand));
+        }
+        out
+    }
+}
+
+/// The subcommand named `name`, if any.
+pub fn find(name: &str) -> Option<&'static Subcommand> {
+    SUBCOMMANDS.iter().find(|s| s.name == name)
+}
+
 /// Every `drfrlx` subcommand, in help order.
 pub const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "check",
         usage: "check <file.litmus> [--model drf0|drf1|drfrlx] [--threads N]\n\
                 \x20                  [--max-execs N] [--reduction none|sleep|memo]\n\
-                \x20                  [--stats] [--timeout-secs S] [--checkpoint FILE]\n\
-                \x20                  [--resume FILE] [--chaos-seed S]",
+                \x20                  [--stats] [--timeout-secs S] [--chaos-seed S]",
         summary: "race-check a litmus program under the DRF models",
         help: "Stream SC executions through the race detectors (sleep-set\n\
                partial-order reduction, sharded across N worker threads) and\n\
@@ -41,14 +68,11 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
                (sleep sets plus duplicate-state memoization — needed for\n\
                programs whose conflicting operations defeat sleep sets alone).\n\
                --stats prints the per-model reduction counters (explored /\n\
-               sleep-set-pruned / memo-pruned / peak-table-size). The\n\
-               resilience flags engage the fault-isolated sharded runner:\n\
-               --timeout-secs sets a wall-clock deadline, --checkpoint FILE\n\
-               saves the completed shards, --resume FILE continues from such\n\
-               a checkpoint (with --model pinned; the resumed report is\n\
-               byte-identical to an uninterrupted run), and --chaos-seed\n\
-               deterministically injects shard faults (testing only). Threads\n\
-               default to all cores (or DRFRLX_THREADS).",
+               sleep-set-pruned / memo-pruned / peak-table-size).\n\
+               --timeout-secs sets a wall-clock deadline and --chaos-seed\n\
+               deterministically injects shard faults (testing only). A run\n\
+               that ends without a verdict prints what it explored plus a\n\
+               status line. Threads default to all cores (or DRFRLX_THREADS).",
     },
     Subcommand {
         name: "explore",
@@ -115,18 +139,15 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     },
     Subcommand {
         name: "bench",
-        usage: "bench <experiment-id>|all [--threads N] [--out DIR]\n\
-                \x20                        [--perf FILE [--perf-baseline FILE]]",
+        usage: "bench <experiment-id>|all [--threads N] [--out DIR]",
         summary: "regenerate a registered paper artifact",
         help: "Regenerate a registered paper artifact (fig1, fig3, fig4,\n\
                table4, section6, sweeps, ablations, conform_matrix, ...) on\n\
                the parallel sweep engine; writes results/<id>.txt and\n\
                results/<id>.json. `bench list` prints the registry. Threads\n\
                default to all cores (or DRFRLX_THREADS); output dir defaults\n\
-               to results/ (or DRFRLX_RESULTS). --perf records per-experiment\n\
-               wall-clock as JSON; with --perf-baseline it joins a previous\n\
-               --perf run into a before/after trajectory (the committed\n\
-               BENCH_*.json).",
+               to results/ (or DRFRLX_RESULTS). Timings of record come from\n\
+               the benchmark/ package, not from this command.",
     },
     Subcommand {
         name: "conform",
@@ -134,8 +155,7 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
                 \x20       [--threads N] [--config GD0..MDR] [--model drf0|drf1|drfrlx]\n\
                 \x20       [--protocol gpu|denovo|mesi-wb] [--timeout-secs S] [--chaos-seed S]\n\
                 conform --fuzz N [--seed S] [--threads N] [--schedules K]\n\
-                \x20       [--timeout-secs S] [--checkpoint FILE] [--resume FILE]\n\
-                \x20       [--chaos-seed S]",
+                \x20       [--timeout-secs S] [--chaos-seed S]",
         summary: "check the simulator against the axiomatic oracle",
         help: "Compile a litmus test into a simulator kernel, run it across the\n\
                protocol × model matrix under K deterministically perturbed\n\
@@ -155,10 +175,9 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
                overflows up a 1x/4x/16x budget ladder before recording the\n\
                seed as skipped in the summary), and delta-debugs any\n\
                disagreement down to a minimal reproducer. --timeout-secs sets\n\
-               a wall-clock deadline; --checkpoint/--resume save and continue\n\
-               a fuzz campaign deterministically; --chaos-seed injects\n\
-               deterministic faults (testing only). Verdicts are identical at\n\
-               any --threads.",
+               a wall-clock deadline and --chaos-seed injects deterministic\n\
+               faults (testing only) in every form; a run that ends short\n\
+               prints a status line. Verdicts are identical at any --threads.",
     },
 ];
 
@@ -218,6 +237,22 @@ mod tests {
         }
         assert!(u.contains("--reduction none|sleep|memo"));
         assert!(u.contains("conform --fuzz N"));
+    }
+
+    #[test]
+    fn flags_and_their_operands_are_read_off_the_usage_lines() {
+        let check = find("check").expect("check exists").flags();
+        assert!(check.contains(&("--model", true)));
+        assert!(check.contains(&("--max-execs", true)));
+        assert!(check.contains(&("--stats", false)));
+        assert!(!check.iter().any(|&(n, _)| n == "--fuzz"));
+        // Both usage forms of `conform` count, each flag once.
+        let conform = find("conform").expect("conform exists").flags();
+        assert!(conform.contains(&("--fuzz", true)));
+        assert!(conform.contains(&("--config", true)));
+        assert_eq!(conform.iter().filter(|&&(n, _)| n == "--seed").count(), 1);
+        assert!(find("list").expect("list exists").flags().is_empty());
+        assert!(find("bogus").is_none());
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod conform {
     pub use drfrlx_conform::*;
 }
 
-pub mod checkpoint;
 pub mod cli;
 
 pub use drfrlx_core::{check_program, CheckReport, MemoryModel, OpClass, Protocol, SystemConfig};
