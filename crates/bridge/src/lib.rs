@@ -28,6 +28,26 @@
 //!   (an RMW whose destination is never read issues fire-and-forget,
 //!   exactly like hand-written work items pass `use_result: false`).
 //!
+//! ## Lowered code
+//!
+//! Each distinct thread body is lowered once into a [`ThreadCode`]
+//! that every work item running it shares; the source [`Instr`]s are
+//! not kept. A body is one contiguous `Vec` of fixed-size instructions:
+//!
+//! * location addresses are resolved at lowering (`u32` words, so a
+//!   kernel's memory must fit 32-bit addressing);
+//! * an RMW carries its destination only when the result is used,
+//!   which is its `use_result`;
+//! * an operand that is a register or a constant fitting `i32` is
+//!   stored inline; any other expression is a postfix run of 8-byte
+//!   nodes in the body's arena, constants beyond `i32` in a side pool.
+//!
+//! A work item's state is a zero-initialised `i64` register file
+//! (a register never written reads 0, exactly as
+//! [`Expr::eval_slice`] reads it) followed by an evaluation stack sized
+//! from the body's deepest postfix run. Operators apply through
+//! [`BinOp::apply`], the definition the checker's evaluators use too.
+//!
 //! ## Value domains
 //!
 //! Litmus values are `i64`, the simulator's are `u64`; all lowering is
@@ -46,26 +66,244 @@
 
 pub mod templates;
 
-use drfrlx_core::program::{Expr, Instr, Loc, Program, Reg, RmwOp, Thread};
+use drfrlx_core::program::{BinOp, Expr, Instr, Loc, Program, Reg, RmwOp, Thread, Value};
 use drfrlx_core::OpClass;
 use hsim_gpu::{Kernel, Op, RmwKind, WorkItem};
 use std::sync::Arc;
 
-/// One lowered program thread: its instructions plus everything the
-/// interpreter needs that is cheaper to precompute than to rediscover
-/// per work item.
+/// An instruction operand: inline when it is a register or a constant
+/// fitting `i32`, otherwise a postfix run of `len` arena nodes.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    Const(i32),
+    Reg(Reg),
+    Expr { len: u16, start: u32 },
+}
+
+/// One postfix node. Leaves push a value; `Bin` pops two and pushes
+/// `op(left, right)`.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    Const(i32),
+    /// A constant outside `i32`, by index into the body's pool.
+    Wide(u32),
+    Reg(Reg),
+    Bin(BinOp),
+}
+
+/// One lowered instruction (see the crate docs, "Lowered code").
+#[derive(Debug, Clone, Copy)]
+enum Insn {
+    /// A dependency or observation marker: no dynamic effect.
+    Marker,
+    Assign {
+        dst: Reg,
+        val: Operand,
+    },
+    JumpIfZero {
+        cond: Operand,
+        skip: u32,
+    },
+    Think(u32),
+    Barrier,
+    ScratchLoad {
+        addr: Operand,
+        dst: Reg,
+    },
+    ScratchStore {
+        addr: Operand,
+        val: Operand,
+    },
+    Load {
+        class: OpClass,
+        addr: u32,
+        dst: Reg,
+    },
+    Store {
+        class: OpClass,
+        addr: u32,
+        val: Operand,
+    },
+    /// `dst` is `None` when no later instruction reads the result.
+    Rmw {
+        class: OpClass,
+        op: RmwOp,
+        addr: u32,
+        operand: Operand,
+        operand2: Operand,
+        dst: Option<Reg>,
+    },
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 8);
+const _: () = assert!(std::mem::size_of::<Insn>() <= 28);
+
+/// One lowered program thread, shared by every work item that runs it.
 #[derive(Debug)]
 pub struct ThreadCode {
-    /// The thread's instruction sequence (shared, not cloned per item).
-    pub instrs: Vec<Instr>,
+    code: Vec<Insn>,
+    /// Postfix arena the `Operand::Expr` runs index.
+    nodes: Vec<Node>,
+    /// Constants outside `i32`, indexed by `Node::Wide`.
+    wide: Vec<Value>,
     /// Dense register-file size (`0..reg_count`).
-    pub reg_count: usize,
-    /// Per-instruction: does a later instruction read this RMW's
-    /// destination? (Only meaningful at `Instr::Rmw` indices.)
-    pub use_result: Vec<bool>,
+    reg_count: usize,
+    /// Deepest evaluation stack any postfix run needs.
+    depth: usize,
     /// Register-dump window base, when this thread observes its
     /// registers into memory after the body (litmus mode).
-    pub obs_base: Option<u64>,
+    obs_base: Option<u64>,
+}
+
+impl ThreadCode {
+    /// Lower `t`, placing location `l` at word `addrs[l]`. With an
+    /// observation window every register is read by the final dump, so
+    /// every RMW result is used; otherwise an RMW's result is used iff
+    /// a later instruction reads its destination.
+    fn lower(t: &Thread, addrs: &[u32], obs_base: Option<u64>) -> ThreadCode {
+        let reg_count = thread_reg_count(t);
+        // One backward pass: `read[r]` = some later instruction reads r.
+        // Exact under the builder's fresh-register discipline; a reused
+        // destination only errs towards consuming a result.
+        let mut read = vec![obs_base.is_some(); reg_count];
+        let mut used = vec![false; t.instrs.len()];
+        for (i, instr) in t.instrs.iter().enumerate().rev() {
+            if let Instr::Rmw { dst, .. } = instr {
+                used[i] = read[dst.0 as usize];
+            }
+            for_each_read(instr, &mut |r| read[r.0 as usize] = true);
+        }
+        let mut body = ThreadCode {
+            code: Vec::with_capacity(t.instrs.len()),
+            nodes: Vec::new(),
+            wide: Vec::new(),
+            reg_count,
+            depth: 0,
+            obs_base,
+        };
+        for (i, instr) in t.instrs.iter().enumerate() {
+            let insn = match instr {
+                Instr::BranchOn { .. } | Instr::Observe { .. } => Insn::Marker,
+                Instr::Assign { dst, expr } => Insn::Assign { dst: *dst, val: body.operand(expr) },
+                Instr::JumpIfZero { cond, skip } => Insn::JumpIfZero {
+                    cond: body.operand(cond),
+                    skip: u32::try_from(*skip).expect("jump fits 32 bits"),
+                },
+                Instr::Think { cycles } => Insn::Think(*cycles),
+                Instr::Barrier => Insn::Barrier,
+                Instr::ScratchLoad { addr, dst } => {
+                    Insn::ScratchLoad { addr: body.operand(addr), dst: *dst }
+                }
+                Instr::ScratchStore { addr, val } => {
+                    Insn::ScratchStore { addr: body.operand(addr), val: body.operand(val) }
+                }
+                Instr::Load { class, loc, dst } => {
+                    Insn::Load { class: *class, addr: addrs[loc.0 as usize], dst: *dst }
+                }
+                Instr::Store { class, loc, val } => Insn::Store {
+                    class: *class,
+                    addr: addrs[loc.0 as usize],
+                    val: body.operand(val),
+                },
+                Instr::Rmw { class, loc, op, operand, operand2, dst } => Insn::Rmw {
+                    class: *class,
+                    op: *op,
+                    addr: addrs[loc.0 as usize],
+                    operand: body.operand(operand),
+                    operand2: body.operand(operand2),
+                    dst: used[i].then_some(*dst),
+                },
+            };
+            body.code.push(insn);
+        }
+        body
+    }
+
+    /// Lower an expression operand, inline when it is a leaf that fits.
+    fn operand(&mut self, e: &Expr) -> Operand {
+        match *e {
+            Expr::Reg(r) => Operand::Reg(r),
+            Expr::Const(c) if i32::try_from(c).is_ok() => Operand::Const(c as i32),
+            _ => {
+                let start = self.nodes.len();
+                let depth = self.postfix(e);
+                self.depth = self.depth.max(depth);
+                Operand::Expr {
+                    len: u16::try_from(self.nodes.len() - start)
+                        .expect("expression of at most 65535 nodes"),
+                    start: u32::try_from(start).expect("thread arena fits 32-bit indices"),
+                }
+            }
+        }
+    }
+
+    /// Append `e` to the arena in postfix order; returns the stack
+    /// depth evaluating it needs.
+    fn postfix(&mut self, e: &Expr) -> usize {
+        match e {
+            Expr::Const(c) => {
+                let node = self.leaf_const(*c);
+                self.nodes.push(node);
+                1
+            }
+            Expr::Reg(r) => {
+                self.nodes.push(Node::Reg(*r));
+                1
+            }
+            Expr::Bin(op, a, b) => {
+                let left = self.postfix(a);
+                let right = self.postfix(b);
+                self.nodes.push(Node::Bin(*op));
+                left.max(1 + right)
+            }
+        }
+    }
+
+    /// A constant leaf: inline when it fits `i32`, else pooled.
+    fn leaf_const(&mut self, c: Value) -> Node {
+        i32::try_from(c).map(Node::Const).unwrap_or_else(|_| {
+            self.wide.push(c);
+            Node::Wide(u32::try_from(self.wide.len() - 1).expect("pool fits 32-bit indices"))
+        })
+    }
+
+    /// Evaluate an operand. `file` is a work item's register file
+    /// (`0..reg_count`) followed by its evaluation stack (`depth` words).
+    fn eval(&self, op: Operand, file: &mut [Value]) -> Value {
+        match op {
+            Operand::Const(c) => c.into(),
+            Operand::Reg(r) => file[r.0 as usize],
+            Operand::Expr { len, start } => {
+                let (regs, stack) = file.split_at_mut(self.reg_count);
+                let start = start as usize;
+                eval_postfix(&self.nodes[start..start + len as usize], &self.wide, regs, stack)
+            }
+        }
+    }
+}
+
+/// Run a postfix run. The top of the stack lives in `top`; a push
+/// spills the previous top (at first the unused 0) to `stack`, so a
+/// run of depth `d` spills at most `d` words.
+fn eval_postfix(nodes: &[Node], wide: &[Value], regs: &[Value], stack: &mut [Value]) -> Value {
+    let mut top: Value = 0;
+    let mut sp = 0;
+    for &n in nodes {
+        let v = match n {
+            Node::Const(c) => c.into(),
+            Node::Wide(i) => wide[i as usize],
+            Node::Reg(r) => regs[r.0 as usize],
+            Node::Bin(op) => {
+                sp -= 1;
+                top = op.apply(stack[sp], top);
+                continue;
+            }
+        };
+        stack[sp] = top;
+        sp += 1;
+        top = v;
+    }
+    top
 }
 
 /// A [`Program`] lowered onto the simulator grid.
@@ -82,8 +320,6 @@ pub struct ProgramKernel {
     scratch_words: usize,
     /// Sparse non-zero initial memory (address, value).
     init: Vec<(u64, u64)>,
-    /// Location index → word address.
-    addr_of: Arc<Vec<u64>>,
     /// Block-major: `cells[block * tpb + thread]`.
     cells: Vec<Arc<ThreadCode>>,
 }
@@ -105,28 +341,27 @@ impl ProgramKernel {
     ///
     /// # Panics
     ///
-    /// Panics if the program has no threads (nothing to simulate), or
-    /// if it addresses scratch through a non-constant expression (the
+    /// Panics if the program has no threads (nothing to simulate), if
+    /// it addresses scratch through a non-constant expression (the
     /// litmus lowering cannot size the scratchpad for those; use
-    /// [`ProgramKernel::grid`] with an explicit `scratch_words`).
+    /// [`ProgramKernel::grid`] with an explicit `scratch_words`), or if
+    /// its memory does not fit 32-bit addressing.
     pub fn litmus(p: &Program) -> ProgramKernel {
         assert!(!p.threads().is_empty(), "cannot lower a program with no threads");
+        let name = format!("conform_{}", p.name());
         let scratch_words = litmus_scratch_words(p);
         let one_block = scratch_words.is_some()
             || p.threads().iter().any(|t| t.instrs.iter().any(|i| matches!(i, Instr::Barrier)));
-        let addr_of: Arc<Vec<u64>> = Arc::new((0..p.num_locs() as u64).collect());
+        let addrs: Vec<u32> = (0..p.num_locs() as u32).collect();
         let mut next = p.num_locs() as u64;
         let mut cells = Vec::with_capacity(p.threads().len());
         for t in p.threads() {
-            let reg_count = thread_reg_count(t);
-            cells.push(Arc::new(ThreadCode {
-                instrs: t.instrs.clone(),
-                reg_count,
-                use_result: vec![true; t.instrs.len()],
-                obs_base: Some(next),
-            }));
-            next += reg_count as u64;
+            let code = ThreadCode::lower(t, &addrs, Some(next));
+            next += code.reg_count as u64;
+            cells.push(Arc::new(code));
         }
+        let memory_words = (next as usize).max(1);
+        check_addressable(&name, memory_words);
         let init = (0..p.num_locs() as u32)
             .map(Loc)
             .filter(|&l| p.init_value(l) != 0)
@@ -135,13 +370,12 @@ impl ProgramKernel {
         let (blocks, threads_per_block) =
             if one_block { (1, p.threads().len()) } else { (p.threads().len(), 1) };
         ProgramKernel {
-            name: format!("conform_{}", p.name()),
+            name,
             blocks,
             threads_per_block,
-            memory_words: (next as usize).max(1),
+            memory_words,
             scratch_words: scratch_words.unwrap_or(0),
             init,
-            addr_of,
             cells,
         }
     }
@@ -154,8 +388,8 @@ impl ProgramKernel {
     /// # Panics
     ///
     /// Panics if the thread count is not `blocks * tpb` for some
-    /// `blocks`, or if a location's address falls outside
-    /// `memory_words`.
+    /// `blocks`, if `memory_words` does not fit 32-bit addressing, or
+    /// if a location's address falls outside `memory_words`.
     pub fn grid(
         p: &Program,
         tpb: usize,
@@ -172,13 +406,14 @@ impl ProgramKernel {
     /// that stamp out hundreds of identical bodies (every flags worker,
     /// every seqlock reader) build the program with one thread per
     /// *distinct* body and replicate it here, so the unrolled
-    /// instruction stream is materialized exactly once.
+    /// instruction stream is lowered exactly once.
     ///
     /// # Panics
     ///
     /// Panics if `layout` is empty or not a multiple of `tpb`, if an
-    /// entry indexes past the program's threads, or if a location's
-    /// address falls outside `memory_words`.
+    /// entry indexes past the program's threads, if `memory_words`
+    /// does not fit 32-bit addressing, or if a location's address falls
+    /// outside `memory_words`.
     pub fn grid_with_layout(
         p: &Program,
         layout: &[usize],
@@ -190,7 +425,8 @@ impl ProgramKernel {
         let n = layout.len();
         assert!(n > 0, "cannot lower a program onto an empty grid");
         assert!(tpb > 0 && n.is_multiple_of(tpb), "grid size {n} is not a multiple of tpb {tpb}");
-        let addrs: Vec<u64> = (0..p.num_locs() as u32)
+        check_addressable(p.name(), memory_words);
+        let addrs: Vec<u32> = (0..p.num_locs() as u32)
             .map(|l| {
                 let a = addr_of(p.loc_name(Loc(l)));
                 assert!(
@@ -198,26 +434,23 @@ impl ProgramKernel {
                     "location {} at address {a} outside memory ({memory_words} words)",
                     p.loc_name(Loc(l))
                 );
-                a
+                a as u32
             })
             .collect();
-        // Lower each program thread once, sharing one ThreadCode per
-        // distinct body even when the program itself repeats bodies.
-        let mut distinct: Vec<Arc<ThreadCode>> = Vec::new();
-        let codes: Vec<Arc<ThreadCode>> = p
-            .threads()
+        // Lower each distinct body once, sharing its ThreadCode even
+        // when the program itself repeats bodies.
+        let threads = p.threads();
+        let mut distinct: Vec<(usize, Arc<ThreadCode>)> = Vec::new();
+        let codes: Vec<Arc<ThreadCode>> = threads
             .iter()
-            .map(|t| {
-                if let Some(c) = distinct.iter().find(|c| c.instrs == t.instrs) {
+            .enumerate()
+            .map(|(i, t)| {
+                if let Some((_, c)) = distinct.iter().find(|(j, _)| threads[*j].instrs == t.instrs)
+                {
                     return Arc::clone(c);
                 }
-                let c = Arc::new(ThreadCode {
-                    reg_count: thread_reg_count(t),
-                    use_result: rmw_results_used(t),
-                    obs_base: None,
-                    instrs: t.instrs.clone(),
-                });
-                distinct.push(Arc::clone(&c));
+                let c = Arc::new(ThreadCode::lower(t, &addrs, None));
+                distinct.push((i, Arc::clone(&c)));
                 c
             })
             .collect();
@@ -231,7 +464,7 @@ impl ProgramKernel {
         let init = (0..p.num_locs() as u32)
             .map(Loc)
             .filter(|&l| p.init_value(l) != 0)
-            .map(|l| (addrs[l.0 as usize], p.init_value(l) as u64))
+            .map(|l| (addrs[l.0 as usize] as u64, p.init_value(l) as u64))
             .collect();
         ProgramKernel {
             name: p.name().to_string(),
@@ -240,7 +473,6 @@ impl ProgramKernel {
             memory_words,
             scratch_words,
             init,
-            addr_of: Arc::new(addrs),
             cells,
         }
     }
@@ -265,6 +497,14 @@ impl ProgramKernel {
         self.name = name.into();
         self
     }
+}
+
+/// Lowered instructions hold `u32` word addresses.
+fn check_addressable(kernel: &str, memory_words: usize) {
+    assert!(
+        memory_words as u64 <= 1 << 32,
+        "kernel {kernel}: {memory_words} memory words do not fit 32-bit addresses"
+    );
 }
 
 impl Kernel for ProgramKernel {
@@ -296,23 +536,23 @@ impl Kernel for ProgramKernel {
 
     fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
         let code = Arc::clone(&self.cells[block * self.threads_per_block + thread]);
-        Box::new(ProgramItem::new(code, Arc::clone(&self.addr_of)))
+        Box::new(ProgramItem::new(code))
     }
 }
 
-/// A work item interpreting one program thread.
+/// A work item running one lowered program thread.
 ///
-/// Local computation (assignments, branch markers, structured `if`s) is
-/// interpreted inline; memory, scratch, think and barrier instructions
-/// are yielded as simulator [`Op`]s. Values delivered back through
-/// `last` land in the register recorded in `pending` — the same
-/// protocol for global loads, scratch loads and result-consuming RMWs.
+/// Local computation (assignments, markers, structured `if`s) runs inline;
+/// memory, scratch, think and barrier instructions are yielded as
+/// simulator [`Op`]s. Values delivered back through `last` land in the
+/// register recorded in `pending` — the same protocol for global loads,
+/// scratch loads and result-consuming RMWs.
 pub struct ProgramItem {
     code: Arc<ThreadCode>,
-    addr_of: Arc<Vec<u64>>,
-    /// Dense register file; `None` = never written (reads as 0, like
-    /// the axiomatic enumerator's [`drfrlx_core::program::Expr::eval_slice`]).
-    regs: Vec<Option<i64>>,
+    /// The register file (`0..reg_count`, zero-initialised: a register
+    /// never written reads 0, like the axiomatic enumerator's
+    /// [`Expr::eval_slice`]) followed by the evaluation stack.
+    file: Vec<Value>,
     pc: usize,
     /// Register awaiting the value delivered as `last`.
     pending: Option<Reg>,
@@ -322,9 +562,9 @@ pub struct ProgramItem {
 
 impl ProgramItem {
     /// A fresh item at the top of `code`.
-    pub fn new(code: Arc<ThreadCode>, addr_of: Arc<Vec<u64>>) -> ProgramItem {
-        let regs = vec![None; code.reg_count];
-        ProgramItem { code, addr_of, regs, pc: 0, pending: None, dumped: 0 }
+    pub fn new(code: Arc<ThreadCode>) -> ProgramItem {
+        let file = vec![0; code.reg_count + code.depth];
+        ProgramItem { code, file, pc: 0, pending: None, dumped: 0 }
     }
 }
 
@@ -332,64 +572,54 @@ impl WorkItem for ProgramItem {
     fn next(&mut self, last: Option<u64>) -> Op {
         if let Some(dst) = self.pending.take() {
             let v = last.expect("memory op with a destination returns a value");
-            self.regs[dst.0 as usize] = Some(v as i64);
+            self.file[dst.0 as usize] = v as Value;
         }
-        while self.pc < self.code.instrs.len() {
-            let pc = self.pc;
+        let code = &*self.code;
+        while let Some(&insn) = code.code.get(self.pc) {
             self.pc += 1;
-            match &self.code.instrs[pc] {
-                Instr::Assign { dst, expr } => {
-                    self.regs[dst.0 as usize] = Some(expr.eval_slice(&self.regs));
+            match insn {
+                Insn::Marker => {}
+                Insn::Assign { dst, val } => {
+                    self.file[dst.0 as usize] = code.eval(val, &mut self.file);
                 }
-                Instr::BranchOn { .. } | Instr::Observe { .. } => {
-                    // Dependency/observability markers: no dynamic
-                    // effect, the simulator executes the real path.
-                }
-                Instr::JumpIfZero { cond, skip } => {
-                    if cond.eval_slice(&self.regs) == 0 {
-                        self.pc += skip;
+                Insn::JumpIfZero { cond, skip } => {
+                    if code.eval(cond, &mut self.file) == 0 {
+                        self.pc += skip as usize;
                     }
                 }
-                Instr::Think { cycles } => {
-                    return Op::Think(*cycles);
+                Insn::Think(cycles) => return Op::Think(cycles),
+                Insn::Barrier => return Op::Barrier,
+                Insn::ScratchLoad { addr, dst } => {
+                    self.pending = Some(dst);
+                    return Op::ScratchLoad { addr: code.eval(addr, &mut self.file) as u64 };
                 }
-                Instr::Barrier => {
-                    return Op::Barrier;
-                }
-                Instr::ScratchLoad { addr, dst } => {
-                    self.pending = Some(*dst);
-                    return Op::ScratchLoad { addr: addr.eval_slice(&self.regs) as u64 };
-                }
-                Instr::ScratchStore { addr, val } => {
+                Insn::ScratchStore { addr, val } => {
                     return Op::ScratchStore {
-                        addr: addr.eval_slice(&self.regs) as u64,
-                        value: val.eval_slice(&self.regs) as u64,
+                        addr: code.eval(addr, &mut self.file) as u64,
+                        value: code.eval(val, &mut self.file) as u64,
                     };
                 }
-                Instr::Load { class, loc, dst } => {
-                    self.pending = Some(*dst);
-                    return Op::Load { addr: self.addr_of[loc.0 as usize], class: *class };
+                Insn::Load { class, addr, dst } => {
+                    self.pending = Some(dst);
+                    return Op::Load { addr: addr.into(), class };
                 }
-                Instr::Store { class, loc, val } => {
+                Insn::Store { class, addr, val } => {
                     return Op::Store {
-                        addr: self.addr_of[loc.0 as usize],
-                        value: val.eval_slice(&self.regs) as u64,
-                        class: *class,
+                        addr: addr.into(),
+                        value: code.eval(val, &mut self.file) as u64,
+                        class,
                     };
                 }
-                Instr::Rmw { class, loc, op, operand, operand2, dst } => {
-                    let k = operand.eval_slice(&self.regs);
-                    let k2 = operand2.eval_slice(&self.regs);
-                    let use_result = self.code.use_result[pc];
-                    if use_result {
-                        self.pending = Some(*dst);
-                    }
+                Insn::Rmw { class, op, addr, operand, operand2, dst } => {
+                    let k = code.eval(operand, &mut self.file);
+                    let k2 = code.eval(operand2, &mut self.file);
+                    self.pending = dst;
                     return Op::Rmw {
-                        addr: self.addr_of[loc.0 as usize],
-                        rmw: lower_rmw(*op, k2),
+                        addr: addr.into(),
+                        rmw: lower_rmw(op, k2),
                         operand: k as u64,
-                        class: *class,
-                        use_result,
+                        class,
+                        use_result: dst.is_some(),
                     };
                 }
             }
@@ -398,13 +628,13 @@ impl WorkItem for ProgramItem {
         // observation window, then retire. Plain data stores to
         // thread-private words — racing with nothing, invisible to
         // other threads.
-        if let Some(base) = self.code.obs_base {
-            if self.dumped < self.regs.len() {
+        if let Some(base) = code.obs_base {
+            if self.dumped < code.reg_count {
                 let r = self.dumped;
                 self.dumped += 1;
                 return Op::Store {
                     addr: base + r as u64,
-                    value: self.regs[r].unwrap_or(0) as u64,
+                    value: self.file[r] as u64,
                     class: OpClass::Data,
                 };
             }
@@ -491,26 +721,6 @@ pub fn thread_reg_count(t: &Thread) -> usize {
     max.map_or(0, |m| m as usize + 1)
 }
 
-/// Per-instruction liveness of RMW results: `true` at index `i` iff a
-/// later instruction reads the RMW's destination register. With the
-/// builder's fresh-register discipline this is exact; reusing a
-/// destination register only ever errs towards `true` (consume the
-/// result), never towards dropping a value someone needs.
-fn rmw_results_used(t: &Thread) -> Vec<bool> {
-    t.instrs
-        .iter()
-        .enumerate()
-        .map(|(i, instr)| match instr {
-            Instr::Rmw { dst, .. } => t.instrs[i + 1..].iter().any(|later| {
-                let mut read = false;
-                for_each_read(later, &mut |r| read |= r == *dst);
-                read
-            }),
-            _ => true,
-        })
-        .collect()
-}
-
 /// Map a litmus RMW to the simulator's (same modify function in both
 /// value domains; min/max order signed on both sides).
 pub fn lower_rmw(op: RmwOp, expected: i64) -> RmwKind {
@@ -576,8 +786,12 @@ mod tests {
         assert_eq!(k.blocks(), 1);
         assert_eq!(k.threads_per_block(), 2);
         // Thread 0's RMW result is dead, thread 1's is live.
-        assert!(!k.cells[0].use_result[0]);
-        assert!(k.cells[1].use_result[0]);
+        for (thread, live) in [(0, false), (1, true)] {
+            match k.item(0, thread).next(None) {
+                Op::Rmw { addr: 16, use_result, .. } => assert_eq!(use_result, live),
+                op => panic!("thread {thread} issued {op:?}, expected its RMW first"),
+            }
+        }
         let r = run_kernel(&k, &EngineParams::default(), &mut Instant);
         assert_eq!(r.memory[16], 2, "both increments landed at the padded address");
         assert!(r.memory[17] == 0 || r.memory[17] == 1, "old value stored");
@@ -676,5 +890,147 @@ mod tests {
         let r = run_kernel(&k, &EngineParams::default(), &mut Instant);
         assert_eq!(r.memory[0], 7, "x = 5 then fadd 2");
         assert_eq!(r.memory[1], 5, "RMW returned the old value");
+    }
+    #[test]
+    #[should_panic(expected = "kernel huge: ")]
+    fn memory_beyond_32_bit_addressing_is_refused_at_lowering() {
+        let mut p = Program::new("huge");
+        p.thread().store(OpClass::Data, "x", 1);
+        ProgramKernel::grid(&p.build(), 1, usize::MAX, 0, |_| 0);
+    }
+
+    /// SplitMix64, for the seeded evaluator test.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    const OPS: [BinOp; 10] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Min,
+        BinOp::Max,
+    ];
+
+    /// Constants at and beyond the `i32` limits, the `i64` extremes,
+    /// and small values that make `Eq`/`Lt` go both ways.
+    const EDGES: [Value; 11] = [
+        0,
+        1,
+        -1,
+        i32::MAX as Value,
+        i32::MIN as Value,
+        i32::MAX as Value + 1,
+        i32::MIN as Value - 1,
+        i64::MAX,
+        i64::MIN,
+        i64::MAX - 1,
+        i64::MIN + 1,
+    ];
+
+    /// Registers `0..REGS`; a random subset is never written.
+    const REGS: u16 = 12;
+
+    fn leaf(rng: &mut Rng) -> Expr {
+        match rng.below(3) {
+            0 => Expr::Reg(Reg(rng.below(REGS as usize) as u16)),
+            1 => Expr::Const(EDGES[rng.below(EDGES.len())]),
+            _ => Expr::Const(rng.next() as Value >> rng.below(64)),
+        }
+    }
+
+    fn random_expr(rng: &mut Rng, depth: usize) -> Expr {
+        if depth == 0 || rng.below(4) == 0 {
+            return leaf(rng);
+        }
+        let op = OPS[rng.below(OPS.len())];
+        Expr::bin(op, random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+    }
+
+    /// `((l0 op l1) op l2) ...`, the shape of the templates' `fold_regs`.
+    fn left_deep(rng: &mut Rng, terms: usize) -> Expr {
+        let op = OPS[rng.below(OPS.len())];
+        (1..terms).fold(leaf(rng), |acc, _| Expr::bin(op, acc, leaf(rng)))
+    }
+
+    /// `l0 op (l1 op (l2 ...))`: every term waits on the stack.
+    fn right_deep(rng: &mut Rng, terms: usize) -> Expr {
+        let op = OPS[rng.below(OPS.len())];
+        (1..terms).fold(leaf(rng), |acc, _| Expr::bin(op, leaf(rng), acc))
+    }
+
+    #[test]
+    fn compact_evaluator_matches_eval_slice() {
+        let mut rng = Rng(0x5EED_0019);
+        let mut seen = [false; OPS.len()];
+        for round in 0..200 {
+            // Each round is one thread: assignments to a random subset
+            // of the registers, then one data store per expression,
+            // so all expressions share the thread's arena and stack.
+            let regs: Vec<Option<Value>> = (0..REGS)
+                .map(|_| {
+                    (rng.below(3) != 0).then(|| EDGES[rng.below(EDGES.len())] ^ rng.next() as Value)
+                })
+                .collect();
+            let shallow = 2 + rng.below(8);
+            let mut exprs = vec![left_deep(&mut rng, 32), right_deep(&mut rng, shallow)];
+            exprs.extend((0..8).map(|_| random_expr(&mut rng, 6)));
+            if round % 50 == 0 {
+                // Deeper than any fixed 64-slot stack.
+                exprs.push(right_deep(&mut rng, 300));
+            }
+            let mut instrs: Vec<Instr> = regs
+                .iter()
+                .enumerate()
+                .filter_map(|(r, v)| {
+                    v.map(|v| Instr::Assign { dst: Reg(r as u16), expr: v.into() })
+                })
+                .collect();
+            let mut p = Program::new("eval");
+            let x = p.intern("x");
+            instrs.extend(exprs.iter().map(|e| Instr::Store {
+                class: OpClass::Data,
+                loc: x,
+                val: e.clone(),
+            }));
+            // Read the last register so the file spans all of them.
+            instrs.push(Instr::Observe { expr: Expr::Reg(Reg(REGS - 1)) });
+            p.push_thread(Thread { instrs });
+            let k = ProgramKernel::grid(&p.build(), 1, 1, 0, |_| 0);
+            let mut item = k.item(0, 0);
+            for e in &exprs {
+                let want = e.eval_slice(&regs) as u64;
+                match item.next(None) {
+                    Op::Store { value, .. } => assert_eq!(value, want, "round {round}: {e:?}"),
+                    op => panic!("round {round}: expected a store, got {op:?}"),
+                }
+                mark_ops(e, &mut seen);
+            }
+            assert_eq!(item.next(None), Op::Done);
+        }
+        assert!(seen.iter().all(|&s| s), "every BinOp exercised: {seen:?}");
+    }
+
+    fn mark_ops(e: &Expr, seen: &mut [bool; OPS.len()]) {
+        if let Expr::Bin(op, a, b) = e {
+            seen[OPS.iter().position(|o| o == op).unwrap()] = true;
+            mark_ops(a, seen);
+            mark_ops(b, seen);
+        }
     }
 }

@@ -60,6 +60,28 @@ pub enum BinOp {
     Max,
 }
 
+impl BinOp {
+    /// Apply the operator. The one definition every evaluator shares —
+    /// [`Expr::eval`], [`Expr::eval_slice`] and the simulator-side
+    /// lowering — so checker and simulator cannot disagree on
+    /// arithmetic.
+    #[inline]
+    pub fn apply(self, a: Value, b: Value) -> Value {
+        match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::And => a & b,
+            BinOp::Or => a | b,
+            BinOp::Xor => a ^ b,
+            BinOp::Eq => (a == b) as Value,
+            BinOp::Ne => (a != b) as Value,
+            BinOp::Lt => (a < b) as Value,
+            BinOp::Min => a.min(b),
+            BinOp::Max => a.max(b),
+        }
+    }
+}
+
 impl Expr {
     /// Evaluate under a register file.
     pub fn eval(&self, regs: &BTreeMap<Reg, Value>) -> Value {
@@ -68,18 +90,7 @@ impl Expr {
             Expr::Reg(r) => *regs.get(r).unwrap_or(&0),
             Expr::Bin(op, a, b) => {
                 let (a, b) = (a.eval(regs), b.eval(regs));
-                match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                    BinOp::Eq => (a == b) as Value,
-                    BinOp::Ne => (a != b) as Value,
-                    BinOp::Lt => (a < b) as Value,
-                    BinOp::Min => a.min(b),
-                    BinOp::Max => a.max(b),
-                }
+                op.apply(a, b)
             }
         }
     }
@@ -117,18 +128,7 @@ impl Expr {
             Expr::Reg(r) => regs.get(r.0 as usize).copied().flatten().unwrap_or(0),
             Expr::Bin(op, a, b) => {
                 let (a, b) = (a.eval_slice(regs), b.eval_slice(regs));
-                match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                    BinOp::Eq => (a == b) as Value,
-                    BinOp::Ne => (a != b) as Value,
-                    BinOp::Lt => (a < b) as Value,
-                    BinOp::Min => a.min(b),
-                    BinOp::Max => a.max(b),
-                }
+                op.apply(a, b)
             }
         }
     }
