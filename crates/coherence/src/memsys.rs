@@ -184,15 +184,62 @@ pub(crate) struct L1<T: Trace> {
     pub(crate) port: Resource,
 }
 
+impl<T: Trace> L1<T> {
+    fn build(cu: CuId, params: &MemSysParams, tracer: T) -> L1<T> {
+        let mut l1 = L1 {
+            cache: Cache::new(params.l1.clone()),
+            mshr: Mshr::with_tracer(params.l1_mshrs, cu as u16, tracer.clone()),
+            sb: StoreBuffer::with_tracer(params.store_buffer, cu as u16, tracer),
+            port: Resource::new(),
+        };
+        l1.reset(params);
+        l1
+    }
+
+    fn reset(&mut self, params: &MemSysParams) {
+        let L1 { cache, mshr, sb, port } = self;
+        cache.reset(&params.l1);
+        mshr.reset(params.l1_mshrs);
+        sb.reset(params.store_buffer);
+        port.reset();
+    }
+}
+
 pub(crate) struct L2Bank {
     pub(crate) cache: Cache<L2State>,
     pub(crate) port: Resource,
     pub(crate) node: NodeId,
 }
 
+impl L2Bank {
+    fn build(bank: usize, nodes: u16, params: &MemSysParams) -> L2Bank {
+        let mut b = L2Bank {
+            cache: Cache::new(params.l2_bank.clone()),
+            port: Resource::new(),
+            node: NodeId(0),
+        };
+        b.reset(bank, nodes, params);
+        b
+    }
+
+    /// Bank `bank` lives at mesh node `bank % nodes`.
+    fn reset(&mut self, bank: usize, nodes: u16, params: &MemSysParams) {
+        let L2Bank { cache, port, node } = self;
+        cache.reset(&params.l2_bank);
+        port.reset();
+        *node = NodeId((bank % nodes as usize) as u16);
+    }
+}
+
 /// All hardware state of the memory system plus the structural helpers
 /// shared by every protocol. [`CoherencePolicy`] implementations drive
 /// transitions against this; the public surface is [`MemorySystem`].
+///
+/// Its `reset` is the one place initial state is written: `build`
+/// allocates an empty shell and resets it, and a machine reused across
+/// runs ([`MemorySystem::reset`]) is reset the same way. Every `reset`
+/// down the tree destructures its struct without `..`, so a field added
+/// without a reset does not compile.
 pub struct MemCore<T: Trace> {
     pub(crate) params: MemSysParams,
     pub(crate) l1s: Vec<L1<T>>,
@@ -210,38 +257,65 @@ pub struct MemCore<T: Trace> {
 }
 
 impl<T: Trace> MemCore<T> {
-    pub(crate) fn build(params: MemSysParams, tracer: T) -> MemCore<T> {
-        assert_eq!(params.cu_nodes.len(), params.num_cus, "need one node per CU");
-        let l1s = (0..params.num_cus)
-            .map(|cu| L1 {
-                cache: Cache::new(params.l1.clone()),
-                mshr: Mshr::with_tracer(params.l1_mshrs, cu as u16, tracer.clone()),
-                sb: StoreBuffer::with_tracer(params.store_buffer, cu as u16, tracer.clone()),
-                port: Resource::new(),
-            })
-            .collect();
-        let noc = Mesh::with_tracer(params.noc.clone(), tracer.clone());
-        let nodes = noc.nodes();
-        let banks = (0..params.l2_banks)
-            .map(|b| L2Bank {
-                cache: Cache::new(params.l2_bank.clone()),
-                port: Resource::new(),
-                node: NodeId((b % nodes as usize) as u16),
-            })
-            .collect();
-        let dram = Dram::new(params.dram.clone());
-        MemCore {
-            params,
-            l1s,
-            banks,
-            noc,
-            dram,
+    pub(crate) fn build(params: &MemSysParams, tracer: T) -> MemCore<T> {
+        let mut core = MemCore {
+            params: params.clone(),
+            l1s: Vec::new(),
+            banks: Vec::new(),
+            noc: Mesh::with_tracer(params.noc.clone(), tracer.clone()),
+            dram: Dram::new(params.dram.clone()),
             stats: ProtoStats::default(),
             l1_accesses: 0,
             l1_tag_ops: 0,
             l2_accesses: 0,
             tracer,
+        };
+        core.reset(params);
+        core
+    }
+
+    /// Return to the cold machine `params` describes: empty caches,
+    /// MSHRs and store buffers, idle ports, links and channels, zero
+    /// statistics. L1s and banks beyond the new counts are dropped and
+    /// missing ones built; everything else keeps its storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cu_nodes` does not provide a node per CU.
+    pub(crate) fn reset(&mut self, params: &MemSysParams) {
+        assert_eq!(params.cu_nodes.len(), params.num_cus, "need one node per CU");
+        let MemCore {
+            params: p,
+            l1s,
+            banks,
+            noc,
+            dram,
+            stats,
+            l1_accesses,
+            l1_tag_ops,
+            l2_accesses,
+            tracer,
+        } = self;
+        p.clone_from(params);
+        l1s.truncate(params.num_cus);
+        l1s.iter_mut().for_each(|l1| l1.reset(params));
+        for cu in l1s.len()..params.num_cus {
+            l1s.push(L1::build(cu, params, tracer.clone()));
         }
+        noc.reset(&params.noc);
+        let nodes = noc.nodes();
+        banks.truncate(params.l2_banks);
+        for (b, bank) in banks.iter_mut().enumerate() {
+            bank.reset(b, nodes, params);
+        }
+        for b in banks.len()..params.l2_banks {
+            banks.push(L2Bank::build(b, nodes, params));
+        }
+        dram.reset(&params.dram);
+        *stats = ProtoStats::default();
+        *l1_accesses = 0;
+        *l1_tag_ops = 0;
+        *l2_accesses = 0;
     }
 
     /// Emit one trace event (no-op unless `T::ENABLED`).
@@ -369,6 +443,16 @@ enum PolicySlot<T: Trace> {
     Custom(Box<dyn CoherencePolicy<T>>),
 }
 
+impl<T: Trace> PolicySlot<T> {
+    fn builtin(protocol: Protocol) -> PolicySlot<T> {
+        match protocol {
+            Protocol::Gpu => PolicySlot::Gpu(GpuCoherence),
+            Protocol::DeNovo => PolicySlot::DeNovo(DeNovoCoherence),
+            Protocol::MesiWb => PolicySlot::MesiWb(MesiWbCoherence),
+        }
+    }
+}
+
 /// Invoke one [`CoherencePolicy`] method on whichever policy occupies
 /// the slot, monomorphized per built-in variant.
 macro_rules! dispatch {
@@ -402,12 +486,11 @@ impl<T: Trace> MemorySystem<T> {
     ///
     /// Panics if `cu_nodes` does not provide a node per CU.
     pub fn with_tracer(protocol: Protocol, params: MemSysParams, tracer: T) -> MemorySystem<T> {
-        let policy = match protocol {
-            Protocol::Gpu => PolicySlot::Gpu(GpuCoherence),
-            Protocol::DeNovo => PolicySlot::DeNovo(DeNovoCoherence),
-            Protocol::MesiWb => PolicySlot::MesiWb(MesiWbCoherence),
-        };
-        MemorySystem { protocol, policy, core: MemCore::build(params, tracer) }
+        MemorySystem {
+            protocol,
+            policy: PolicySlot::builtin(protocol),
+            core: MemCore::build(&params, tracer),
+        }
     }
 
     /// Build a memory system around an externally supplied policy —
@@ -423,8 +506,25 @@ impl<T: Trace> MemorySystem<T> {
         MemorySystem {
             protocol,
             policy: PolicySlot::Custom(policy),
-            core: MemCore::build(params, tracer),
+            core: MemCore::build(&params, tracer),
         }
+    }
+
+    /// Turn this machine into the one [`MemorySystem::with_tracer`]
+    /// would build for `protocol` and `params`, keeping the tracer and
+    /// the storage of the caches, buffers and link tables. Every
+    /// statistic and every returned cycle afterwards equals a fresh
+    /// machine's; only the work of building one is saved. An injected
+    /// policy is replaced by `protocol`'s built-in one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cu_nodes` does not provide a node per CU.
+    pub fn reset(&mut self, protocol: Protocol, params: &MemSysParams) {
+        let MemorySystem { protocol: p, policy, core } = self;
+        *p = protocol;
+        *policy = PolicySlot::builtin(protocol);
+        core.reset(params);
     }
 
     /// The protocol in use.

@@ -86,19 +86,24 @@ pub struct EvictedLine<S> {
 /// evicted state.
 ///
 /// The set table is allocated at the first insert, not in
-/// [`Cache::new`]: one Table-2 machine has 5,120 sets across its L1s and
+/// [`Cache::new`], and [`Cache::reset`] empties it in place instead of
+/// dropping it. One Table-2 machine has 5,120 sets across its L1s and
 /// L2 banks, while a conformance job touches a few lines in a few of
 /// them, so building and dropping the whole table per job would dominate
-/// its cost. Until then every read-side call takes the miss path.
+/// its cost; a machine reused across jobs keeps its table and the ways
+/// its sets grew. Until the first insert every read-side call takes the
+/// miss path.
 ///
 /// A one-word occupancy summary lets flash invalidation skip empty
 /// sets: bit `g` means "set group `g` may hold a line", where a group is
 /// `⌈sets/64⌉` consecutive sets (one set per bit on a Table-2 L1).
 /// [`Cache::insert_with_pin`] sets the bit; [`Cache::invalidate_where`]
-/// visits only groups whose bit is set and clears the bit of a group it
-/// empties. GPU coherence self-invalidates the whole L1 at every acquire
-/// while the L1 typically holds a line or two, so walking all 64 sets
-/// there would cost far more than the lines dropped.
+/// and [`Cache::reset`] visit only groups whose bit is set, and the
+/// former clears the bit of a group it empties. GPU coherence
+/// self-invalidates the whole L1 at every acquire while the L1 typically
+/// holds a line or two, so walking all 64 sets there would cost far more
+/// than the lines dropped; for the same reason a reset costs what the
+/// previous run touched.
 ///
 /// ```
 /// use hsim_mem::{Cache, CacheParams, LineAddr};
@@ -126,7 +131,35 @@ impl<S: Clone + Debug> Cache<S> {
     /// Create an empty cache. Allocates nothing: the set table is built
     /// by the first insert (see [`Cache`]).
     pub fn new(params: CacheParams) -> Cache<S> {
-        Cache { params, sets: Vec::new(), occupied: 0, clock: 0, stats: CacheStats::default() }
+        let mut cache = Cache {
+            params: params.clone(),
+            sets: Vec::new(),
+            occupied: 0,
+            clock: 0,
+            stats: CacheStats::default(),
+        };
+        cache.reset(&params);
+        cache
+    }
+
+    /// Return to the empty cache a fresh [`Cache::new`] with `params`
+    /// builds: no lines, LRU clock and statistics zero. Clears only the
+    /// set groups the occupancy summary marks and keeps their storage;
+    /// a table longer than `params.sets` is cut to it, and a shorter one
+    /// grows at the next insert.
+    pub fn reset(&mut self, params: &CacheParams) {
+        let group_sets = self.group_sets();
+        let Cache { params: p, sets, occupied, clock, stats } = self;
+        while *occupied != 0 {
+            let first = occupied.trailing_zeros() as usize * group_sets;
+            *occupied &= *occupied - 1;
+            let last = (first + group_sets).min(sets.len());
+            sets[first..last].iter_mut().for_each(Vec::clear);
+        }
+        sets.truncate(params.sets);
+        p.clone_from(params);
+        *clock = 0;
+        *stats = CacheStats::default();
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
@@ -176,7 +209,7 @@ impl<S: Clone + Debug> Cache<S> {
         self.clock += 1;
         let clock = self.clock;
         let set = self.set_of(line);
-        if self.sets.is_empty() {
+        if self.sets.len() < self.params.sets {
             self.sets.resize_with(self.params.sets, Vec::new);
         }
         self.occupied |= 1 << (set / self.group_sets());
@@ -388,5 +421,33 @@ mod tests {
         assert!(c.insert(LineAddr(0), 2).is_none());
         assert_eq!(c.peek(LineAddr(0)), Some(&2));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_cache_of_any_geometry() {
+        // 130 sets: groups of 3 sets per occupancy bit, the last partial.
+        let mut c: Cache<u8> = Cache::new(CacheParams { sets: 130, ways: 2 });
+        for line in [0, 1, 129, 259, 64] {
+            c.insert(LineAddr(line), 1);
+        }
+        c.lookup(LineAddr(0));
+        for params in [
+            CacheParams { sets: 2, ways: 2 },
+            CacheParams { sets: 130, ways: 1 },
+            CacheParams { sets: 200, ways: 2 },
+        ] {
+            c.reset(&params);
+            assert!(c.is_empty());
+            assert_eq!(c.stats().hits + c.stats().misses + c.stats().evictions, 0);
+            let mut fresh: Cache<u8> = Cache::new(params.clone());
+            for line in [0, 2, 4, 199, 0, 330] {
+                assert_eq!(c.lookup(LineAddr(line)), fresh.lookup(LineAddr(line)));
+                let (a, b) = (c.insert(LineAddr(line), 2), fresh.insert(LineAddr(line), 2));
+                assert_eq!(a.map(|e| e.line), b.map(|e| e.line), "{params:?} line {line}");
+            }
+            let lines = |c: &Cache<u8>| c.iter().map(|(l, _)| l).collect::<Vec<_>>();
+            assert_eq!(lines(&c), lines(&fresh), "{params:?}");
+            assert_eq!(c.stats().evictions, fresh.stats().evictions);
+        }
     }
 }

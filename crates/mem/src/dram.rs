@@ -37,9 +37,24 @@ impl Dram {
     ///
     /// Panics if there are no channels.
     pub fn new(params: DramParams) -> Dram {
+        let mut dram = Dram { params: params.clone(), channels: Vec::new(), accesses: 0 };
+        dram.reset(&params);
+        dram
+    }
+
+    /// Return to the idle DRAM a fresh [`Dram::new`] with `params`
+    /// builds: one idle channel per configured channel, no accesses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no channels.
+    pub fn reset(&mut self, params: &DramParams) {
         assert!(params.channels > 0, "DRAM needs channels");
-        let channels = (0..params.channels).map(|_| Resource::new()).collect();
-        Dram { params, channels, accesses: 0 }
+        let Dram { params: p, channels, accesses } = self;
+        p.clone_from(params);
+        channels.clear();
+        channels.resize_with(params.channels, Resource::new);
+        *accesses = 0;
     }
 
     /// Access the line containing `addr` at `now`; returns completion.
@@ -76,5 +91,16 @@ mod tests {
         assert_eq!(b, 110);
         assert_eq!(c, 100);
         assert_eq!(d.accesses(), 3);
+    }
+
+    #[test]
+    fn reset_takes_the_new_channel_count() {
+        let mut d = Dram::new(DramParams::default());
+        d.access(0, 0);
+        d.access(0, 4);
+        d.reset(&DramParams { latency: 100, channels: 2, occupancy: 10 });
+        assert_eq!(d.accesses(), 0);
+        assert_eq!(d.access(0, 0), 100, "channel 0 is idle again");
+        assert_eq!(d.access(0, 2), 110, "two channels: address 2 shares channel 0");
     }
 }

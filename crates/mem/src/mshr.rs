@@ -79,8 +79,7 @@ impl<T: Trace> Mshr<T> {
     ///
     /// Panics if `capacity` is zero.
     pub fn with_tracer(capacity: usize, owner: u16, tracer: T) -> Mshr<T> {
-        assert!(capacity > 0, "MSHR needs at least one entry");
-        Mshr {
+        let mut mshr = Mshr {
             capacity,
             inflight: Vec::new(),
             min_done: Cycle::MAX,
@@ -89,7 +88,36 @@ impl<T: Trace> Mshr<T> {
             full_stalls: 0,
             owner,
             tracer,
-        }
+        };
+        mshr.reset(capacity);
+        mshr
+    }
+
+    /// Return to the empty file of a fresh [`Mshr::with_tracer`] with
+    /// `capacity` entries: nothing in flight, counters zero. Keeps the
+    /// entry storage, the trace lane and the tracer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn reset(&mut self, capacity: usize) {
+        assert!(capacity > 0, "MSHR needs at least one entry");
+        let Mshr {
+            capacity: cap,
+            inflight,
+            min_done,
+            allocated,
+            coalesced,
+            full_stalls,
+            owner: _,
+            tracer: _,
+        } = self;
+        *cap = capacity;
+        inflight.clear();
+        *min_done = Cycle::MAX;
+        *allocated = 0;
+        *coalesced = 0;
+        *full_stalls = 0;
     }
 
     /// Retire every entry whose request completed at or before `now`.
@@ -205,5 +233,16 @@ mod tests {
         assert_eq!(m.request(0, LineAddr(2)), MshrOutcome::Allocated);
         assert_eq!(m.live(), 2);
         assert!(matches!(m.request(0, LineAddr(3)), MshrOutcome::Full(_)));
+    }
+
+    #[test]
+    fn reset_empties_the_file_and_takes_the_new_capacity() {
+        let mut m = Mshr::new(2);
+        assert_eq!(m.request(0, LineAddr(1)), MshrOutcome::Allocated);
+        m.set_completion(LineAddr(1), 90);
+        m.reset(1);
+        assert_eq!((m.live(), m.counters()), (0, (0, 0, 0)));
+        assert_eq!(m.request(0, LineAddr(1)), MshrOutcome::Allocated);
+        assert!(matches!(m.request(0, LineAddr(2)), MshrOutcome::Full(_)));
     }
 }

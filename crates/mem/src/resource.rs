@@ -5,17 +5,23 @@ use crate::Cycle;
 /// A unit-bandwidth resource: at most one operation in flight; later
 /// requests queue. The standard way this simulator models structural
 /// contention.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Resource {
     next_free: Cycle,
-    busy_cycles: u64,
-    ops: u64,
 }
 
 impl Resource {
-    /// A fresh, idle resource.
+    /// A fresh, idle resource: the initial state is [`Resource::reset`]'s.
     pub fn new() -> Resource {
-        Resource::default()
+        let mut r = Resource { next_free: 0 };
+        r.reset();
+        r
+    }
+
+    /// Return to idle: free from cycle 0.
+    pub fn reset(&mut self) {
+        let Resource { next_free } = self;
+        *next_free = 0;
     }
 
     /// Occupy the resource for `duration` cycles starting no earlier
@@ -23,8 +29,6 @@ impl Resource {
     pub fn acquire(&mut self, at: Cycle, duration: u64) -> Cycle {
         let start = at.max(self.next_free);
         self.next_free = start + duration;
-        self.busy_cycles += duration;
-        self.ops += 1;
         start
     }
 
@@ -32,15 +36,11 @@ impl Resource {
     pub fn next_free(&self) -> Cycle {
         self.next_free
     }
+}
 
-    /// Total busy cycles (utilization numerator).
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Operations served.
-    pub fn ops(&self) -> u64 {
-        self.ops
+impl Default for Resource {
+    fn default() -> Resource {
+        Resource::new()
     }
 }
 
@@ -54,7 +54,15 @@ mod tests {
         assert_eq!(r.acquire(10, 5), 10);
         assert_eq!(r.acquire(10, 5), 15);
         assert_eq!(r.acquire(30, 5), 30);
-        assert_eq!(r.busy_cycles(), 15);
-        assert_eq!(r.ops(), 3);
+        assert_eq!(r.next_free(), 35);
+    }
+
+    #[test]
+    fn reset_frees_the_timeline() {
+        let mut r = Resource::new();
+        r.acquire(10, 50);
+        r.reset();
+        assert_eq!(r.next_free(), 0);
+        assert_eq!(r.acquire(0, 5), 0);
     }
 }

@@ -66,15 +66,32 @@ impl<T: Trace> StoreBuffer<T> {
     ///
     /// Panics if `capacity` is zero.
     pub fn with_tracer(capacity: usize, owner: u16, tracer: T) -> StoreBuffer<T> {
-        assert!(capacity > 0, "store buffer needs capacity");
-        StoreBuffer {
+        let mut sb = StoreBuffer {
             capacity,
             entries: Vec::new(),
             min_done: Cycle::MAX,
             stats: StoreBufferStats::default(),
             owner,
             tracer,
-        }
+        };
+        sb.reset(capacity);
+        sb
+    }
+
+    /// Return to the empty buffer of a fresh [`StoreBuffer::with_tracer`]
+    /// with `capacity` entries: nothing pending, statistics zero. Keeps
+    /// the entry storage, the trace lane and the tracer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn reset(&mut self, capacity: usize) {
+        assert!(capacity > 0, "store buffer needs capacity");
+        let StoreBuffer { capacity: cap, entries, min_done, stats, owner: _, tracer: _ } = self;
+        *cap = capacity;
+        entries.clear();
+        *min_done = Cycle::MAX;
+        *stats = StoreBufferStats::default();
     }
 
     /// Drop entries whose drain completed by `now`. Returns at once
@@ -201,5 +218,18 @@ mod tests {
         sb.push(0, LineAddr(1), 10);
         sb.expire(11);
         assert!(sb.is_empty());
+    }
+
+    #[test]
+    fn reset_empties_the_buffer_and_takes_the_new_capacity() {
+        let mut sb = StoreBuffer::new(4);
+        sb.push(0, LineAddr(1), 70);
+        sb.push(0, LineAddr(2), 90);
+        sb.reset(1);
+        assert!(sb.is_empty());
+        assert_eq!(sb.stats().stores, 0);
+        assert_eq!(sb.flush(5), 5, "nothing left to drain");
+        sb.push(0, LineAddr(1), 40);
+        assert_eq!(sb.push(0, LineAddr(2), 60), 40, "one entry: the second store waits");
     }
 }

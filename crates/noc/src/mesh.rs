@@ -132,15 +132,35 @@ impl<T: Trace> Mesh<T> {
     ///
     /// Panics if the mesh has no nodes.
     pub fn with_tracer(params: NocParams, tracer: T) -> Mesh<T> {
-        assert!(params.width > 0 && params.height > 0, "mesh must have nodes");
-        let slots = params.width as usize * params.height as usize * 4;
-        Mesh {
-            params,
-            links_free: vec![0; slots],
-            link_stats: vec![LinkStats::default(); slots],
+        let mut mesh = Mesh {
+            params: params.clone(),
+            links_free: Vec::new(),
+            link_stats: Vec::new(),
             stats: NocStats::default(),
             tracer,
-        }
+        };
+        mesh.reset(&params);
+        mesh
+    }
+
+    /// Return to the idle mesh a fresh [`Mesh::with_tracer`] with
+    /// `params` builds: every link free at cycle 0, statistics zero.
+    /// Re-sizes the link tables to the new geometry and keeps the
+    /// tracer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mesh has no nodes.
+    pub fn reset(&mut self, params: &NocParams) {
+        assert!(params.width > 0 && params.height > 0, "mesh must have nodes");
+        let slots = params.width as usize * params.height as usize * 4;
+        let Mesh { params: p, links_free, link_stats, stats, tracer: _ } = self;
+        p.clone_from(params);
+        links_free.clear();
+        links_free.resize(slots, 0);
+        link_stats.clear();
+        link_stats.resize(slots, LinkStats::default());
+        *stats = NocStats::default();
     }
 
     /// Number of nodes.
@@ -260,13 +280,6 @@ impl<T: Trace> Mesh<T> {
             })
             .collect()
     }
-
-    /// Reset statistics and link reservations (start of a new run).
-    pub fn reset(&mut self) {
-        self.links_free.fill(0);
-        self.link_stats.fill(LinkStats::default());
-        self.stats = NocStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -342,10 +355,27 @@ mod tests {
     fn reset_clears_state() {
         let mut m = mesh();
         m.send(0, NodeId(0), NodeId(1), 1);
-        m.reset();
+        m.reset(&NocParams::default());
         assert_eq!(m.stats().messages, 0);
+        assert!(m.link_stats().is_empty());
         let a = m.send(0, NodeId(0), NodeId(1), 1);
         assert_eq!(a, m.zero_load_latency(NodeId(0), NodeId(1), 1));
+    }
+
+    #[test]
+    fn reset_takes_the_new_geometry() {
+        let mut m = mesh();
+        m.send(0, NodeId(0), NodeId(15), 4);
+        let wide = NocParams { width: 6, height: 2, hop_latency: 10, ..NocParams::default() };
+        m.reset(&wide);
+        let mut fresh = Mesh::new(wide);
+        assert_eq!(m.nodes(), 12);
+        for (src, dst) in [(0, 11), (11, 0), (5, 6), (0, 11)] {
+            let (src, dst) = (NodeId(src), NodeId(dst));
+            assert_eq!(m.send(3, src, dst, 2), fresh.send(3, src, dst, 2));
+        }
+        assert_eq!(m.stats(), fresh.stats());
+        assert_eq!(m.link_stats().len(), fresh.link_stats().len());
     }
 
     #[test]

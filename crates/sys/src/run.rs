@@ -7,6 +7,7 @@ use hsim_coherence::{MemorySystem, ProtoStats};
 use hsim_energy::{breakdown, EnergyBreakdown, EnergyCounters};
 use hsim_gpu::{run_kernel_traced, EngineReport, Kernel};
 use hsim_trace::{NoTrace, SharedTracer, Trace, TraceBuffer};
+use std::cell::Cell;
 
 /// Everything one simulation run produced.
 #[derive(Debug, Clone)]
@@ -65,9 +66,31 @@ impl RunReport {
     }
 }
 
+thread_local! {
+    /// This thread's untraced machine between [`run_workload`] calls.
+    /// Empty while a run holds it, so a run that panics drops it during
+    /// unwind and the next run builds a fresh one.
+    static MACHINE: Cell<Option<MemorySystem>> = const { Cell::new(None) };
+}
+
 /// Run `kernel` under `config` on the platform described by `params`.
+///
+/// Each thread keeps one untraced memory system and
+/// [resets](MemorySystem::reset) it to `(config.protocol,
+/// params.memsys)` before each run instead of building and dropping a
+/// Table-2 machine per run. A reset machine is a cold machine, so the
+/// report equals the one a freshly built machine gives.
 pub fn run_workload(kernel: &dyn Kernel, config: SystemConfig, params: &SysParams) -> RunReport {
-    run_with(kernel, config, params, NoTrace)
+    let mem = match MACHINE.take() {
+        Some(mut mem) => {
+            mem.reset(config.protocol, &params.memsys);
+            mem
+        }
+        None => MemorySystem::new(config.protocol, params.memsys.clone()),
+    };
+    let (report, mem) = run_on(kernel, config, params, mem, NoTrace);
+    MACHINE.set(Some(mem));
+    report
 }
 
 /// [`run_workload`] with structured event tracing into a ring of
@@ -82,18 +105,24 @@ pub fn run_workload_traced(
     capacity: usize,
 ) -> RunReport {
     let tracer = SharedTracer::with_capacity(capacity);
-    let mut report = run_with(kernel, config, params, tracer.clone());
+    let mem = MemorySystem::with_tracer(config.protocol, params.memsys.clone(), tracer.clone());
+    let (mut report, mem) = run_on(kernel, config, params, mem, tracer.clone());
+    // The machine holds tracer handles; drop them so the buffer is
+    // moved out rather than copied.
+    drop(mem);
     report.trace = Some(tracer.into_buffer());
     report
 }
 
-fn run_with<T: Trace>(
+/// Run `kernel` on the cold machine `mem` and hand the machine back
+/// once the report has been read from it.
+fn run_on<T: Trace>(
     kernel: &dyn Kernel,
     config: SystemConfig,
     params: &SysParams,
+    mem: MemorySystem<T>,
     tracer: T,
-) -> RunReport {
-    let mem = MemorySystem::with_tracer(config.protocol, params.memsys.clone(), tracer.clone());
+) -> (RunReport, MemorySystem<T>) {
     let mut backend = CoherenceBackend::new(mem);
     let mut engine = params.engine.clone();
     engine.model = config.model;
@@ -118,7 +147,7 @@ fn run_with<T: Trace>(
         dram_accesses: dram,
         noc_flit_hops: flits,
     };
-    RunReport {
+    let report = RunReport {
         kernel: kernel.name(),
         config,
         platform: params.name.clone(),
@@ -130,7 +159,8 @@ fn run_with<T: Trace>(
         atomics_overlapped,
         memory,
         trace: None,
-    }
+    };
+    (report, mem)
 }
 
 #[cfg(test)]

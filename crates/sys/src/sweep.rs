@@ -5,10 +5,13 @@
 //! [`SystemConfig`] and the platform [`SysParams`] — and [`run_matrix`]
 //! executes a whole job list on `threads` workers of the shared
 //! [`drfrlx_core::resilience::Pool`], one pool unit per job. Every
-//! simulation is deterministic and owns its memory system, so jobs are
-//! embarrassingly parallel; reports come back **in job order**, which
-//! makes parallel and serial sweeps byte-identical (`threads = 1` and
-//! `threads = 8` produce the same `Vec<RunReport>`).
+//! simulation is deterministic and starts from a cold machine: each
+//! worker thread keeps one untraced memory system and resets it before
+//! every job (see [`run_workload`]), and a job that panics drops it, so
+//! no job sees another's state and jobs are embarrassingly parallel.
+//! Reports come back **in job order**, which makes parallel and serial
+//! sweeps byte-identical (`threads = 1` and `threads = 8` produce the
+//! same `Vec<RunReport>`).
 //! [`run_matrix_resilient`] is the one body: `run_matrix` calls it
 //! with default options and re-raises a lost job's panic.
 //!
@@ -400,6 +403,75 @@ mod tests {
         let out = run_matrix_resilient(&jobs, 2, &MatrixResilience::default());
         assert_eq!(out.status, RunStatus::Degraded { lost: (0..6).collect() });
         assert_eq!(out.completed().count(), 0);
+    }
+
+    /// Six jobs of a kernel whose work items panic mid-run, after each
+    /// has issued stores and RMWs: the worker's memory system holds
+    /// buffered stores, owned lines and busy links when the panic hits.
+    fn mid_run_panic_jobs() -> Vec<SimJob> {
+        struct Panics;
+        struct Item {
+            step: u64,
+        }
+        impl WorkItem for Item {
+            fn next(&mut self, _last: Option<u64>) -> Op {
+                self.step += 1;
+                let addr = self.step * 16;
+                match self.step {
+                    1..=3 => Op::Store { addr, value: 1, class: OpClass::Data },
+                    4 => Op::Store { addr, value: 1, class: OpClass::Paired },
+                    5..=7 => Op::Rmw {
+                        addr: 0,
+                        rmw: RmwKind::Add,
+                        operand: 1,
+                        class: OpClass::Commutative,
+                        use_result: false,
+                    },
+                    _ => panic!("work item panics mid-run"),
+                }
+            }
+        }
+        impl Kernel for Panics {
+            fn name(&self) -> String {
+                "panics".into()
+            }
+            fn blocks(&self) -> usize {
+                4
+            }
+            fn threads_per_block(&self) -> usize {
+                2
+            }
+            fn memory_words(&self) -> usize {
+                256
+            }
+            fn item(&self, _b: usize, _t: usize) -> Box<dyn WorkItem> {
+                Box::new(Item { step: 0 })
+            }
+        }
+        six_config_jobs("panics", Arc::new(Panics), &SysParams::integrated(), false)
+    }
+
+    #[test]
+    fn a_mid_run_panic_leaves_no_state_for_later_jobs() {
+        let hammer = hammer_matrix();
+        let mut jobs = mid_run_panic_jobs();
+        let lost: Vec<usize> = (0..jobs.len()).collect();
+        jobs.extend(hammer.iter().cloned());
+        // One worker runs every job in order on this thread, so each
+        // hammer job follows the panicking ones on the same thread.
+        let out = run_matrix_resilient(&jobs, 1, &MatrixResilience::default());
+        assert_eq!(out.status, RunStatus::Degraded { lost: lost.clone() });
+        // The clean sweep runs on a new thread, which starts with no
+        // memory system of its own.
+        let clean = std::thread::scope(|s| s.spawn(|| run_matrix(&hammer, 1)).join())
+            .expect("the clean sweep does not panic");
+        for (i, want) in clean.iter().enumerate() {
+            let got = out.reports[lost.len() + i].as_ref().expect("hammer jobs complete");
+            assert_eq!(got.cycles, want.cycles, "job {i} ({})", hammer[i].workload);
+            assert_eq!(got.counters, want.counters, "job {i}");
+            assert_eq!(got.proto, want.proto, "job {i}");
+            assert_eq!(got.memory, want.memory, "job {i}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 mod rng;
 
-use drfrlx::conform::{generate, template_corpus};
+use drfrlx::conform::{generate, schedule_params, template_corpus};
 use drfrlx::litmus::all_tests;
 use drfrlx::model::axiomatic::enumerate_axiomatic;
 use drfrlx::model::emit::emit;
@@ -21,8 +21,11 @@ use drfrlx::model::program::{Program, RmwOp};
 use drfrlx::model::quantum::has_quantum;
 use drfrlx::model::relation::Relation;
 use drfrlx::model::syscentric::compare_with_sc;
-use drfrlx::sim::mem::{Cache, CacheParams, LineAddr, Mshr, MshrOutcome, StoreBuffer};
-use drfrlx::{check_program, MemoryModel, OpClass};
+use drfrlx::sim::coherence::{AccessKind, MemSysParams, MemorySystem};
+use drfrlx::sim::mem::{Cache, CacheParams, DramParams, LineAddr, Mshr, MshrOutcome, StoreBuffer};
+use drfrlx::sim::noc::NocParams;
+use drfrlx::sim::SysParams;
+use drfrlx::{check_program, MemoryModel, OpClass, Protocol};
 use rng::SplitMix64;
 
 /// One generated memory operation.
@@ -563,6 +566,100 @@ fn cache_invalidation_matches_reference_set() {
                 assert_eq!(resident, expect, "resident lines after {at}");
                 assert_eq!(cache.stats().invalidations, invalidated, "{at}");
             }
+        }
+    }
+}
+
+/// A small machine on a 3x2 mesh: fewer CUs, L1 and L2 sets, banks and
+/// DRAM channels than Table 2, and buffers small enough to fill.
+fn small_memsys() -> MemSysParams {
+    let noc = NocParams { width: 3, height: 2, hop_latency: 2, ..NocParams::default() };
+    MemSysParams {
+        l1: CacheParams { sets: 16, ways: 2 },
+        l1_mshrs: 2,
+        store_buffer: 4,
+        l2_banks: 4,
+        l2_bank: CacheParams { sets: 32, ways: 4 },
+        dram: DramParams { latency: 90, channels: 3, occupancy: 12 },
+        ..MemSysParams::for_mesh(noc)
+    }
+}
+
+/// Drive `steps` random accesses into `mems` (every machine gets the
+/// same call) and assert that all of them return the same cycle. Lines
+/// crowd three L1 sets, so sets overflow and owned lines are evicted;
+/// `now` drifts forward but often steps back.
+fn drive_lockstep(r: &mut SplitMix64, mems: &mut [&mut MemorySystem], steps: usize, at: &str) {
+    let cus = mems[0].params().num_cus as u64;
+    let mut clock = 0u64;
+    for step in 0..steps {
+        clock += r.below(40);
+        let now = clock.saturating_sub(r.below(120));
+        let cu = r.below(cus) as usize;
+        let line = if r.below(2) == 0 { r.below(12) * 64 + r.below(3) } else { r.below(4096) };
+        let addr = line * 16 + r.below(16);
+        let op = r.below(8);
+        let mut cycles = mems.iter_mut().map(|m| match op {
+            0 => m.load(now, cu, addr, AccessKind::DataLoad),
+            1 => m.load(now, cu, addr, AccessKind::AtomicLoad),
+            2 => m.store(now, cu, addr, AccessKind::DataStore),
+            3 => m.store(now, cu, addr, AccessKind::AtomicStore),
+            4 | 5 => m.rmw(now, cu, addr),
+            6 => m.acquire(now, cu),
+            _ => m.release(now, cu),
+        });
+        let first = cycles.next().expect("at least one machine");
+        for (i, c) in cycles.enumerate() {
+            assert_eq!(
+                c,
+                first,
+                "machine {} at {at} step {step}: op {op} cu {cu} addr {addr}",
+                i + 1
+            );
+        }
+    }
+}
+
+/// A machine reset to new parameters behaves exactly like a freshly
+/// built one. Machine A runs a random history under a random protocol
+/// and platform, is reset to another protocol and platform (a
+/// conformance schedule's perturbed timing, the discrete GPU with two
+/// DRAM channels, or a smaller geometry), and then sees the same access
+/// stream as a fresh machine B: every returned cycle, every statistic,
+/// every energy counter and the NoC statistics must agree.
+#[test]
+fn reset_machine_matches_a_fresh_one() {
+    let protocols = [Protocol::Gpu, Protocol::DeNovo, Protocol::MesiWb];
+    let integrated = SysParams::integrated();
+    let platforms = [
+        integrated.memsys.clone(),
+        schedule_params(&integrated, 7, 3).memsys,
+        schedule_params(&integrated, 7, 9).memsys,
+        SysParams::discrete_gpu().memsys,
+        small_memsys(),
+    ];
+    let mut r = SplitMix64::new(0xD5F0_000B);
+    for protocol in protocols {
+        for case in 0..24 {
+            let (from, to) = loop {
+                let from = r.below(platforms.len() as u64) as usize;
+                let to = r.below(platforms.len() as u64) as usize;
+                if from != to {
+                    break (from, to);
+                }
+            };
+            let before = protocols[r.below(3) as usize];
+            let at = format!("{protocol} case {case}: {before} on platform {from} -> {to}");
+            let mut a = MemorySystem::new(before, platforms[from].clone());
+            let history = 1 + r.below(300) as usize;
+            drive_lockstep(&mut r, &mut [&mut a], history, &at);
+            a.reset(protocol, &platforms[to]);
+            let mut b = MemorySystem::new(protocol, platforms[to].clone());
+            assert_eq!(a.protocol(), b.protocol(), "{at}");
+            drive_lockstep(&mut r, &mut [&mut a, &mut b], 400, &at);
+            assert_eq!(a.stats(), b.stats(), "{at}");
+            assert_eq!(a.energy_events(), b.energy_events(), "{at}");
+            assert_eq!(a.noc_stats(), b.noc_stats(), "{at}");
         }
     }
 }
