@@ -23,9 +23,10 @@ impl Experiment for Coalescing {
     }
 
     fn jobs(&self) -> Vec<SimJob> {
-        let on = SysParams::integrated();
+        let on = Arc::new(SysParams::integrated());
         let mut off = SysParams::integrated();
         off.memsys.atomic_coalescing = false;
+        let off = Arc::new(off);
         let ddr = SystemConfig::from_abbrev("DDR").unwrap();
         let hg: Arc<dyn hsim_gpu::Kernel> = Arc::new(HistGlobal::default());
         let sc: Arc<dyn hsim_gpu::Kernel> = Arc::new(SplitCounter::default());
@@ -37,7 +38,7 @@ impl Experiment for Coalescing {
                         workload,
                         kernel: Arc::clone(&kernel),
                         config: ddr,
-                        params: params.clone(),
+                        params: Arc::clone(params),
                         validate: true,
                         trace: None,
                     },

@@ -86,6 +86,7 @@ impl Experiment for Contexts {
             .flat_map(|&contexts| {
                 let mut params = SysParams::integrated();
                 params.engine.max_contexts_per_cu = contexts;
+                let params = Arc::new(params);
                 // One block per CU, fully resident.
                 let k = HistGlobal::new(
                     HistParams { tpb: contexts, ..HistParams::default() },
@@ -97,7 +98,7 @@ impl Experiment for Contexts {
                     workload: workload.clone(),
                     kernel: Arc::clone(&kernel),
                     config,
-                    params: params.clone(),
+                    params: Arc::clone(&params),
                     validate: true,
                     trace: None,
                 })

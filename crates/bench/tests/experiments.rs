@@ -9,7 +9,9 @@ const SIX: [&str; 6] = ["GD0", "GD1", "GDR", "DD0", "DD1", "DDR"];
 
 /// Structural check for the whole registry, with no simulation: every
 /// experiment declares a non-empty matrix of labeled jobs, and its
-/// per-workload config row never repeats a configuration.
+/// per-workload row never repeats a cell, a configuration on one
+/// platform. A conformance row runs each configuration on many
+/// perturbed platforms, one per schedule.
 #[test]
 fn every_experiment_declares_a_wellformed_matrix() {
     for e in registry() {
@@ -21,13 +23,14 @@ fn every_experiment_declares_a_wellformed_matrix() {
             if i == jobs.len() || (i > row_start && jobs[i].workload != jobs[row_start].workload) {
                 let row = &jobs[row_start..i];
                 assert!(!row[0].workload.is_empty(), "{}: unlabeled job", e.id());
-                let mut abbrevs: Vec<&str> = row.iter().map(|j| j.config.abbrev()).collect();
-                abbrevs.sort_unstable();
-                abbrevs.dedup();
+                let mut cells: Vec<(&str, String)> =
+                    row.iter().map(|j| (j.config.abbrev(), format!("{:?}", j.params))).collect();
+                cells.sort_unstable();
+                cells.dedup();
                 assert_eq!(
-                    abbrevs.len(),
+                    cells.len(),
                     row.len(),
-                    "{}: workload {} repeats a config",
+                    "{}: workload {} repeats a config on one platform",
                     e.id(),
                     row[0].workload
                 );

@@ -140,23 +140,26 @@ impl ConformReport {
 
 /// The simulation jobs of one conformance run: config-major ×
 /// schedule-minor, in `opts.configs` order. [`report_from_runs`]
-/// expects reports in exactly this order.
+/// expects reports in exactly this order. Each schedule's platform is
+/// derived once and shared by its job in every configuration, and
+/// every job is named after the program.
 pub fn conform_jobs(shape: &CompiledLitmus, opts: &ConformOptions) -> Vec<SimJob> {
     let kernel: Arc<dyn hsim_gpu::Kernel> = Arc::new(shape.clone());
     let base = SysParams::integrated();
+    let schedules: Vec<Arc<SysParams>> = (0..opts.schedules.max(1))
+        .map(|s| Arc::new(schedule_params(&base, opts.seed, s)))
+        .collect();
     let name = shape.program.name();
-    let mut jobs = Vec::with_capacity(opts.configs.len() * opts.schedules.max(1));
+    let mut jobs = Vec::with_capacity(opts.configs.len() * schedules.len());
     for &config in &opts.configs {
-        for s in 0..opts.schedules.max(1) {
-            let mut job = SimJob::new(
-                format!("{name}:{config}:s{s}"),
-                Arc::clone(&kernel),
-                config,
-                &schedule_params(&base, opts.seed, s),
-            );
-            job.validate = false;
-            jobs.push(job);
-        }
+        jobs.extend(schedules.iter().map(|params| SimJob {
+            workload: name.to_string(),
+            kernel: Arc::clone(&kernel),
+            config,
+            params: Arc::clone(params),
+            validate: false,
+            trace: None,
+        }));
     }
     jobs
 }
@@ -209,10 +212,15 @@ fn fold_report<'a>(
         .iter()
         .enumerate()
         .map(|(ci, &config)| {
-            let observed: BTreeSet<Outcome> = (ci * per..(ci + 1) * per)
+            // A configuration's schedules mostly end in a handful of
+            // memory images, and an outcome is a function of the image,
+            // so only the distinct images are normalized.
+            let images: BTreeSet<&[u64]> = (ci * per..(ci + 1) * per)
                 .filter_map(report_at)
-                .map(|r| Outcome::from_sim_memory(shape, &r.memory))
+                .map(|r| r.memory.as_slice())
                 .collect();
+            let observed: BTreeSet<Outcome> =
+                images.into_iter().map(|m| Outcome::from_sim_memory(shape, m)).collect();
             let violations = observed.difference(&allowed).cloned().collect();
             ConfigVerdict { config, observed, violations }
         })
@@ -445,6 +453,29 @@ mod tests {
         assert!(r.sound(), "two relaxed increments must stay in the SC set");
         // Final memory is always 2; the old values distinguish orders.
         assert!(r.coverage() > 0.0);
+    }
+
+    #[test]
+    fn jobs_are_config_major_and_share_each_schedules_params() {
+        let opts = ConformOptions { schedules: 6, seed: 9, ..ConformOptions::default() };
+        let shape = compile(&crate::fuzz::generate(3));
+        let jobs = conform_jobs(&shape, &opts);
+        let per = opts.schedules;
+        assert_eq!(jobs.len(), opts.configs.len() * per);
+        let base = SysParams::integrated();
+        for s in 0..per {
+            let want = format!("{:?}", schedule_params(&base, opts.seed, s));
+            for (c, &config) in opts.configs.iter().enumerate() {
+                let job = &jobs[c * per + s];
+                assert_eq!(job.config, config, "job {}", c * per + s);
+                assert!(!job.validate);
+                assert!(job.trace.is_none());
+                assert_eq!(job.workload, shape.program.name());
+                assert_eq!(format!("{:?}", job.params), want, "config {config}, schedule {s}");
+                // One allocation per schedule, not one clone per job.
+                assert!(Arc::ptr_eq(&job.params, &jobs[s].params), "config {config}, schedule {s}");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,17 @@
 //! kernel may have at most 2^20 contexts (checked when it launches) and
 //! a ready cycle must stay below 2^44 (checked on every push); either
 //! violation panics rather than mis-scheduling.
+//!
+//! Launch state is flat: apart from one boxed work item per context, a
+//! launch allocates a fixed handful of vectors however many blocks the
+//! kernel has. Blocks go to CUs round-robin, so CU `c` runs blocks
+//! `c, c + num_cus, …` and needs only the index of its next block. A
+//! block's contexts launch together and are contiguous in the context
+//! table, so a block is its first context's index. Every block's
+//! scratchpad lives in one `blocks × scratch_words` array, and a
+//! scratch address past the block's own words panics rather than
+//! reaching a neighbour's. The context table and the ready heap are
+//! sized up front.
 
 use crate::consistency::{AccessActions, ConsistencyPolicy, DrfPolicy};
 use crate::ir::{Kernel, Op, WorkItem};
@@ -190,12 +201,17 @@ const MAX_CONTEXTS: usize = 1 << CTX_BITS;
 /// consumed at most once, so the heap never holds stale entries for a
 /// context that was rescheduled; the state check on pop is a cheap
 /// invariant guard, not a lazy-deletion scheme.
-#[derive(Default)]
 struct HeapQueue {
     heap: BinaryHeap<Reverse<u64>>,
 }
 
 impl HeapQueue {
+    /// An empty queue with room for `contexts` entries: the most that
+    /// can be ready at once is every resident context.
+    fn with_capacity(contexts: usize) -> HeapQueue {
+        HeapQueue { heap: BinaryHeap::with_capacity(contexts) }
+    }
+
     /// Note that context `ctx` became `Ready(at)`. `ctx` fits in
     /// [`CTX_BITS`]: `run_kernel_with` checks the context count up front.
     ///
@@ -306,27 +322,29 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
     );
     let mut memory = vec![0; kernel.memory_words()];
     kernel.init_memory(&mut memory);
+    let blocks = kernel.blocks();
     let scratch_words = kernel.scratch_words();
-    let mut scratch: Vec<Vec<Value>> =
-        (0..kernel.blocks()).map(|_| vec![0; scratch_words]).collect();
+    let mut scratch: Vec<Value> = vec![0; blocks * scratch_words];
 
     let tpb = kernel.threads_per_block();
     let blocks_per_cu_resident = (params.max_contexts_per_cu / tpb).max(1);
 
-    // Round-robin block → CU assignment; queue beyond residency.
-    let mut cu_queues: Vec<Vec<usize>> = vec![Vec::new(); params.num_cus];
-    for b in 0..kernel.blocks() {
-        cu_queues[b % params.num_cus].push(b);
-    }
+    // Round-robin block → CU assignment: CU `c` runs blocks `c`,
+    // `c + num_cus`, … in order, `blocks_per_cu_resident` at a time.
+    // `next_block[c]` is the next block CU `c` will launch.
+    let mut next_block: Vec<usize> = (0..params.num_cus).collect();
 
-    let mut ctxs: Vec<Ctx> = Vec::new();
-    let mut block_ctxs: Vec<Vec<usize>> = vec![Vec::new(); kernel.blocks()];
-    let mut ready = HeapQueue::default();
+    // A block's contexts launch together, so they are contiguous:
+    // block `b` owns `ctxs[block_first[b]..block_first[b] + tpb]`.
+    let mut ctxs: Vec<Ctx> = Vec::with_capacity(blocks * tpb);
+    let mut block_first: Vec<usize> = vec![0; blocks];
+    let resident = blocks.min(params.num_cus * blocks_per_cu_resident) * tpb;
+    let mut ready = HeapQueue::with_capacity(resident);
     let launch = |block: usize,
                   cu: usize,
                   at: Cycle,
                   ctxs: &mut Vec<Ctx>,
-                  block_ctxs: &mut Vec<Vec<usize>>,
+                  block_first: &mut [usize],
                   ready: &mut HeapQueue| {
         if T::ENABLED {
             tracer.record(TraceEvent::new(
@@ -338,8 +356,8 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
                 0,
             ));
         }
+        block_first[block] = ctxs.len();
         for t in 0..tpb {
-            block_ctxs[block].push(ctxs.len());
             let at = at + jitter_delay(params.jitter, ctxs.len(), 0);
             ready.push(at, ctxs.len());
             ctxs.push(Ctx {
@@ -353,13 +371,13 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
             });
         }
     };
-    let mut next_queued: Vec<usize> = vec![0; params.num_cus];
-    for cu in 0..params.num_cus {
-        let n = blocks_per_cu_resident.min(cu_queues[cu].len());
-        for _ in 0..n {
-            let b = cu_queues[cu][next_queued[cu]];
-            next_queued[cu] += 1;
-            launch(b, cu, 0, &mut ctxs, &mut block_ctxs, &mut ready);
+    for (cu, next) in next_block.iter_mut().enumerate() {
+        for _ in 0..blocks_per_cu_resident {
+            if *next >= blocks {
+                break;
+            }
+            launch(*next, cu, 0, &mut ctxs, &mut block_first, &mut ready);
+            *next += params.num_cus;
         }
     }
 
@@ -408,14 +426,14 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
             }
             Op::ScratchLoad { addr } => {
                 report.scratch_accesses += 1;
-                ctx.last = Some(scratch[block][addr as usize]);
+                ctx.last = Some(scratch[scratch_index(block, addr, scratch_words)]);
                 let next = issue + 1 + jitter_delay(params.jitter, i, ctx.next_step());
                 ctx.state = CtxState::Ready(next);
                 ready.push(next, i);
             }
             Op::ScratchStore { addr, value } => {
                 report.scratch_accesses += 1;
-                scratch[block][addr as usize] = value;
+                scratch[scratch_index(block, addr, scratch_words)] = value;
                 let next = issue + 1 + jitter_delay(params.jitter, i, ctx.next_step());
                 ctx.state = CtxState::Ready(next);
                 ready.push(next, i);
@@ -493,13 +511,14 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
                 let fenced = drain_traced(&tracer, &mut ctx.outstanding, issue, cu);
                 ctx.state = CtxState::AtBarrier(fenced);
                 // Release the block if everyone arrived.
-                let all = block_ctxs[block].iter().all(|&j| {
-                    matches!(ctxs[j].state, CtxState::AtBarrier(_) | CtxState::Finished(_))
-                });
+                let mates = block_first[block]..block_first[block] + tpb;
+                let all = ctxs[mates.clone()]
+                    .iter()
+                    .all(|c| matches!(c.state, CtxState::AtBarrier(_) | CtxState::Finished(_)));
                 if all {
-                    let release = block_ctxs[block]
+                    let release = ctxs[mates.clone()]
                         .iter()
-                        .filter_map(|&j| match ctxs[j].state {
+                        .filter_map(|c| match c.state {
                             CtxState::AtBarrier(t) => Some(t),
                             _ => None,
                         })
@@ -517,7 +536,7 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
                             params.barrier_latency,
                         ));
                     }
-                    for &j in &block_ctxs[block] {
+                    for j in mates {
                         if matches!(ctxs[j].state, CtxState::AtBarrier(_)) {
                             ctxs[j].state = CtxState::Ready(release);
                             ready.push(release, j);
@@ -535,7 +554,7 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
                 });
                 if all {
                     assert!(
-                        (0..params.num_cus).all(|c| next_queued[c] >= cu_queues[c].len()),
+                        next_block.iter().all(|&b| b >= blocks),
                         "GlobalBarrier requires every block to be resident"
                     );
                     let release = ctxs
@@ -587,21 +606,21 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
                 report.cycles = report.cycles.max(fenced);
                 // Launch the next queued block on this CU if this one
                 // fully retired.
-                let done_block = block_ctxs[block]
-                    .iter()
-                    .all(|&j| matches!(ctxs[j].state, CtxState::Finished(_)));
-                if done_block && next_queued[cu] < cu_queues[cu].len() {
-                    let retire = block_ctxs[block]
+                let mates = block_first[block]..block_first[block] + tpb;
+                let done_block =
+                    ctxs[mates.clone()].iter().all(|c| matches!(c.state, CtxState::Finished(_)));
+                if done_block && next_block[cu] < blocks {
+                    let retire = ctxs[mates]
                         .iter()
-                        .map(|&j| match ctxs[j].state {
+                        .map(|c| match c.state {
                             CtxState::Finished(t) => t,
                             _ => unreachable!(),
                         })
                         .max()
                         .unwrap_or(fenced);
-                    let b = cu_queues[cu][next_queued[cu]];
-                    next_queued[cu] += 1;
-                    launch(b, cu, retire, &mut ctxs, &mut block_ctxs, &mut ready);
+                    let b = next_block[cu];
+                    next_block[cu] += params.num_cus;
+                    launch(b, cu, retire, &mut ctxs, &mut block_first, &mut ready);
                 }
             }
         }
@@ -614,6 +633,18 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
     );
     report.memory = memory;
     report
+}
+
+/// Index of word `addr` of `block`'s scratchpad in the flat scratch
+/// array, where block `b` owns words `b * words..(b + 1) * words`.
+///
+/// # Panics
+///
+/// Panics if `addr` is not below `words`, the scratchpad size.
+fn scratch_index(block: usize, addr: Addr, words: usize) -> usize {
+    let addr = addr as usize;
+    assert!(addr < words, "scratch address {addr} is outside the {words}-word scratchpad");
+    block * words + addr
 }
 
 /// Pre-access half of an [`AccessActions`] table: count the atomic,
@@ -897,6 +928,116 @@ mod tests {
         assert_eq!(r.memory[0], 77);
         assert_eq!(r.barriers, 1);
         assert!(r.scratch_accesses >= 2);
+    }
+
+    /// Per-block scratchpad traffic: thread 0 fills every word of its
+    /// block's scratchpad with `block * WORDS + word + 1`, all meet a
+    /// barrier, and thread 1 copies the words to global memory at the
+    /// same index.
+    struct ScratchKernel;
+
+    const SCRATCH_BLOCKS: usize = 12;
+    const WORDS: usize = 3;
+
+    struct ScratchItem {
+        block: usize,
+        tid: usize,
+        step: usize,
+    }
+
+    impl WorkItem for ScratchItem {
+        fn next(&mut self, last: Option<Value>) -> Op {
+            self.step += 1;
+            let base = (self.block * WORDS) as Value;
+            match (self.tid, self.step) {
+                (0, s) if s <= WORDS => {
+                    Op::ScratchStore { addr: s as Addr - 1, value: base + s as Value }
+                }
+                (0, s) if s == WORDS + 1 => Op::Barrier,
+                (1, 1) => Op::Barrier,
+                // Loads at even steps, stores of what they read at odd.
+                (1, s) if s <= 2 * WORDS + 1 => {
+                    let word = (s as Addr - 2) / 2;
+                    if s % 2 == 0 {
+                        Op::ScratchLoad { addr: word }
+                    } else {
+                        Op::Store { addr: base + word, value: last.unwrap(), class: OpClass::Data }
+                    }
+                }
+                _ => Op::Done,
+            }
+        }
+    }
+
+    impl Kernel for ScratchKernel {
+        fn name(&self) -> String {
+            "scratch".into()
+        }
+        fn blocks(&self) -> usize {
+            SCRATCH_BLOCKS
+        }
+        fn threads_per_block(&self) -> usize {
+            2
+        }
+        fn scratch_words(&self) -> usize {
+            WORDS
+        }
+        fn memory_words(&self) -> usize {
+            SCRATCH_BLOCKS * WORDS
+        }
+        fn item(&self, b: usize, t: usize) -> Box<dyn WorkItem> {
+            Box::new(ScratchItem { block: b, tid: t, step: 0 })
+        }
+    }
+
+    #[test]
+    fn block_scratchpads_are_private() {
+        // 12 blocks on 4 CUs with room for one block each: four blocks
+        // share the machine at a time and later ones launch in waves.
+        let p = EngineParams {
+            num_cus: 4,
+            max_contexts_per_cu: 2,
+            model: MemoryModel::Drf0,
+            ..Default::default()
+        };
+        let r = run_kernel(&ScratchKernel, &p, &mut FixedLat::default());
+        let want: Vec<Value> = (1..=(SCRATCH_BLOCKS * WORDS) as Value).collect();
+        assert_eq!(r.memory, want, "each block reads back only its own scratchpad");
+        assert_eq!(r.barriers, SCRATCH_BLOCKS as u64);
+        assert_eq!(r.scratch_accesses, (2 * SCRATCH_BLOCKS * WORDS) as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 3-word scratchpad")]
+    fn scratch_addresses_past_the_block_panic() {
+        struct Overrun;
+        impl WorkItem for Overrun {
+            fn next(&mut self, _last: Option<Value>) -> Op {
+                Op::ScratchStore { addr: WORDS as Addr, value: 1 }
+            }
+        }
+        struct K;
+        impl Kernel for K {
+            fn name(&self) -> String {
+                "overrun".into()
+            }
+            fn blocks(&self) -> usize {
+                2
+            }
+            fn threads_per_block(&self) -> usize {
+                1
+            }
+            fn scratch_words(&self) -> usize {
+                WORDS
+            }
+            fn memory_words(&self) -> usize {
+                1
+            }
+            fn item(&self, _b: usize, _t: usize) -> Box<dyn WorkItem> {
+                Box::new(Overrun)
+            }
+        }
+        run_kernel(&K, &params(MemoryModel::Drf0), &mut FixedLat::default());
     }
 
     #[test]

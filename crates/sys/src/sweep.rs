@@ -4,11 +4,14 @@
 //! A [`SimJob`] names one cell of an experiment matrix — a kernel, a
 //! [`SystemConfig`] and the platform [`SysParams`] — and [`run_matrix`]
 //! executes a whole job list on `threads` workers of the shared
-//! [`drfrlx_core::resilience::Pool`], one pool unit per job. Every
-//! simulation is deterministic and starts from a cold machine: each
-//! worker thread keeps one untraced memory system and resets it before
-//! every job (see [`run_workload`]), and a job that panics drops it, so
-//! no job sees another's state and jobs are embarrassingly parallel.
+//! [`drfrlx_core::resilience::Pool`], one pool unit per job. The jobs of
+//! one matrix row share their kernel and their platform through `Arc`s,
+//! so a job of a large matrix costs its label and two reference counts.
+//! Every simulation is deterministic and starts from a cold machine:
+//! each worker thread keeps one untraced memory system and resets it
+//! before every job (see [`run_workload`]), and a job that panics drops
+//! it, so no job sees another's state and jobs are embarrassingly
+//! parallel.
 //! Reports come back **in job order**, which makes parallel and serial
 //! sweeps byte-identical (`threads = 1` and `threads = 8` produce the
 //! same `Vec<RunReport>`).
@@ -29,7 +32,7 @@ use hsim_gpu::Kernel;
 use std::sync::Arc;
 
 /// One simulation to run: a kernel under one configuration on one
-/// platform.
+/// platform. Cloning a job copies its label and shares the rest.
 #[derive(Clone)]
 pub struct SimJob {
     /// Display/workload id for reports and result files (the Table 3
@@ -39,8 +42,9 @@ pub struct SimJob {
     pub kernel: Arc<dyn Kernel>,
     /// Protocol × model configuration.
     pub config: SystemConfig,
-    /// Platform parameters.
-    pub params: SysParams,
+    /// Platform parameters, shared: the jobs of one matrix row (one
+    /// platform under several configurations) hold one allocation.
+    pub params: Arc<SysParams>,
     /// Check the final memory image against the kernel's oracle and
     /// panic on mismatch (a simulator bug, not a measurement).
     pub validate: bool,
@@ -50,7 +54,9 @@ pub struct SimJob {
 }
 
 impl SimJob {
-    /// A validated job (the default for experiment harnesses).
+    /// A validated job (the default for experiment harnesses). Clones
+    /// `params` into a new allocation; builders of several jobs on one
+    /// platform share an `Arc` instead.
     pub fn new(
         workload: impl Into<String>,
         kernel: Arc<dyn Kernel>,
@@ -61,7 +67,7 @@ impl SimJob {
             workload: workload.into(),
             kernel,
             config,
-            params: params.clone(),
+            params: Arc::new(params.clone()),
             validate: true,
             trace: None,
         }
@@ -83,17 +89,7 @@ pub fn six_config_jobs(
     params: &SysParams,
     validate: bool,
 ) -> Vec<SimJob> {
-    SystemConfig::all()
-        .into_iter()
-        .map(|config| SimJob {
-            workload: workload.to_string(),
-            kernel: Arc::clone(&kernel),
-            config,
-            params: params.clone(),
-            validate,
-            trace: None,
-        })
-        .collect()
+    row_jobs(workload, kernel, &SystemConfig::all(), params, validate)
 }
 
 /// The jobs for one workload under all nine configurations — the paper
@@ -105,13 +101,25 @@ pub fn extended_config_jobs(
     params: &SysParams,
     validate: bool,
 ) -> Vec<SimJob> {
-    SystemConfig::extended()
-        .into_iter()
-        .map(|config| SimJob {
+    row_jobs(workload, kernel, &SystemConfig::extended(), params, validate)
+}
+
+/// One job per configuration, all sharing one copy of `params`.
+fn row_jobs(
+    workload: &str,
+    kernel: Arc<dyn Kernel>,
+    configs: &[SystemConfig],
+    params: &SysParams,
+    validate: bool,
+) -> Vec<SimJob> {
+    let params = Arc::new(params.clone());
+    configs
+        .iter()
+        .map(|&config| SimJob {
             workload: workload.to_string(),
             kernel: Arc::clone(&kernel),
             config,
-            params: params.clone(),
+            params: Arc::clone(&params),
             validate,
             trace: None,
         })
