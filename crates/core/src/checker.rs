@@ -28,9 +28,10 @@ use crate::exec::{
     enumerate_sc, enumerate_sc_quantum, visit_sc_resilient, EnumError, EnumLimits, Execution,
     ExecutionVisitor, Reduction,
 };
+use crate::fingerprint::FingerprintTable;
 use crate::program::Program;
 use crate::quantum::has_quantum;
-use crate::races::{attainable_kinds, Race, RaceDetector, RaceKind};
+use crate::races::{attainable_kinds, shape_fingerprint, Race, RaceDetector, RaceKind};
 use crate::resilience::{require_complete, FaultPlan, LostPanic, RunStatus};
 use std::collections::BTreeSet;
 
@@ -160,8 +161,24 @@ fn model_view(p: &Program, model: MemoryModel) -> Program {
 /// event ids or execution indices.
 pub type RaceKey = (RaceKind, (usize, usize), (usize, usize));
 
+/// Shape-set sizing: starts at 64 slots and doubles at 3/4 load up to
+/// 2^16 slots (1 MiB). One collector per shard keeps its set until the
+/// shards are merged, so the set starts small; past the cap, new shapes
+/// are analyzed and not remembered, which costs time, never exactness.
+const SHAPES_INIT: usize = 1 << 6;
+const SHAPES_MAX: usize = 1 << 16;
+
 /// The streaming race checker: one per shard. Analyzes each execution
 /// as it completes and keeps one witness per static race key.
+///
+/// Under the quantum transformation, an execution whose shape
+/// ([`shape_fingerprint`]) this collector has already analyzed is
+/// skipped: its analysis and race keys equal the earlier one's, and
+/// every such key is already recorded with an earlier witness, so the
+/// report cannot change. Only quantum branches repeat a shape: they
+/// fork the walk on a value with no scheduling choice, whereas two
+/// executions of any other walk differ in which thread moved at some
+/// step. Other walks are therefore not fingerprinted at all.
 struct RaceCollector<'p> {
     view: &'p Program,
     detector: RaceDetector,
@@ -171,10 +188,19 @@ struct RaceCollector<'p> {
     keys: BTreeSet<RaceKey>,
     races: Vec<(RaceKey, FoundRace)>,
     found_kinds: BTreeSet<RaceKind>,
+    /// Shapes analyzed so far (quantum-transformed walks only).
+    shapes: Option<FingerprintTable<()>>,
+    /// Scratch: the current execution's races.
+    current: Vec<Race>,
 }
 
 impl<'p> RaceCollector<'p> {
-    fn new(view: &'p Program, attainable: &'p [RaceKind], early_exit: bool) -> RaceCollector<'p> {
+    fn new(
+        view: &'p Program,
+        quantum: bool,
+        attainable: &'p [RaceKind],
+        early_exit: bool,
+    ) -> RaceCollector<'p> {
         RaceCollector {
             view,
             detector: RaceDetector::for_program(view),
@@ -184,6 +210,8 @@ impl<'p> RaceCollector<'p> {
             keys: BTreeSet::new(),
             races: Vec::new(),
             found_kinds: BTreeSet::new(),
+            shapes: quantum.then(|| FingerprintTable::new(SHAPES_INIT, SHAPES_MAX)),
+            current: Vec::new(),
         }
     }
 
@@ -196,29 +224,35 @@ impl<'p> RaceCollector<'p> {
 
 impl ExecutionVisitor for RaceCollector<'_> {
     fn visit(&mut self, e: &Execution) -> bool {
-        let analysis = self.detector.analyze(e);
-        for race in analysis.races() {
-            let (ea, eb) = (&e.events[race.a], &e.events[race.b]);
-            let mut pair = [(ea.tid, ea.iid), (eb.tid, eb.iid)];
-            pair.sort_unstable();
-            let key = (race.kind, pair[0], pair[1]);
-            if self.keys.insert(key) {
-                self.found_kinds.insert(race.kind);
-                self.races.push((
-                    key,
-                    FoundRace {
-                        exec_index: self.explored,
+        let seen = self
+            .shapes
+            .as_mut()
+            .is_some_and(|s| s.get_or_insert(shape_fingerprint(e), ()).is_some());
+        if !seen {
+            self.detector.analyze(e).races_into(&mut self.current);
+            for race in &self.current {
+                let (ea, eb) = (&e.events[race.a], &e.events[race.b]);
+                let mut pair = [(ea.tid, ea.iid), (eb.tid, eb.iid)];
+                pair.sort_unstable();
+                let key = (race.kind, pair[0], pair[1]);
+                if self.keys.insert(key) {
+                    self.found_kinds.insert(race.kind);
+                    self.races.push((
                         key,
-                        description: format!(
-                            "{}: {} between {} and {}",
-                            self.view.name(),
-                            race.kind,
-                            crate::pretty::event_label(self.view, ea),
-                            crate::pretty::event_label(self.view, eb),
-                        ),
-                        race,
-                    },
-                ));
+                        FoundRace {
+                            exec_index: self.explored,
+                            key,
+                            description: format!(
+                                "{}: {} between {} and {}",
+                                self.view.name(),
+                                race.kind,
+                                crate::pretty::event_label(self.view, ea),
+                                crate::pretty::event_label(self.view, eb),
+                            ),
+                            race: *race,
+                        },
+                    ));
+                }
             }
         }
         self.explored += 1;
@@ -327,7 +361,7 @@ fn check_shards(
         quantum,
         opts.reduction,
         opts.threads.min(cores.max(1)),
-        &|| RaceCollector::new(&view, &attainable, opts.early_exit),
+        &|| RaceCollector::new(&view, quantum, &attainable, opts.early_exit),
         &|v: &RaceCollector| opts.early_exit && v.saturated(),
         res.fault_plan.as_ref(),
     );
@@ -403,7 +437,7 @@ pub fn check_program_reference(
     let execs: Vec<Execution> =
         if quantum { enumerate_sc_quantum(&view, limits)? } else { enumerate_sc(&view, limits)? };
     let attainable = attainable_kinds(&view);
-    let mut collector = RaceCollector::new(&view, &attainable, false);
+    let mut collector = RaceCollector::new(&view, quantum, &attainable, false);
     for e in &execs {
         collector.visit(e);
     }

@@ -42,6 +42,7 @@
 //! *quantum-equivalent program* P<sub>q</sub>.
 
 use crate::classes::OpClass;
+use crate::fingerprint::{mix64, Fingerprint, FingerprintTable};
 use crate::program::{Expr, Instr, Loc, Program, Reg, Value};
 use crate::relation::Relation;
 use crate::resilience::{
@@ -117,6 +118,21 @@ impl WriteFn {
             // Idempotent-compatible mixed cases are deliberately not
             // special-cased; CAS is order-sensitive.
             _ => false,
+        }
+    }
+
+    /// A nonzero tag per function family, and the operand (0 for CAS):
+    /// the function as two words for fingerprints.
+    pub(crate) fn parts(self) -> (u64, Value) {
+        match self {
+            WriteFn::Set(v) => (1, v),
+            WriteFn::Add(v) => (2, v),
+            WriteFn::And(v) => (3, v),
+            WriteFn::Or(v) => (4, v),
+            WriteFn::Xor(v) => (5, v),
+            WriteFn::Min(v) => (6, v),
+            WriteFn::Max(v) => (7, v),
+            WriteFn::Cas => (8, 0),
         }
     }
 }
@@ -975,15 +991,6 @@ enum Undo {
 
 const _: () = assert!(std::mem::size_of::<Undo>() <= 24);
 
-/// SplitMix64 finalizer — the same mixer as the in-tree PRNG.
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Memo table sizing: starts small, doubles at 3/4 load, caps at
 /// [`MEMO_MAX_ENTRIES`] slots. Past the cap insertion stops while
 /// lookups continue — a deterministic "eviction-off" fallback that
@@ -991,15 +998,6 @@ fn mix64(mut x: u64) -> u64 {
 /// reports stay exact.
 const MEMO_INIT_ENTRIES: usize = 1 << 10;
 const MEMO_MAX_ENTRIES: usize = 1 << 21;
-
-#[derive(Clone, Copy)]
-struct MemoEntry {
-    /// State fingerprint; 0 marks an empty slot (real fingerprints are
-    /// remapped away from 0).
-    fp: u128,
-    /// Smallest sleep set the state has been explored under.
-    sleep: u64,
-}
 
 /// Outcome of consulting the memo table.
 enum MemoHit {
@@ -1016,69 +1014,32 @@ struct Memo {
     /// can never influence future events, and the race detectors do
     /// not read register files.
     live: Vec<Vec<Vec<u16>>>,
-    table: Vec<MemoEntry>,
-    mask: usize,
-    len: usize,
+    /// Fingerprint → smallest sleep set the state has been explored
+    /// under.
+    table: FingerprintTable<u64>,
 }
 
 impl Memo {
     fn new(p: &Program) -> Memo {
         Memo {
             live: p.threads().iter().map(|t| live_regs(&t.instrs)).collect(),
-            table: vec![MemoEntry { fp: 0, sleep: 0 }; MEMO_INIT_ENTRIES],
-            mask: MEMO_INIT_ENTRIES - 1,
-            len: 0,
-        }
-    }
-
-    /// Linear probe to the slot holding `fp`, or the first empty slot.
-    fn slot(&self, fp: u128) -> usize {
-        let mut i = (((fp as u64) ^ ((fp >> 64) as u64)) as usize) & self.mask;
-        loop {
-            let e = &self.table[i];
-            if e.fp == fp || e.fp == 0 {
-                return i;
-            }
-            i = (i + 1) & self.mask;
+            table: FingerprintTable::new(MEMO_INIT_ENTRIES, MEMO_MAX_ENTRIES),
         }
     }
 
     /// Godefroid's state-caching rule, sleep-set aware: prune when the
     /// state was already explored under a sleep set covered by the
     /// current one (everything required now was covered then);
-    /// otherwise narrow the stored sleep set and explore.
+    /// otherwise narrow the stored sleep set and explore. At the cap a
+    /// new state is explored unmemoized rather than evicting one.
     fn visit(&mut self, fp: u128, sleep: u64) -> MemoHit {
-        let i = self.slot(fp);
-        if self.table[i].fp == fp {
-            if self.table[i].sleep & !sleep == 0 {
-                return MemoHit::Prune;
+        match self.table.get_or_insert(fp, sleep) {
+            Some(stored) if *stored & !sleep == 0 => MemoHit::Prune,
+            Some(stored) => {
+                *stored &= sleep;
+                MemoHit::Explore
             }
-            self.table[i].sleep &= sleep;
-            return MemoHit::Explore;
-        }
-        if (self.len + 1) * 4 > self.table.len() * 3 {
-            if self.table.len() < MEMO_MAX_ENTRIES {
-                self.grow();
-            } else {
-                // At the cap: explore unmemoized rather than evict.
-                return MemoHit::Explore;
-            }
-        }
-        let i = self.slot(fp);
-        self.table[i] = MemoEntry { fp, sleep };
-        self.len += 1;
-        MemoHit::Explore
-    }
-
-    fn grow(&mut self) {
-        let doubled = self.table.len() * 2;
-        let old = std::mem::replace(&mut self.table, vec![MemoEntry { fp: 0, sleep: 0 }; doubled]);
-        self.mask = doubled - 1;
-        for e in old {
-            if e.fp != 0 {
-                let i = self.slot(e.fp);
-                self.table[i] = e;
-            }
+            None => MemoHit::Explore,
         }
     }
 }
@@ -1383,7 +1344,7 @@ impl<'a> Engine<'a> {
         let approx = self.journal.capacity() * std::mem::size_of::<Undo>()
             + self.taint_undo.capacity() * std::mem::size_of::<IdSet>()
             + self.scratch_undo.capacity() * std::mem::size_of::<Option<(Value, IdSet)>>()
-            + self.memo.as_ref().map_or(0, |m| m.table.len() * std::mem::size_of::<MemoEntry>());
+            + self.memo.as_ref().map_or(0, |m| m.table.bytes());
         budget.check(approx).map_err(EnumError::from)
     }
 
@@ -1555,16 +1516,7 @@ impl<'a> Engine<'a> {
         );
         h = mix64(h ^ (ev.class as u64 + 1));
         if let Some(wf) = ev.write_fn {
-            let (tag, val) = match wf {
-                WriteFn::Set(v) => (1u64, v),
-                WriteFn::Add(v) => (2, v),
-                WriteFn::And(v) => (3, v),
-                WriteFn::Or(v) => (4, v),
-                WriteFn::Xor(v) => (5, v),
-                WriteFn::Min(v) => (6, v),
-                WriteFn::Max(v) => (7, v),
-                WriteFn::Cas => (8, 0),
-            };
+            let (tag, val) = wf.parts();
             h = mix64(h ^ tag);
             h = mix64(h ^ val as u64);
         }
@@ -1841,7 +1793,7 @@ impl<'a> Engine<'a> {
         if let Some(mut memo) = self.memo.take() {
             let fp = self.fingerprint(&memo);
             let hit = memo.visit(fp, if terminal { 0 } else { sleep });
-            self.stats.table_peak = self.stats.table_peak.max(memo.len);
+            self.stats.table_peak = self.stats.table_peak.max(memo.table.len());
             self.memo = Some(memo);
             if matches!(hit, MemoHit::Prune) {
                 self.stats.memo_pruned += 1;
@@ -2137,12 +2089,8 @@ impl<'a> Engine<'a> {
     /// ([`Engine::track_event`]) and sequences enter as prefix hashes,
     /// so the cost does not grow with the events already performed.
     fn fingerprint(&self, memo: &Memo) -> u128 {
-        let mut a: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut b: u64 = 0x243F_6A88_85A3_08D3;
-        let mut feed = |v: u64| {
-            a = mix64(a ^ v);
-            b = mix64(b.rotate_left(17) ^ v ^ 0xA076_1D64_78BD_642F);
-        };
+        let mut fp = Fingerprint::new();
+        let mut feed = |v: u64| fp.feed(v);
         let st = &self.st;
         for (tid, t) in st.threads.iter().enumerate() {
             feed(t.pc as u64);
@@ -2181,12 +2129,7 @@ impl<'a> Engine<'a> {
                 feed(ws.last().map_or(0, |&(_, h)| h));
             }
         }
-        let fp = ((a as u128) << 64) | b as u128;
-        if fp == 0 {
-            1
-        } else {
-            fp
-        }
+        fp.finish()
     }
 }
 

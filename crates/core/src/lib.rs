@@ -58,6 +58,7 @@ pub mod checker;
 pub mod classes;
 pub mod emit;
 pub mod exec;
+mod fingerprint;
 pub mod infer;
 pub mod parse;
 pub mod pretty;

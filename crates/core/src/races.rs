@@ -32,9 +32,25 @@
 //! litmus tests in `drfrlx-litmus`. The search is a bitset DFS that ORs
 //! whole `po` and `com` rows into four visited sets, and it runs only
 //! from events that still have a candidate race.
+//!
+//! A [`RaceDetector`] owns all of this scratch: the event sets, sized
+//! once for its program's locations and threads, the path search's
+//! visited sets, and one [`RaceAnalysis`] whose relations are reset in
+//! place. [`RaceDetector::analyze`] returns a borrow of that analysis,
+//! so analyzing one more execution allocates nothing once the largest
+//! has been seen. The checker extracts each race list into a reused
+//! buffer too.
+//!
+//! Every relation above is a function of the execution's *shape*, not
+//! of its values: `shape_fingerprint` hashes exactly what the
+//! detectors and the checker's race keys read. The checker
+//! ([`crate::checker`]) skips an execution whose shape it has already
+//! analyzed, which under the quantum transformation is most of them:
+//! quantum loads fork the walk on values no detector reads.
 
 use crate::classes::OpClass;
 use crate::exec::Execution;
+use crate::fingerprint::Fingerprint;
 use crate::program::{Loc, Program};
 use crate::relation::Relation;
 use std::cmp::Ordering;
@@ -111,38 +127,74 @@ pub struct RaceAnalysis {
 }
 
 impl RaceAnalysis {
-    /// Union of all illegal race relations.
-    pub fn illegal(&self) -> Relation {
-        self.data
-            .union(&self.commutative)
-            .union(&self.non_ordering)
-            .union(&self.quantum)
-            .union(&self.speculative)
-            .union(&self.one_sided)
+    /// The empty analysis over `n` events.
+    fn empty(n: usize) -> RaceAnalysis {
+        RaceAnalysis {
+            so1: Relation::empty(n),
+            hb1: Relation::empty(n),
+            race: Relation::empty(n),
+            data: Relation::empty(n),
+            commutative: Relation::empty(n),
+            non_ordering: Relation::empty(n),
+            quantum: Relation::empty(n),
+            speculative: Relation::empty(n),
+            one_sided: Relation::empty(n),
+        }
     }
 
-    /// Is the execution free of illegal races?
-    pub fn is_race_free(&self) -> bool {
-        self.illegal().is_empty()
+    /// Empty every relation in place over a carrier of `n` events.
+    fn reset(&mut self, n: usize) {
+        for r in [
+            &mut self.so1,
+            &mut self.hb1,
+            &mut self.race,
+            &mut self.data,
+            &mut self.commutative,
+            &mut self.non_ordering,
+            &mut self.quantum,
+            &mut self.speculative,
+            &mut self.one_sided,
+        ] {
+            r.reset(n);
+        }
     }
 
-    /// Deduplicated race list (each unordered pair once per kind,
-    /// ordered `a < b`).
-    pub fn races(&self) -> Vec<Race> {
-        let mut out = Vec::new();
-        for (rel, kind) in [
+    /// The illegal race relations, each with its kind, in [`RaceKind`]
+    /// order.
+    fn illegal_relations(&self) -> [(&Relation, RaceKind); 6] {
+        [
             (&self.data, RaceKind::Data),
             (&self.commutative, RaceKind::Commutative),
             (&self.non_ordering, RaceKind::NonOrdering),
             (&self.quantum, RaceKind::Quantum),
             (&self.speculative, RaceKind::Speculative),
             (&self.one_sided, RaceKind::OneSided),
-        ] {
+        ]
+    }
+
+    /// Is the execution free of illegal races? Tests each relation for
+    /// emptiness, without building their union.
+    pub fn is_race_free(&self) -> bool {
+        self.illegal_relations().iter().all(|(r, _)| r.is_empty())
+    }
+
+    /// Deduplicated race list (each unordered pair once per kind,
+    /// ordered `a < b`).
+    pub fn races(&self) -> Vec<Race> {
+        let mut out = Vec::new();
+        self.races_into(&mut out);
+        out
+    }
+
+    /// [`RaceAnalysis::races`] into a caller-provided buffer, which is
+    /// cleared first and keeps its capacity across calls.
+    pub(crate) fn races_into(&self, out: &mut Vec<Race>) {
+        out.clear();
+        for (rel, kind) in self.illegal_relations() {
             out.extend(rel.iter().map(|(x, y)| Race { kind, a: x.min(y), b: x.max(y) }));
         }
         out.sort_unstable();
         out.dedup();
-        out
     }
 }
 
@@ -188,20 +240,35 @@ const FIXED_SETS: usize = 11;
 
 /// One execution's event sets, packed `stride` words each into a single
 /// buffer: the fixed class and access sets above, then one set per
-/// location and one per thread.
+/// location and one per thread. The location and thread counts are
+/// fixed when the detector is built; [`EventSets::fill`] resizes the
+/// buffer in place for each execution.
+#[derive(Debug, Clone)]
 struct EventSets {
     stride: usize,
     locs: usize,
+    threads: usize,
     words: Vec<u64>,
 }
 
 impl EventSets {
-    fn new(e: &Execution) -> EventSets {
+    fn new(locs: usize, threads: usize) -> EventSets {
+        EventSets { stride: 0, locs, threads, words: Vec::new() }
+    }
+
+    /// Refill the sets from `e`, whose locations and threads must be
+    /// within the counts this buffer was built for.
+    fn fill(&mut self, e: &Execution) {
         let stride = e.len().div_ceil(64);
-        let locs = e.events.iter().map(|ev| ev.loc.0 as usize + 1).max().unwrap_or(0);
-        let threads = e.events.iter().map(|ev| ev.tid + 1).max().unwrap_or(0);
-        let mut words = vec![0; (FIXED_SETS + locs + threads) * stride];
+        let (locs, threads) = (self.locs, self.threads);
+        self.stride = stride;
+        self.words.clear();
+        self.words.resize((FIXED_SETS + locs + threads) * stride, 0);
         for (i, ev) in e.events.iter().enumerate() {
+            assert!(
+                (ev.loc.0 as usize) < locs && ev.tid < threads,
+                "event {i} lies outside the program the detector was built for"
+            );
             let class = match ev.class {
                 OpClass::Data => DATA,
                 OpClass::Commutative => COMMUTATIVE,
@@ -222,10 +289,9 @@ impl EventSets {
                 Some(FIXED_SETS + locs + ev.tid),
             ];
             for k in members.into_iter().flatten() {
-                words[k * stride + i / 64] |= 1 << (i % 64);
+                self.words[k * stride + i / 64] |= 1 << (i % 64);
             }
         }
-        EventSets { stride, locs, words }
     }
 
     fn get(&self, k: usize) -> &[u64] {
@@ -241,7 +307,7 @@ impl EventSets {
     }
 }
 
-/// Per-program race detector.
+/// Per-program race detector, with the scratch its analysis reuses.
 ///
 /// The Listing 7 detectors split into cheap row masks (so1, hb1, the
 /// data/commutative/quantum/speculative filters) and the costlier
@@ -256,45 +322,80 @@ impl EventSets {
 /// transformation never introduces new non-ordering or one-sided
 /// operations), so gating on it can only skip searches whose result
 /// would have been empty.
-#[derive(Debug, Clone, Copy)]
+///
+/// The detector owns every buffer the analysis writes: the event sets
+/// (sized for the program's locations and threads once), the path
+/// search's visited sets and one [`RaceAnalysis`] whose relations are
+/// reset in place. After the largest execution has been seen, analyzing
+/// another allocates nothing.
+#[derive(Debug, Clone)]
 pub struct RaceDetector {
     has_non_ordering: bool,
     has_one_sided: bool,
+    sets: EventSets,
+    search: PathSearch,
+    analysis: RaceAnalysis,
 }
 
 impl RaceDetector {
+    fn new(has_non_ordering: bool, has_one_sided: bool, locs: usize, threads: usize) -> Self {
+        RaceDetector {
+            has_non_ordering,
+            has_one_sided,
+            sets: EventSets::new(locs, threads),
+            search: PathSearch::default(),
+            analysis: RaceAnalysis::empty(0),
+        }
+    }
+
     /// Detector for every execution of `p` (or of its quantum-equivalent
     /// program).
     pub fn for_program(p: &Program) -> RaceDetector {
         let classes = p.classes_used();
-        RaceDetector {
-            has_non_ordering: classes.contains(&OpClass::NonOrdering),
-            has_one_sided: classes.iter().any(|c| matches!(c, OpClass::Acquire | OpClass::Release)),
-        }
+        RaceDetector::new(
+            classes.contains(&OpClass::NonOrdering),
+            classes.iter().any(|c| matches!(c, OpClass::Acquire | OpClass::Release)),
+            p.num_locs(),
+            p.threads().len(),
+        )
     }
 
     /// Detector scoped to one execution (used by the [`analyze`] free
     /// function when no program is at hand).
     pub fn for_execution(e: &Execution) -> RaceDetector {
-        RaceDetector {
-            has_non_ordering: e.events.iter().any(|ev| ev.class == OpClass::NonOrdering),
-            has_one_sided: e
-                .events
-                .iter()
-                .any(|ev| matches!(ev.class, OpClass::Acquire | OpClass::Release)),
-        }
+        RaceDetector::new(
+            e.events.iter().any(|ev| ev.class == OpClass::NonOrdering),
+            e.events.iter().any(|ev| matches!(ev.class, OpClass::Acquire | OpClass::Release)),
+            e.events.iter().map(|ev| ev.loc.0 as usize + 1).max().unwrap_or(0),
+            e.events.iter().map(|ev| ev.tid + 1).max().unwrap_or(0),
+        )
     }
 
     /// Run the programmer-centric model of Listing 7 on one SC
     /// execution. `e` must come from the enumerator, whose event ids
-    /// follow the SC order (see [`Execution::order`]).
-    pub fn analyze(&self, e: &Execution) -> RaceAnalysis {
+    /// follow the SC order (see [`Execution::order`]). The result lives
+    /// in the detector's scratch and is overwritten by the next call.
+    pub fn analyze(&mut self, e: &Execution) -> &RaceAnalysis {
         let n = e.len();
         debug_assert!(
             e.order.iter().enumerate().all(|(t, &id)| t == id),
             "event ids must follow T"
         );
-        let sets = EventSets::new(e);
+        let RaceDetector { has_non_ordering, has_one_sided, sets, search, analysis } = self;
+        sets.fill(e);
+        analysis.reset(n);
+        let RaceAnalysis {
+            so1,
+            hb1,
+            race,
+            data,
+            commutative,
+            non_ordering,
+            quantum,
+            speculative,
+            one_sided,
+        } = analysis;
+        let sets = &*sets;
         let s = sets.stride;
         let (all, writes, acquire_reads) =
             (sets.get(ALL), sets.get(WRITES), sets.get(ACQUIRE_READS));
@@ -308,8 +409,6 @@ impl RaceDetector {
         // `Execution::barrier_cuts`), and the nearest cut above an
         // event dominates the others. Every edge points forward, so
         // one backward pass closes hb1.
-        let mut so1 = Relation::empty(n);
-        let mut hb1 = Relation::empty(n);
         for (a, ev) in e.events.iter().enumerate() {
             if ev.class.is_release_side() && ev.access.writes() {
                 let (loc, row) = (sets.loc(ev.loc), so1.row_mut(a));
@@ -327,7 +426,6 @@ impl RaceDetector {
 
         // race = conflict & ext & unordered. For a < b, hb1(b, a) is
         // impossible, so the forward half needs only row a of hb1.
-        let mut race = Relation::empty(n);
         for (a, ev) in e.events.iter().enumerate() {
             let partners = if ev.access.writes() { all } else { writes };
             let (loc, own, hb) = (sets.loc(ev.loc), sets.thread(ev.tid), hb1.row(a));
@@ -343,10 +441,6 @@ impl RaceDetector {
         // else the row restricted to the set.
         let read_observed = sets.get(READ_OBSERVED);
         let quantum_set = sets.get(QUANTUM);
-        let mut data = Relation::empty(n);
-        let mut commutative = Relation::empty(n);
-        let mut quantum = Relation::empty(n);
-        let mut speculative = Relation::empty(n);
         for (a, ev) in e.events.iter().enumerate() {
             let a_observed = has(read_observed, a);
             let (d, c, q, sp) = (
@@ -400,10 +494,8 @@ impl RaceDetector {
         // already folded into hb1 via so1, so any pair still racing
         // here relies on a one-sided fence for an ordering it does not
         // provide.
-        let mut non_ordering = Relation::empty(n);
-        let mut one_sided = Relation::empty(n);
-        if self.has_non_ordering || self.has_one_sided {
-            let mut search = PathSearch::new(s);
+        if *has_non_ordering || *has_one_sided {
+            search.reset(s);
             for a in 0..n {
                 let (r, d, c) = (race.row(a), data.row(a), commutative.row(a));
                 let residual = |w: usize| r[w] & !d[w] & !c[w];
@@ -411,14 +503,14 @@ impl RaceDetector {
                     continue;
                 }
                 let (no, os) = (non_ordering.row_mut(a), one_sided.row_mut(a));
-                if self.has_non_ordering {
-                    let reach = search.run(e, &sets, Edges::All, sets.get(NON_ORDERING), a);
+                if *has_non_ordering {
+                    let reach = search.run(e, sets, Edges::All, sets.get(NON_ORDERING), a);
                     for w in 0..s {
                         no[w] = residual(w) & reach[w];
                     }
                 }
-                if self.has_one_sided {
-                    let reach = search.run(e, &sets, Edges::All, sets.get(ONE_SIDED), a);
+                if *has_one_sided {
+                    let reach = search.run(e, sets, Edges::All, sets.get(ONE_SIDED), a);
                     for w in 0..s {
                         os[w] = residual(w) & !no[w] & reach[w];
                     }
@@ -427,7 +519,7 @@ impl RaceDetector {
                     continue;
                 }
                 for edges in [Edges::SameLoc, Edges::PairedUnpaired] {
-                    let valid = search.run(e, &sets, edges, all, a);
+                    let valid = search.run(e, sets, edges, all, a);
                     for w in 0..s {
                         no[w] &= !valid[w];
                         os[w] &= !valid[w];
@@ -436,27 +528,71 @@ impl RaceDetector {
             }
         }
 
-        RaceAnalysis {
-            so1,
-            hb1,
-            race,
-            data,
-            commutative,
-            non_ordering,
-            quantum,
-            speculative,
-            one_sided,
-        }
+        &self.analysis
     }
 }
 
 /// Run the programmer-centric model of Listing 7 on one SC execution.
 ///
-/// Convenience wrapper over [`RaceDetector::for_execution`]; callers
-/// analyzing many executions of one program should build a
-/// [`RaceDetector::for_program`] once and reuse it.
+/// Convenience wrapper over [`RaceDetector::for_execution`] that hands
+/// back the detector's analysis; callers analyzing many executions of
+/// one program should build a [`RaceDetector::for_program`] once and
+/// reuse it.
 pub fn analyze(e: &Execution) -> RaceAnalysis {
-    RaceDetector::for_execution(e).analyze(e)
+    let mut detector = RaceDetector::for_execution(e);
+    detector.analyze(e);
+    detector.analysis
+}
+
+/// Fingerprint of an execution's *shape*: everything
+/// [`RaceDetector::analyze`] reads, plus the `(tid, iid)` coordinates a
+/// checker keys races by. That is each event's `tid`, `iid`, class,
+/// location, access and write function; the `po`, `rf`, `co`, `fr`,
+/// `data_dep` and `addr_dep` relations; the observed flags; and the
+/// barrier cuts. Loaded and stored values, the final result and
+/// `ctrl_dep` are left out: the detectors never read them (a write
+/// function's operand is read, for commutativity), so two executions
+/// with one fingerprint have the same analysis and the same race keys.
+/// Quantum-transformed executions repeat shapes often, because a
+/// quantum load forks the walk on a value no detector reads.
+pub(crate) fn shape_fingerprint(e: &Execution) -> u128 {
+    let mut fp = Fingerprint::new();
+    fp.feed(e.len() as u64);
+    for (i, ev) in e.events.iter().enumerate() {
+        let (tag, val) = ev.write_fn.map_or((0, 0), |wf| wf.parts());
+        fp.feed(ev.tid as u64 | (ev.iid as u64) << 32);
+        fp.feed(
+            u64::from(ev.loc.0)
+                | (ev.class as u64) << 32
+                | (ev.access as u64) << 40
+                | u64::from(e.observed[i]) << 44
+                | tag << 48,
+        );
+        if tag != 0 {
+            fp.feed(val as u64);
+        }
+    }
+    let relations = [&e.po, &e.rf, &e.co, &e.fr, &e.data_dep, &e.addr_dep];
+    debug_assert!(relations.iter().all(|r| r.carrier() == e.len()));
+    // A row of at most 16 (32) events fills only the low quarter (half)
+    // of its one word, so four (two) relations' rows share a fed word.
+    let per_word = match e.len() {
+        0..=16 => 4,
+        17..=32 => 2,
+        _ => 1,
+    };
+    for group in relations.chunks(per_word) {
+        for w in 0..group[0].words().len() {
+            let word = group
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (k, r)| acc | r.words()[w] << (k * 64 / per_word));
+            fp.feed(word);
+        }
+    }
+    fp.feed(e.barrier_cuts.len() as u64);
+    e.barrier_cuts.iter().for_each(|&c| fp.feed(c as u64));
+    fp.finish()
 }
 
 /// A sound upper bound on the race kinds any execution of `p` can
@@ -512,14 +648,17 @@ enum Edges {
 /// Scratch for the product-automaton path search: for each of the four
 /// states ⟨seen po edge, seen required event⟩, a visited set and a
 /// pending (visited, not yet expanded) set, `stride` words each.
+#[derive(Debug, Clone, Default)]
 struct PathSearch {
     stride: usize,
     words: Vec<u64>,
 }
 
 impl PathSearch {
-    fn new(stride: usize) -> PathSearch {
-        PathSearch { stride, words: vec![0; 8 * stride] }
+    /// Size the sets for executions of `stride` words, in place.
+    fn reset(&mut self, stride: usize) {
+        self.stride = stride;
+        self.words.resize(8 * stride, 0);
     }
 
     /// Row `start` of the path relation: the events `b != start`
@@ -589,7 +728,7 @@ impl PathSearch {
 mod tests {
     use super::*;
     use crate::exec::{enumerate_sc, EnumLimits};
-    use crate::program::{Program, RmwOp};
+    use crate::program::{Loc, Program, RmwOp};
 
     fn all_races(p: Program) -> Vec<Race> {
         let execs = enumerate_sc(&p, &EnumLimits::default()).unwrap();
@@ -944,6 +1083,243 @@ mod tests {
             }
         }
         assert_eq!(kinds.len(), 6, "every race kind is exercised: {kinds:?}");
+    }
+
+    /// The nine relations of an analysis, for whole-analysis equality.
+    fn relations(a: &RaceAnalysis) -> [&Relation; 9] {
+        [
+            &a.so1,
+            &a.hb1,
+            &a.race,
+            &a.data,
+            &a.commutative,
+            &a.non_ordering,
+            &a.quantum,
+            &a.speculative,
+            &a.one_sided,
+        ]
+    }
+
+    /// One detector's scratch is reset in place for every execution. Run
+    /// it over executions that grow and shrink across the one-word
+    /// stride (a conditional block of 70 private stores, taken or not):
+    /// every analysis must equal a fresh detector's.
+    #[test]
+    fn reused_scratch_matches_a_fresh_detector() {
+        use crate::exec::{visit_sc, ExecutionVisitor, Reduction};
+
+        struct Compare<'p> {
+            p: &'p Program,
+            reused: RaceDetector,
+            lens: Vec<usize>,
+            racy: usize,
+        }
+        impl ExecutionVisitor for Compare<'_> {
+            fn visit(&mut self, e: &Execution) -> bool {
+                let mut fresh = RaceDetector::for_program(self.p);
+                let fresh = fresh.analyze(e);
+                let reused = self.reused.analyze(e);
+                assert_eq!(relations(reused), relations(fresh), "{} events", e.len());
+                assert_eq!(reused.races(), fresh.races());
+                self.racy += usize::from(!reused.is_race_free());
+                self.lens.push(e.len());
+                true
+            }
+        }
+        let mut p = Program::new("grow_shrink");
+        {
+            let mut t = p.thread();
+            t.store(OpClass::Paired, "f", 1);
+            t.store(OpClass::Unpaired, "x", 3);
+            t.store(OpClass::NonOrdering, "y", 2);
+            t.rmw(OpClass::Commutative, "c", RmwOp::Exchange, 5);
+            t.store(OpClass::Speculative, "s", 1);
+        }
+        {
+            let mut t = p.thread();
+            let f = t.load(OpClass::Paired, "f");
+            t.if_nz(f, |t| {
+                for v in 0..70 {
+                    t.store(OpClass::Data, "pad", v);
+                }
+            });
+            let r1 = t.load(OpClass::NonOrdering, "y");
+            t.branch_on(r1);
+            let r2 = t.load(OpClass::Unpaired, "x");
+            t.observe(r2);
+            t.rmw(OpClass::Commutative, "c", RmwOp::FetchAdd, 1);
+            let r3 = t.load(OpClass::Speculative, "s");
+            t.observe(r3);
+        }
+        let p = p.build();
+        let mut cmp =
+            Compare { p: &p, reused: RaceDetector::for_program(&p), lens: Vec::new(), racy: 0 };
+        // Two walks, so the long executions that open the second follow
+        // the short ones that close the first.
+        for _ in 0..2 {
+            visit_sc(&p, &EnumLimits::default(), false, Reduction::SleepSet, &mut cmp).unwrap();
+        }
+        let lens = &cmp.lens;
+        assert!(lens.iter().any(|&n| n > 64) && lens.iter().any(|&n| n <= 64), "{lens:?}");
+        assert!(lens.windows(2).any(|w| w[0] < w[1]), "some execution grows");
+        assert!(lens.windows(2).any(|w| w[0] > w[1]), "some execution shrinks");
+        assert!(cmp.racy > 0);
+    }
+
+    /// The shape fingerprint moves with every input the analysis or a
+    /// race key reads, and stays put when only values, the final result
+    /// or control dependencies change.
+    #[test]
+    fn shape_fingerprint_covers_exactly_the_analysis_inputs() {
+        use crate::exec::{Access, WriteFn};
+
+        let mut p = Program::new("shape");
+        {
+            let mut t = p.thread();
+            let r = t.load(OpClass::Paired, "f");
+            t.branch_on(r);
+            t.store(OpClass::Data, "x", r);
+            t.barrier();
+        }
+        {
+            let mut t = p.thread();
+            t.store(OpClass::Paired, "f", 1);
+            let r = t.rmw(OpClass::Commutative, "x", RmwOp::FetchAdd, 2);
+            t.observe(r);
+            t.barrier();
+        }
+        let execs = enumerate_sc(&p.build(), &EnumLimits::default()).unwrap();
+        let base = execs.iter().find(|e| !e.ctrl_dep.is_empty() && !e.data_dep.is_empty()).unwrap();
+        let fp = shape_fingerprint(base);
+        let toggle = |r: &mut Relation| {
+            if r.contains(0, 1) {
+                r.remove(0, 1);
+            } else {
+                r.insert(0, 1);
+            }
+        };
+        type Change = fn(&mut Execution);
+        type Field = fn(&mut Execution) -> &mut Relation;
+        let changes: Vec<(&str, Change)> = vec![
+            ("tid", |e| e.events[0].tid += 1),
+            ("iid", |e| e.events[0].iid += 1),
+            ("class", |e| e.events[0].class = OpClass::Quantum),
+            ("loc", |e| e.events[0].loc = Loc(7)),
+            ("access", |e| e.events[0].access = Access::Rmw),
+            ("write_fn", |e| {
+                let w = e.events.iter_mut().find(|ev| ev.write_fn.is_some()).unwrap();
+                w.write_fn = Some(WriteFn::Cas);
+            }),
+            ("write_fn operand", |e| {
+                let w = e.events.iter_mut().find(|ev| ev.write_fn.is_some()).unwrap();
+                w.write_fn = w.write_fn.map(|f| match f {
+                    WriteFn::Set(v) => WriteFn::Set(v + 1),
+                    WriteFn::Add(v) => WriteFn::Add(v + 1),
+                    _ => WriteFn::Set(99),
+                });
+            }),
+            ("observed", |e| e.observed[0] = !e.observed[0]),
+            ("barrier cut", |e| e.barrier_cuts[0] += 1),
+            ("extra barrier cut", |e| e.barrier_cuts.push(1)),
+        ];
+        for (what, change) in changes {
+            let mut e = base.clone();
+            change(&mut e);
+            assert_ne!(shape_fingerprint(&e), fp, "{what} must move the fingerprint");
+        }
+        let relations: [(&str, Field); 6] = [
+            ("po", |e| &mut e.po),
+            ("rf", |e| &mut e.rf),
+            ("co", |e| &mut e.co),
+            ("fr", |e| &mut e.fr),
+            ("data_dep", |e| &mut e.data_dep),
+            ("addr_dep", |e| &mut e.addr_dep),
+        ];
+        for (what, rel) in relations {
+            let mut e = base.clone();
+            toggle(rel(&mut e));
+            assert_ne!(shape_fingerprint(&e), fp, "{what} must move the fingerprint");
+        }
+        let mut e = base.clone();
+        for ev in &mut e.events {
+            ev.rval = ev.rval.map(|v| v + 10);
+            ev.wval = Some(ev.wval.unwrap_or(0) + 10);
+        }
+        e.result.memory.values_mut().for_each(|v| *v += 1);
+        e.result.regs.clear();
+        toggle(&mut e.ctrl_dep);
+        e.ctrl_dep.insert(1, 2);
+        assert_eq!(
+            shape_fingerprint(&e),
+            fp,
+            "values, result and ctrl_dep are not analysis inputs"
+        );
+    }
+
+    /// The four class filters, checked pair by pair against Listing 7's
+    /// definitions on racing pairs: data and quantum by class, the
+    /// commutative race unless both sides apply commuting write
+    /// functions and neither loaded value is observed, the speculative
+    /// race when both sides write or either loaded value is observed.
+    /// Each definition is symmetric, so each relation must be too.
+    #[test]
+    fn class_filters_match_their_pairwise_definitions() {
+        let mut programs = Vec::new();
+        for (class, op) in [
+            (OpClass::Commutative, RmwOp::FetchAdd),
+            (OpClass::Commutative, RmwOp::Exchange),
+            (OpClass::Speculative, RmwOp::FetchAdd),
+            (OpClass::Quantum, RmwOp::FetchAdd),
+        ] {
+            let mut p = Program::new("filters");
+            {
+                let mut t = p.thread();
+                let old = t.rmw(class, "c", op, 1);
+                t.observe(old);
+                t.store(class, "s", 1);
+                t.store(OpClass::Data, "d", 1);
+            }
+            {
+                let mut t = p.thread();
+                t.rmw(class, "c", RmwOp::FetchAdd, 2);
+                let r = t.load(class, "s");
+                t.observe(r);
+                t.load(class, "d");
+            }
+            {
+                let mut t = p.thread();
+                t.store(class, "c", 3);
+                t.load(OpClass::Paired, "s");
+            }
+            programs.push(p.build());
+        }
+        for p in &programs {
+            for e in &enumerate_sc(p, &EnumLimits::default()).unwrap() {
+                let a = analyze(e);
+                let obs = |x: usize| e.events[x].access.reads() && e.value_observed(x);
+                for (x, y) in a.race.iter_pairs() {
+                    let (ex, ey) = (&e.events[x], &e.events[y]);
+                    let either = |c: OpClass| ex.class == c || ey.class == c;
+                    let commute = match (ex.write_fn, ey.write_fn) {
+                        (Some(fx), Some(fy)) => !obs(x) && !obs(y) && fx.commutes_with(fy),
+                        _ => false,
+                    };
+                    let both_write = ex.access.writes() && ey.access.writes();
+                    let expected = [
+                        either(OpClass::Data),
+                        either(OpClass::Commutative) && !commute,
+                        (ex.class == OpClass::Quantum) != (ey.class == OpClass::Quantum),
+                        either(OpClass::Speculative) && (both_write || obs(x) || obs(y)),
+                    ];
+                    let got = [&a.data, &a.commutative, &a.quantum, &a.speculative]
+                        .map(|r| r.contains(x, y));
+                    assert_eq!(got, expected, "pair ({x}, {y}) of {:?}", e.events);
+                }
+                for r in [&a.data, &a.commutative, &a.quantum, &a.speculative] {
+                    assert!(r.minus(&a.race).is_empty());
+                }
+            }
+        }
     }
 
     #[test]

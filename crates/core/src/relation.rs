@@ -15,76 +15,17 @@
 //! path: it fills rows directly through crate-internal row access and
 //! closes `hb1` with `Relation::close_forward`, a single backward
 //! pass that relies on every edge pointing forward in event-id order.
+//!
+//! Storage is one flat `Vec<u64>` of exactly `n * stride` words.
+//! [`Relation::reset`] empties it in place, so the enumerator's
+//! per-execution relations and the race detector's scratch analysis
+//! reuse one buffer each and stop allocating once they have held
+//! their largest carrier.
 
 use std::fmt;
 
 /// Bits per packed word.
 const WORD: usize = 64;
-
-/// Words kept inline before spilling to the heap. 24 words is one row
-/// set for a 24-event execution at stride 1 (or 3 rows at 8 events) —
-/// enough for the whole litmus corpus including the 4-thread stress
-/// programs, so neither the streaming enumerator's two incrementally
-/// maintained dependency relations nor the `po`/`rf`/`co`/`fr` it
-/// derives per emitted execution touch the allocator on the hot path.
-const INLINE_WORDS: usize = 24;
-
-/// Packed word storage: inline for litmus-sized carriers, heap beyond.
-/// Equality is by content (two storages with the same words are equal
-/// regardless of where they live), so [`Relation`]'s derived `Eq` stays
-/// exact even when a scratch buffer keeps a heap allocation across
-/// [`Relation::reset`] calls.
-#[derive(Clone)]
-enum Words {
-    Inline { len: u8, buf: [u64; INLINE_WORDS] },
-    Heap(Vec<u64>),
-}
-
-impl Words {
-    fn zeroed(len: usize) -> Words {
-        if len <= INLINE_WORDS {
-            Words::Inline { len: len as u8, buf: [0; INLINE_WORDS] }
-        } else {
-            Words::Heap(vec![0; len])
-        }
-    }
-
-    fn as_slice(&self) -> &[u64] {
-        match self {
-            Words::Inline { len, buf } => &buf[..*len as usize],
-            Words::Heap(v) => v,
-        }
-    }
-
-    fn as_mut(&mut self) -> &mut [u64] {
-        match self {
-            Words::Inline { len, buf } => &mut buf[..*len as usize],
-            Words::Heap(v) => v,
-        }
-    }
-
-    /// Zero and resize in place, reusing a heap buffer when one exists.
-    fn reset(&mut self, len: usize) {
-        match self {
-            Words::Heap(v) => {
-                v.clear();
-                v.resize(len, 0);
-            }
-            Words::Inline { .. } if len <= INLINE_WORDS => {
-                *self = Words::Inline { len: len as u8, buf: [0; INLINE_WORDS] };
-            }
-            Words::Inline { .. } => *self = Words::Heap(vec![0; len]),
-        }
-    }
-}
-
-impl PartialEq for Words {
-    fn eq(&self, other: &Words) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Words {}
 
 /// A binary relation over event ids `0..n`.
 ///
@@ -101,24 +42,27 @@ pub struct Relation {
     n: usize,
     /// Words per row (`ceil(n / 64)`).
     stride: usize,
-    /// Row-major packed bits; tail bits of each row beyond `n` are
-    /// always zero (an invariant every operation preserves, so derived
-    /// equality is exact).
-    words: Words,
+    /// Row-major packed bits, exactly `n * stride` words; tail bits of
+    /// each row beyond `n` are always zero (an invariant every operation
+    /// preserves, so derived equality is exact).
+    words: Vec<u64>,
 }
 
 impl Relation {
     /// The empty relation over `n` events.
     pub fn empty(n: usize) -> Relation {
         let stride = n.div_ceil(WORD);
-        Relation { n, stride, words: Words::zeroed(n * stride) }
+        Relation { n, stride, words: vec![0; n * stride] }
     }
 
-    /// Reset in place to the empty relation over `n`, reusing storage.
+    /// Reset in place to the empty relation over `n`, reusing storage:
+    /// once the buffer has held `n * ceil(n / 64)` words, resetting to
+    /// any carrier up to that size does not allocate.
     pub fn reset(&mut self, n: usize) {
         self.n = n;
         self.stride = n.div_ceil(WORD);
-        self.words.reset(n * self.stride);
+        self.words.clear();
+        self.words.resize(n * self.stride, 0);
     }
 
     /// Mask selecting the valid bits of a row's last word.
@@ -138,7 +82,7 @@ impl Relation {
         }
         let mask = self.tail_mask();
         let stride = self.stride;
-        let words = self.words.as_mut();
+        let words = &mut self.words;
         for row in 0..self.n {
             words[row * stride + stride - 1] &= mask;
         }
@@ -147,7 +91,7 @@ impl Relation {
     /// The full relation (every ordered pair, including reflexive ones).
     pub fn full(n: usize) -> Relation {
         let mut r = Relation::empty(n);
-        r.words.as_mut().fill(!0);
+        r.words.fill(!0);
         r.clear_tail();
         r
     }
@@ -183,7 +127,7 @@ impl Relation {
             }
         }
         let stride = r.stride;
-        let words = r.words.as_mut();
+        let words = &mut r.words;
         for (i, &ai) in a.iter().enumerate() {
             if ai {
                 words[i * stride..(i + 1) * stride].copy_from_slice(&brow);
@@ -200,19 +144,19 @@ impl Relation {
     /// Add a pair.
     pub fn insert(&mut self, a: usize, b: usize) {
         assert!(a < self.n && b < self.n, "pair out of carrier");
-        self.words.as_mut()[a * self.stride + b / WORD] |= 1u64 << (b % WORD);
+        self.words[a * self.stride + b / WORD] |= 1u64 << (b % WORD);
     }
 
     /// Remove a pair (no-op if absent). The retract half of the
     /// streaming enumerator's push/pop dependency-edge maintenance.
     pub fn remove(&mut self, a: usize, b: usize) {
         assert!(a < self.n && b < self.n, "pair out of carrier");
-        self.words.as_mut()[a * self.stride + b / WORD] &= !(1u64 << (b % WORD));
+        self.words[a * self.stride + b / WORD] &= !(1u64 << (b % WORD));
     }
 
     /// Test membership.
     pub fn contains(&self, a: usize, b: usize) -> bool {
-        self.words.as_slice()[a * self.stride + b / WORD] & (1u64 << (b % WORD)) != 0
+        self.words[a * self.stride + b / WORD] & (1u64 << (b % WORD)) != 0
     }
 
     /// The restriction of the relation to the carrier prefix `0..m`.
@@ -234,9 +178,9 @@ impl Relation {
     pub fn restrict_into(&self, m: usize, out: &mut Relation) {
         assert!(m <= self.n, "restriction larger than carrier");
         out.reset(m);
-        let src_all = self.words.as_slice();
+        let src_all = &self.words;
         let dst_stride = out.stride;
-        let dst = out.words.as_mut();
+        let dst = &mut out.words;
         for row in 0..m {
             let src = &src_all[row * self.stride..row * self.stride + dst_stride];
             dst[row * dst_stride..(row + 1) * dst_stride].copy_from_slice(src);
@@ -246,17 +190,17 @@ impl Relation {
 
     /// Is the relation empty?
     pub fn is_empty(&self) -> bool {
-        self.words.as_slice().iter().all(|&w| w == 0)
+        self.words.iter().all(|&w| w == 0)
     }
 
     /// Number of pairs.
     pub fn len(&self) -> usize {
-        self.words.as_slice().iter().map(|w| w.count_ones() as usize).sum()
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Iterate over pairs in row-major order without allocating.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let words = self.words.as_slice();
+        let words = &self.words;
         (0..self.n).flat_map(move |row| {
             words[row * self.stride..(row + 1) * self.stride].iter().enumerate().flat_map(
                 move |(wi, &w)| BitIter { word: w, base: wi * WORD }.map(move |col| (row, col)),
@@ -295,8 +239,8 @@ impl Relation {
     fn zip(&self, other: &Relation, f: impl Fn(u64, u64) -> u64) -> Relation {
         assert_eq!(self.n, other.n, "relations over different carriers");
         let mut out = Relation::empty(self.n);
-        let dst = out.words.as_mut();
-        for ((d, &a), &b) in dst.iter_mut().zip(self.words.as_slice()).zip(other.words.as_slice()) {
+        let dst = &mut out.words;
+        for ((d, &a), &b) in dst.iter_mut().zip(&self.words).zip(&other.words) {
             *d = f(a, b);
         }
         out
@@ -309,8 +253,7 @@ impl Relation {
         assert_eq!(self.n, other.n, "relations over different carriers");
         let mut out = Relation::empty(self.n);
         let stride = self.stride;
-        let (mine, theirs, ws) =
-            (self.words.as_slice(), other.words.as_slice(), out.words.as_mut());
+        let (mine, theirs, ws) = (&self.words, &other.words, &mut out.words);
         for a in 0..self.n {
             let row = &mine[a * stride..(a + 1) * stride];
             for (wi, &w) in row.iter().enumerate() {
@@ -337,7 +280,7 @@ impl Relation {
     /// Complement (`~` in Herd).
     pub fn complement(&self) -> Relation {
         let mut out = Relation::empty(self.n);
-        for (d, &w) in out.words.as_mut().iter_mut().zip(self.words.as_slice()) {
+        for (d, &w) in out.words.iter_mut().zip(&self.words) {
             *d = !w;
         }
         out.clear_tail();
@@ -359,7 +302,7 @@ impl Relation {
                 // one into the other without cloning.
                 let (lo, hi, dst_is_lo) =
                     if irow < krow { (irow, krow, true) } else { (krow, irow, false) };
-                let (head, tail) = r.words.as_mut().split_at_mut(hi);
+                let (head, tail) = r.words.split_at_mut(hi);
                 let (a, b) = (&mut head[lo..lo + stride], &mut tail[..stride]);
                 let (dst, src) = if dst_is_lo { (a, b) } else { (b, a) };
                 for w in 0..stride {
@@ -370,16 +313,21 @@ impl Relation {
         r
     }
 
+    /// Every row's packed words, row after row.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Row `a`'s packed words (`ceil(n / 64)` of them).
     pub(crate) fn row(&self, a: usize) -> &[u64] {
-        &self.words.as_slice()[a * self.stride..(a + 1) * self.stride]
+        &self.words[a * self.stride..(a + 1) * self.stride]
     }
 
     /// Row `a`'s packed words, mutably. Callers keep the tail bits
     /// beyond `n` zero.
     pub(crate) fn row_mut(&mut self, a: usize) -> &mut [u64] {
         let stride = self.stride;
-        &mut self.words.as_mut()[a * stride..(a + 1) * stride]
+        &mut self.words[a * stride..(a + 1) * stride]
     }
 
     /// Transitive closure in place of a relation whose pairs all point
@@ -388,7 +336,7 @@ impl Relation {
     /// predecessor's, 64 pairs per word operation.
     pub(crate) fn close_forward(&mut self) {
         let stride = self.stride;
-        let words = self.words.as_mut();
+        let words = &mut self.words;
         for a in (0..self.n).rev() {
             let (head, closed) = words.split_at_mut((a + 1) * stride);
             let row = &mut head[a * stride..];
@@ -438,7 +386,7 @@ impl Relation {
     pub fn irreflexive(&self) -> Relation {
         let mut out = self.clone();
         let stride = out.stride;
-        let words = out.words.as_mut();
+        let words = &mut out.words;
         for i in 0..out.n {
             words[i * stride + i / WORD] &= !(1u64 << (i % WORD));
         }
@@ -685,13 +633,13 @@ mod tests {
     }
 
     /// `reset`/`restrict_into` must agree with the allocating paths no
-    /// matter what storage the scratch previously held — including
-    /// across the inline/heap boundary in both directions.
+    /// matter what carrier the scratch previously held, growing or
+    /// shrinking, across one-word and multi-word strides.
     #[test]
     fn reset_and_restrict_into_reuse_storage_exactly() {
         let mut scratch = Relation::empty(0);
-        // Sizes chosen to bounce between inline (small) and heap
-        // (129-event carriers need 3 words/row) storage.
+        // Sizes chosen to bounce between one-word rows and 129-event
+        // carriers (3 words per row) in both directions.
         for (n, m) in [(6usize, 3usize), (24, 24), (129, 65), (30, 7), (129, 129), (5, 0)] {
             let mut a = Relation::empty(n);
             for i in 0..n {

@@ -17,6 +17,9 @@
 //!   seqlock) sized past the default execution budget for exhaustive
 //!   enumeration; only the streaming checker's partial-order reduction
 //!   finishes them.
+//! * [`clauses`] — one program per race-rule clause that the rest of
+//!   the corpus never decides alone, registered in
+//!   [`suite::clause_tests`].
 //! * [`suite`] — a declarative registry of all tests with their expected
 //!   verdicts under DRF0 / DRF1 / DRFrlx, and a runner that checks both
 //!   the programmer-centric model (race detection) and the
@@ -36,10 +39,11 @@
 #![warn(missing_docs)]
 
 pub mod classic;
+pub mod clauses;
 pub mod fixtures;
 pub mod mislabeled;
 pub mod stress;
 pub mod suite;
 pub mod usecases;
 
-pub use suite::{all_tests, run, stress_tests, Category, LitmusTest};
+pub use suite::{all_tests, clause_tests, run, stress_tests, Category, LitmusTest};

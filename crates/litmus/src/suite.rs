@@ -1,7 +1,7 @@
 //! Declarative registry of the whole corpus with expected verdicts, and
 //! a runner that checks every expectation against both models.
 
-use crate::{classic, mislabeled, stress, usecases};
+use crate::{classic, clauses, mislabeled, stress, usecases};
 use drfrlx_core::checker::{check_program_with, CheckOptions};
 use drfrlx_core::exec::{EnumLimits, Reduction};
 use drfrlx_core::program::Program;
@@ -522,6 +522,38 @@ pub fn stress_tests() -> Vec<LitmusTest> {
     ]
 }
 
+/// Programs that single out one race-rule clause each (see
+/// [`clauses`]). Kept out of [`all_tests`], like [`stress_tests`], so
+/// the artifacts and digests generated from that registry are
+/// untouched.
+pub fn clause_tests() -> Vec<LitmusTest> {
+    use Category::*;
+    use RaceKind::*;
+    vec![
+        LitmusTest {
+            name: "mp_unpaired_past_non_ordering",
+            category: Classic,
+            description: "§3.3.3: only the all-unpaired valid path absolves a non-ordering store",
+            build: clauses::mp_unpaired_past_non_ordering,
+            race_free: [true, true, true],
+            reduction: Reduction::SleepSet,
+            drfrlx_kinds: &[],
+            sc_only: Some(true),
+        },
+        LitmusTest {
+            name: "observed_increment_past_non_ordering",
+            category: Mislabeled,
+            description:
+                "§3.2.3: an observed increment cannot commute, even past a non-ordering flag",
+            build: clauses::observed_increment_past_non_ordering,
+            race_free: [true, true, false],
+            reduction: Reduction::SleepSet,
+            drfrlx_kinds: &[Commutative],
+            sc_only: None,
+        },
+    ]
+}
+
 /// Run one test: check the programmer-centric verdict under all three
 /// models and, when expected, the system-centric comparison.
 ///
@@ -595,10 +627,18 @@ mod tests {
     }
 
     #[test]
+    fn clause_programs_match_expected_verdicts() {
+        for t in clause_tests() {
+            run(&t).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+
+    #[test]
     fn corpus_is_well_formed() {
         let mut tests = all_tests();
         assert!(tests.len() >= 25);
         tests.extend(stress_tests());
+        tests.extend(clause_tests());
         // Unique names.
         for (i, a) in tests.iter().enumerate() {
             for b in &tests[i + 1..] {

@@ -7,7 +7,7 @@
 use drfrlx::litmus::suite::all_tests;
 use drfrlx::model::exec::{enumerate_sc, EnumLimits};
 use drfrlx::model::pretty::{format_conflict_graph, format_execution};
-use drfrlx::model::races::analyze;
+use drfrlx::model::races::RaceDetector;
 use drfrlx::model::syscentric::compare_with_sc;
 use drfrlx::MemoryModel;
 
@@ -26,12 +26,20 @@ fn main() {
     let execs = enumerate_sc(&p, &limits).expect("enumerable");
     println!("{name}: {} SC executions", execs.len());
 
-    let racy = execs.iter().find(|e| !analyze(e).is_race_free());
-    let shown = racy.unwrap_or_else(|| execs.iter().max_by_key(|e| e.len()).expect("nonempty"));
-    println!("\n{} execution:", if racy.is_some() { "racy" } else { "representative" });
+    // One detector for every execution; the racy execution shown is the
+    // first one it flags, with the races found then.
+    let mut detector = RaceDetector::for_program(&p);
+    let racy = execs.iter().find_map(|e| {
+        let a = detector.analyze(e);
+        (!a.is_race_free()).then(|| (e, a.races()))
+    });
+    let is_racy = racy.is_some();
+    let (shown, races) = racy
+        .unwrap_or_else(|| (execs.iter().max_by_key(|e| e.len()).expect("nonempty"), Vec::new()));
+    println!("\n{} execution:", if is_racy { "racy" } else { "representative" });
     print!("{}", format_execution(&p, shown));
     print!("{}", format_conflict_graph(&p, shown));
-    for r in analyze(shown).races() {
+    for r in &races {
         println!("  !! {} between e{} and e{}", r.kind, r.a, r.b);
     }
 

@@ -77,7 +77,7 @@ struct Folder {
 
 impl ExecutionVisitor for Folder {
     fn visit(&mut self, e: &Execution) -> bool {
-        self.digest = fold_analysis(self.digest, &self.detector.analyze(e));
+        self.digest = fold_analysis(self.digest, self.detector.analyze(e));
         self.executions += 1;
         true
     }
