@@ -28,7 +28,7 @@ use drfrlx_core::program::Program;
 use drfrlx_core::resilience::{require_complete, LostPanic, RunStatus};
 use drfrlx_core::{MemoryModel, SystemConfig};
 use drfrlx_litmus::{all_tests, Category};
-use hsim_sys::{run_matrix_resilient, MatrixResilience, RunReport, SimJob, SysParams};
+use hsim_sys::{run_matrix_map, MatrixResilience, RunReport, SimJob, SysParams};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -165,7 +165,9 @@ pub fn conform_jobs(shape: &CompiledLitmus, opts: &ConformOptions) -> Vec<SimJob
 }
 
 /// Fold simulation reports (in [`conform_jobs`] order) and the
-/// axiomatic oracle into a [`ConformReport`].
+/// axiomatic oracle into a [`ConformReport`]. Only each report's
+/// memory image is read; this adapter serves callers that already hold
+/// full reports, such as the bench crate's conformance experiments.
 ///
 /// # Errors
 ///
@@ -176,7 +178,7 @@ pub fn report_from_runs(
     opts: &ConformOptions,
     reports: &[RunReport],
 ) -> Result<ConformReport, EnumError> {
-    fold_report(shape, opts, &opts.limits, &|i| reports.get(i))
+    fold_report(shape, opts, &opts.limits, &|i| reports.get(i).map(|r| r.memory.as_slice()))
 }
 
 /// [`report_from_runs`] over a partial sweep: `None` slots (jobs lost
@@ -194,16 +196,18 @@ pub fn report_from_partial_runs(
     opts: &ConformOptions,
     reports: &[Option<RunReport>],
 ) -> Result<ConformReport, EnumError> {
-    fold_report(shape, opts, &opts.limits, &|i| reports.get(i).and_then(Option::as_ref))
+    let image_at = |i: usize| reports.get(i)?.as_ref().map(|r| r.memory.as_slice());
+    fold_report(shape, opts, &opts.limits, &image_at)
 }
 
-/// Shared fold: oracle + per-config observed sets, with the report for
-/// job `i` looked up through `report_at` (absent reports are skipped).
+/// Shared fold: oracle + per-config observed sets, with the final
+/// memory image of job `i` — the one field of a report an outcome
+/// reads — looked up through `image_at` (absent images are skipped).
 fn fold_report<'a>(
     shape: &CompiledLitmus,
     opts: &ConformOptions,
     limits: &EnumLimits,
-    report_at: &dyn Fn(usize) -> Option<&'a RunReport>,
+    image_at: &dyn Fn(usize) -> Option<&'a [u64]>,
 ) -> Result<ConformReport, EnumError> {
     let (allowed, oracle_stats) = allowed_outcomes(shape, limits, opts.threads)?;
     let per = opts.schedules.max(1);
@@ -215,10 +219,8 @@ fn fold_report<'a>(
             // A configuration's schedules mostly end in a handful of
             // memory images, and an outcome is a function of the image,
             // so only the distinct images are normalized.
-            let images: BTreeSet<&[u64]> = (ci * per..(ci + 1) * per)
-                .filter_map(report_at)
-                .map(|r| r.memory.as_slice())
-                .collect();
+            let images: BTreeSet<&[u64]> =
+                (ci * per..(ci + 1) * per).filter_map(image_at).collect();
             let observed: BTreeSet<Outcome> =
                 images.into_iter().map(|m| Outcome::from_sim_memory(shape, m)).collect();
             let violations = observed.difference(&allowed).cloned().collect();
@@ -270,10 +272,12 @@ pub struct ConformOutcome {
 }
 
 /// [`check_conformance`], resilient: the simulation matrix runs
-/// through [`run_matrix_resilient`] (per-job panic isolation + one
-/// retry, budget polled before every job attempt, deterministic fault
+/// through [`run_matrix_map`] (per-job panic isolation + one retry,
+/// budget polled before every job attempt, deterministic fault
 /// injection), and an oracle enumeration failure becomes a structured
-/// `Inconclusive` status instead of an `Err`. Never panics.
+/// `Inconclusive` status instead of an `Err`. Never panics. It equals
+/// [`report_from_partial_runs`] over `run_matrix_resilient` of
+/// [`conform_jobs`], with the same status.
 ///
 /// A `Degraded` report is still meaningful: lost jobs only shrink the
 /// observed sets, so soundness verdicts on the surviving observations
@@ -292,7 +296,9 @@ pub fn check_conformance_resilient(
 }
 
 /// The one conformance body, plus the lowest lost job's panic for
-/// [`check_conformance`] to re-raise.
+/// [`check_conformance`] to re-raise. Each job keeps only its final
+/// memory image, taken out of the report on the worker that ran it, so
+/// the rest of the report is dropped there and never reaches the fold.
 fn conform(
     p: &Program,
     opts: &ConformOptions,
@@ -300,13 +306,13 @@ fn conform(
 ) -> (ConformOutcome, Option<LostPanic>) {
     let shape = compile(p);
     let jobs = conform_jobs(&shape, opts);
-    let matrix = run_matrix_resilient(&jobs, opts.threads, res);
+    let matrix = run_matrix_map(&jobs, opts.threads, res, |r: RunReport| r.memory);
     let mut limits = opts.limits.clone();
     if limits.budget.is_none() {
         limits.budget = res.budget.clone();
     }
-    let report_at = |i: usize| matrix.reports.get(i).and_then(Option::as_ref);
-    let out = match fold_report(&shape, opts, &limits, &report_at) {
+    let image_at = |i: usize| matrix.reports.get(i)?.as_deref();
+    let out = match fold_report(&shape, opts, &limits, &image_at) {
         Ok(report) => ConformOutcome { report: Some(report), status: matrix.status },
         Err(e) => ConformOutcome {
             report: None,

@@ -34,6 +34,7 @@ use crate::quantum::has_quantum;
 use crate::races::{attainable_kinds, shape_fingerprint, Race, RaceDetector, RaceKind};
 use crate::resilience::{require_complete, FaultPlan, LostPanic, RunStatus};
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// The verdict of a whole-program check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,8 +354,13 @@ fn check_shards(
     let attainable = attainable_kinds(&view);
     // More workers than cores is pure oversubscription: the shards are
     // CPU-bound and the report is worker-count-invariant, so extra
-    // threads can only add scheduling overhead.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    // threads can only add scheduling overhead. The core count is read
+    // once per process: the query reads cgroup files, which costs as
+    // much as checking a small program.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    });
     let run = visit_sc_resilient(
         &view,
         &opts.limits,

@@ -6,7 +6,11 @@
 //! executes a whole job list on `threads` workers of the shared
 //! [`drfrlx_core::resilience::Pool`], one pool unit per job. The jobs of
 //! one matrix row share their kernel and their platform through `Arc`s,
-//! so a job of a large matrix costs its label and two reference counts.
+//! so building a job costs its label and two reference counts. Running
+//! it makes a [`RunReport`] — counters, energy, two name `String`s and
+//! the final memory image — and a caller that needs only part of it
+//! says so with [`run_matrix_map`]'s `keep`, so the rest never leaves
+//! the worker.
 //! Every simulation is deterministic and starts from a cold machine:
 //! each worker thread keeps one untraced memory system and resets it
 //! before every job (see [`run_workload`]), and a job that panics drops
@@ -15,8 +19,9 @@
 //! Reports come back **in job order**, which makes parallel and serial
 //! sweeps byte-identical (`threads = 1` and `threads = 8` produce the
 //! same `Vec<RunReport>`).
-//! [`run_matrix_resilient`] is the one body: `run_matrix` calls it
-//! with default options and re-raises a lost job's panic.
+//! [`run_matrix_map`] is the one body. [`run_matrix_resilient`] is its
+//! identity case, and [`run_matrix`] calls that with default options
+//! and re-raises a lost job's panic.
 //!
 //! The worker count for CLI entry points comes from
 //! [`default_threads`]: the `DRFRLX_THREADS` environment variable if
@@ -180,11 +185,12 @@ pub struct MatrixResilience {
     pub fault_plan: Option<FaultPlan>,
 }
 
-/// Result of a resilient sweep.
-pub struct MatrixOutcome {
+/// Result of a resilient sweep: per job, the full [`RunReport`] or
+/// whatever [`run_matrix_map`]'s `keep` made of it.
+pub struct MatrixOutcome<T = RunReport> {
     /// One slot per job, **in job order**; `None` where the job was
     /// lost (panicked twice) or never ran (budget trip).
-    pub reports: Vec<Option<RunReport>>,
+    pub reports: Vec<Option<T>>,
     /// How the sweep ended: `Degraded` names lost jobs, and
     /// `Inconclusive`'s frontier names jobs still to run.
     pub status: RunStatus,
@@ -192,30 +198,45 @@ pub struct MatrixOutcome {
     pub lost_panic: Option<LostPanic>,
 }
 
-impl MatrixOutcome {
+impl<T> MatrixOutcome<T> {
     /// The completed reports with their job indices, in job order.
-    pub fn completed(&self) -> impl Iterator<Item = (usize, &RunReport)> {
+    pub fn completed(&self) -> impl Iterator<Item = (usize, &T)> {
         self.reports.iter().enumerate().filter_map(|(i, r)| r.as_ref().map(|r| (i, r)))
     }
 }
 
-/// The one sweep body: every job runs on the [`Pool`] — panic-isolated,
-/// retried once before being reported lost, with the
-/// budget polled before every attempt and a seeded [`FaultPlan`]
-/// injecting panics, stalls and exhaustion per `(job, attempt)`. Never
-/// panics, never aborts: the outcome is `Complete`, `Degraded { lost
-/// }` or `Inconclusive { reason, frontier }`, and completed reports
-/// stay in job order either way. A simulation has no poll site of its
-/// own, so a deadline takes effect at the next job attempt.
+/// Every job run on the [`Pool`], keeping the full report: the
+/// identity case of [`run_matrix_map`]. Never panics, never aborts:
+/// the outcome is `Complete`, `Degraded { lost }` or `Inconclusive {
+/// reason, frontier }`, and completed reports stay in job order either
+/// way.
 pub fn run_matrix_resilient(
     jobs: &[SimJob],
     threads: usize,
     res: &MatrixResilience,
 ) -> MatrixOutcome {
+    run_matrix_map(jobs, threads, res, |r| r)
+}
+
+/// The one sweep body: every job runs on the [`Pool`] — panic-isolated,
+/// retried once before being reported lost, with the budget polled
+/// before every attempt and a seeded [`FaultPlan`] injecting panics,
+/// stalls and exhaustion per `(job, attempt)` — and its report goes to
+/// `keep` on the worker, after validation; the slot holds only what
+/// `keep` returns, so the rest of the report is dropped there. `keep`
+/// runs inside the attempt, so a panicking `keep` loses the job like a
+/// panicking simulation. A simulation has no poll site of its own, so a
+/// deadline takes effect at the next job attempt.
+pub fn run_matrix_map<T: Send>(
+    jobs: &[SimJob],
+    threads: usize,
+    res: &MatrixResilience,
+    keep: impl Fn(RunReport) -> T + Sync,
+) -> MatrixOutcome<T> {
     let run = Pool::new(EngineId::Sweep, threads)
         .budget(res.budget.as_deref())
         .faults(res.fault_plan.as_ref())
-        .run(jobs.len(), |i, _| Ok(run_job(&jobs[i])), |_: &RunReport| false);
+        .run(jobs.len(), |i, _| Ok(keep(run_job(&jobs[i]))), |_: &T| false);
     MatrixOutcome { reports: run.results, status: run.status, lost_panic: run.lost_panic }
 }
 
@@ -499,6 +520,145 @@ mod tests {
                 assert_eq!(frontier.len() + out.reports.iter().flatten().count(), jobs.len());
             }
             s => panic!("expected Inconclusive, got {s:?}"),
+        }
+    }
+
+    /// A [`Hammer`] that cancels `budget` when its first work item is
+    /// made, so on one worker every later job finds the budget tripped.
+    struct Tripwire {
+        hammer: Hammer,
+        budget: Arc<Budget>,
+    }
+    impl Kernel for Tripwire {
+        fn name(&self) -> String {
+            "tripwire".into()
+        }
+        fn blocks(&self) -> usize {
+            self.hammer.blocks()
+        }
+        fn threads_per_block(&self) -> usize {
+            self.hammer.threads_per_block()
+        }
+        fn memory_words(&self) -> usize {
+            self.hammer.memory_words()
+        }
+        fn item(&self, b: usize, t: usize) -> Box<dyn WorkItem> {
+            self.budget.cancel();
+            self.hammer.item(b, t)
+        }
+    }
+
+    fn panic_text(p: &LostPanic) -> String {
+        p.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// `run_matrix_map` and `run_matrix_resilient` over the same jobs
+    /// and policy (made fresh for each, since a budget trips once):
+    /// the same status, lost set, frontier and lost panic, and every
+    /// kept value is the full report in that slot, rendered.
+    fn map_matches_full(
+        what: &str,
+        jobs: &[SimJob],
+        threads: usize,
+        res: impl Fn() -> MatrixResilience,
+    ) {
+        let full = run_matrix_resilient(jobs, threads, &res());
+        let mapped = run_matrix_map(jobs, threads, &res(), |r| format!("{r:?}"));
+        assert_eq!(mapped.status, full.status, "{what}, t={threads}: status");
+        assert_eq!(
+            mapped.lost_panic.as_ref().map(panic_text),
+            full.lost_panic.as_ref().map(panic_text),
+            "{what}, t={threads}: lost panic"
+        );
+        let want: Vec<Option<String>> =
+            full.reports.iter().map(|r| r.as_ref().map(|r| format!("{r:?}"))).collect();
+        assert_eq!(mapped.reports, want, "{what}, t={threads}: kept values");
+    }
+
+    #[test]
+    fn the_mapped_sweep_matches_the_full_one() {
+        let hammer = hammer_matrix();
+        let mut panicking = mid_run_panic_jobs();
+        panicking.extend(broken_jobs());
+        panicking.extend(hammer.iter().cloned());
+        for threads in [1usize, 2] {
+            let none = MatrixResilience::default;
+            map_matches_full("complete", &hammer, threads, none);
+            map_matches_full("panicking jobs", &panicking, threads, none);
+            let pinned = || MatrixResilience {
+                fault_plan: Some(FaultPlan::pinned(EngineId::Sweep, 5, 2, Fault::Panic)),
+                ..MatrixResilience::default()
+            };
+            map_matches_full("pinned fault", &hammer, threads, pinned);
+            let cancelled = || {
+                let budget = Budget::unlimited();
+                budget.cancel();
+                MatrixResilience { budget: Some(Arc::new(budget)), ..MatrixResilience::default() }
+            };
+            map_matches_full("cancelled budget", &hammer, threads, cancelled);
+        }
+        // Where a seeded plan's exhaustion stops the sweep depends on
+        // scheduling at two workers, so seeded plans run on one.
+        for seed in 1..=4u64 {
+            let seeded = || MatrixResilience {
+                fault_plan: Some(FaultPlan::seeded(seed)),
+                ..MatrixResilience::default()
+            };
+            map_matches_full(&format!("seed {seed}"), &hammer, 1, seeded);
+        }
+    }
+
+    #[test]
+    fn a_budget_tripped_mid_sweep_leaves_the_same_frontier() {
+        // One worker runs the jobs in order: job 4 trips the budget, so
+        // jobs 0..=4 complete and 5.. are the frontier.
+        let run = |map: bool| {
+            let budget = Arc::new(Budget::unlimited());
+            let mut jobs = hammer_matrix();
+            jobs[4].kernel = Arc::new(Tripwire { hammer: Hammer { n: 2 }, budget: budget.clone() });
+            let res = MatrixResilience { budget: Some(budget), ..MatrixResilience::default() };
+            if map {
+                run_matrix_map(&jobs, 1, &res, |r| r.cycles)
+            } else {
+                let out = run_matrix_resilient(&jobs, 1, &res);
+                let reports = out.reports.into_iter().map(|r| r.map(|r| r.cycles)).collect();
+                MatrixOutcome { reports, status: out.status, lost_panic: out.lost_panic }
+            }
+        };
+        let (full, mapped) = (run(false), run(true));
+        match &mapped.status {
+            RunStatus::Inconclusive { reason: ExhaustReason::Cancelled, frontier } => {
+                assert_eq!(*frontier, (5..hammer_matrix().len()).collect::<Vec<_>>());
+            }
+            s => panic!("expected Inconclusive(Cancelled), got {s:?}"),
+        }
+        assert_eq!(mapped.status, full.status);
+        assert_eq!(mapped.reports, full.reports);
+        assert!(mapped.lost_panic.is_none() && full.lost_panic.is_none());
+    }
+
+    #[test]
+    fn a_panicking_keep_loses_its_job() {
+        let jobs = hammer_matrix();
+        // `keep` panics on both tries for every job of one configuration.
+        let config = jobs[2].config;
+        let lost: Vec<usize> =
+            jobs.iter().enumerate().filter(|(_, j)| j.config == config).map(|(i, _)| i).collect();
+        let full = run_matrix(&jobs, 1);
+        for threads in [1usize, 2] {
+            let out = run_matrix_map(&jobs, threads, &MatrixResilience::default(), |r| {
+                assert_ne!(r.config, config, "keep panics");
+                r.cycles
+            });
+            assert_eq!(out.status, RunStatus::Degraded { lost: lost.clone() }, "t={threads}");
+            assert!(panic_text(out.lost_panic.as_ref().expect("a lost panic")).contains("keep"));
+            for (i, kept) in out.reports.iter().enumerate() {
+                let want = (!lost.contains(&i)).then_some(full[i].cycles);
+                assert_eq!(*kept, want, "t={threads}, job {i}");
+            }
         }
     }
 

@@ -20,12 +20,14 @@ use drfrlx::cli::Subcommand;
 use drfrlx::conform::ConformResilience;
 use drfrlx::model::checker::{check_program_resilient, CheckOptions, CheckResilience};
 use drfrlx::model::emit::emit;
-use drfrlx::model::exec::{enumerate_sc, EnumLimits, Reduction};
+use drfrlx::model::exec::{
+    visit_sc, EnumError, EnumLimits, Execution, ExecutionVisitor, Reduction,
+};
 use drfrlx::model::infer::infer;
 use drfrlx::model::parse::parse;
 use drfrlx::model::pretty::{format_conflict_graph, format_execution};
 use drfrlx::model::program::Program;
-use drfrlx::model::races::RaceDetector;
+use drfrlx::model::races::{Race, RaceDetector};
 use drfrlx::model::resilience::{Budget, FaultPlan};
 use drfrlx::model::syscentric::compare_with_sc;
 use drfrlx::sim::{run_workload, SysParams};
@@ -270,30 +272,65 @@ fn cmd_check(args: &[String], pos: &[&str]) -> CmdResult {
     Ok(verdict_exit(finding, complete))
 }
 
+/// `explore`'s walk: one detector for every execution, stopping at the
+/// first racy one; until then it keeps the first longest execution.
+struct ExploreWalk {
+    detector: RaceDetector,
+    racy: Option<(Execution, Vec<Race>)>,
+    longest: Option<Execution>,
+}
+
+impl ExecutionVisitor for ExploreWalk {
+    fn visit(&mut self, e: &Execution) -> bool {
+        let a = self.detector.analyze(e);
+        if !a.is_race_free() {
+            self.racy = Some((e.clone(), a.races()));
+            return false;
+        }
+        if self.longest.as_ref().is_none_or(|l| e.len() > l.len()) {
+            self.longest = Some(e.clone());
+        }
+        true
+    }
+}
+
 fn cmd_explore(pos: &[&str]) -> CmdResult {
     let path = pos.first().ok_or("explore needs a .litmus file")?;
     let p = load_program(path)?;
-    let execs = enumerate_sc(&p, &EnumLimits::default())?;
-    println!("{}: {} SC executions", p.name(), execs.len());
-    // One detector for every execution; the racy execution shown is the
-    // first one it flags, with the races found then.
-    let mut detector = RaceDetector::for_program(&p);
-    let racy = execs.iter().find_map(|e| {
-        let a = detector.analyze(e);
-        (!a.is_race_free()).then(|| (e, a.races()))
-    });
-    let is_racy = racy.is_some();
-    let (shown, races) = racy
-        .unwrap_or_else(|| (execs.iter().max_by_key(|e| e.len()).expect("nonempty"), Vec::new()));
+    // Sleep sets explore every execution up to trace equivalence, and
+    // of equivalent executions the first in DFS order; races are
+    // trace-invariant, so the first racy execution is the one the
+    // exhaustive order reaches first.
+    let mut walk =
+        ExploreWalk { detector: RaceDetector::for_program(&p), racy: None, longest: None };
+    let stats = match visit_sc(&p, &EnumLimits::default(), false, Reduction::SleepSet, &mut walk) {
+        Err(EnumError::TooManyExecutions { limit }) => {
+            return Err(format!(
+                "more than {limit} SC executions under sleep sets; \
+                 `drfrlx check --reduction memo` checks programs this large"
+            )
+            .into())
+        }
+        r => r?,
+    };
+    let is_racy = walk.racy.is_some();
+    println!(
+        "{}: {} SC executions explored, {} pruned by partial-order reduction{}",
+        p.name(),
+        stats.explored,
+        stats.pruned,
+        if is_racy { "; stopped at the first racy one" } else { "" }
+    );
+    let (shown, races) = walk
+        .racy
+        .unwrap_or_else(|| (walk.longest.expect("every program has an execution"), Vec::new()));
     println!("\n{} execution:", if is_racy { "racy" } else { "representative" });
-    print!("{}", format_execution(&p, shown));
-    print!("{}", format_conflict_graph(&p, shown));
-    let mut any = false;
+    print!("{}", format_execution(&p, &shown));
+    print!("{}", format_conflict_graph(&p, &shown));
     for r in &races {
         println!("  !! {} between e{} and e{}", r.kind, r.a, r.b);
-        any = true;
     }
-    if !any {
+    if races.is_empty() {
         println!("no illegal races in the shown execution");
     }
     ok01(!is_racy)

@@ -78,8 +78,12 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         name: "explore",
         usage: "explore <file.litmus>",
         summary: "print a representative execution and its races",
-        help: "Print a representative execution, its program/conflict graph\n\
-               and every race found across executions.",
+        help: "Walk the SC executions with sleep-set partial-order reduction\n\
+               through one race detector, stopping at the first racy one.\n\
+               Print the explored/pruned execution counts, then that racy\n\
+               execution (or, when there is none, a longest execution), its\n\
+               program/conflict graph and its races. Exit status: 0\n\
+               race-free, 1 racy.",
     },
     Subcommand {
         name: "machine",

@@ -88,6 +88,26 @@ fn a_check_cut_short_prints_what_it_explored_and_a_status_line() {
 }
 
 #[test]
+fn explore_streams_a_program_too_large_to_materialize() {
+    // `check` finds iriw_stress race-free in 4,825 sleep-set-reduced
+    // executions; an exhaustive enumeration passes the default limit.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/litmus-tests/iriw_stress.litmus");
+    let out = drfrlx(&["explore", path]);
+    let text = stdout(&out);
+    assert_eq!(code(&out), 0, "{text}\n{}", String::from_utf8_lossy(&out.stderr));
+    assert!(text.starts_with("iriw_stress: 4825 SC executions explored, "), "{text}");
+    assert!(text.contains("representative execution:"), "{text}");
+
+    // A racy program stops at its first racy execution and exits 1.
+    let racy = litmus_file("noisy_explore.litmus", RACY);
+    let out = drfrlx(&["explore", racy.to_str().unwrap()]);
+    let text = stdout(&out);
+    assert_eq!(code(&out), 1, "{text}");
+    assert!(text.contains("stopped at the first racy one"), "{text}");
+    assert!(text.contains("racy execution:"), "{text}");
+}
+
+#[test]
 fn unknown_flags_and_missing_operands_are_rejected() {
     let clean = litmus_file("quiet_flags.litmus", RACE_FREE);
     let path = clean.to_str().unwrap();
