@@ -30,7 +30,7 @@ impl Experiment for Fig1 {
 
     fn jobs(&self) -> Vec<SimJob> {
         let params = SysParams::discrete_gpu();
-        figure1_workloads().iter().flat_map(|s| [s.job(SC, &params), s.job(RLX, &params)]).collect()
+        figure1_workloads().iter().flat_map(|s| s.jobs(&[SC, RLX], &params)).collect()
     }
 
     fn render(&self, jobs: &[SimJob], reports: &[RunReport]) -> String {

@@ -24,7 +24,7 @@ impl Experiment for Hotspots {
         let params = SysParams::integrated();
         let gd0 = SystemConfig::from_abbrev("GD0").unwrap();
         let ddr = SystemConfig::from_abbrev("DDR").unwrap();
-        all_workloads().iter().flat_map(|s| [s.job(gd0, &params), s.job(ddr, &params)]).collect()
+        all_workloads().iter().flat_map(|s| s.jobs(&[gd0, ddr], &params)).collect()
     }
 
     fn render(&self, jobs: &[SimJob], reports: &[RunReport]) -> String {

@@ -22,10 +22,9 @@ impl Experiment for Table4 {
     fn jobs(&self) -> Vec<SimJob> {
         let params = SysParams::integrated();
         let spec = microbenchmarks().into_iter().find(|s| s.name == "HG").expect("HG registered");
-        ["GD0", "GD1", "GDR"]
-            .into_iter()
-            .map(|abbrev| spec.job(SystemConfig::from_abbrev(abbrev).unwrap(), &params))
-            .collect()
+        let configs =
+            ["GD0", "GD1", "GDR"].map(|abbrev| SystemConfig::from_abbrev(abbrev).unwrap());
+        spec.jobs(&configs, &params)
     }
 
     fn render(&self, _jobs: &[SimJob], reports: &[RunReport]) -> String {

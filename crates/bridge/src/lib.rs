@@ -27,6 +27,10 @@
 //!   observation dumps, and `use_result` computed by register liveness
 //!   (an RMW whose destination is never read issues fire-and-forget,
 //!   exactly like hand-written work items pass `use_result: false`).
+//!   It is the whole-program case of [`GridBuilder`], which also takes
+//!   a grid one thread at a time, each thread its own one-thread
+//!   program lowered and dropped as soon as it is built, so a grid too
+//!   large to unroll never exists as one `Program`.
 //!
 //! ## Lowered code
 //!
@@ -69,6 +73,7 @@ pub mod templates;
 use drfrlx_core::program::{BinOp, Expr, Instr, Loc, Program, Reg, RmwOp, Thread, Value};
 use drfrlx_core::OpClass;
 use hsim_gpu::{Kernel, Op, RmwKind, WorkItem};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// An instruction operand: inline when it is a register or a constant
@@ -385,11 +390,15 @@ impl ProgramKernel {
     /// (e.g. padded to cache lines), there are no observation dumps,
     /// and each RMW's `use_result` comes from register liveness.
     ///
+    /// This is the whole-program case of [`GridBuilder`]; a grid too
+    /// large to unroll into one program builds through that instead.
+    ///
     /// # Panics
     ///
     /// Panics if the thread count is not `blocks * tpb` for some
-    /// `blocks`, if `memory_words` does not fit 32-bit addressing, or
-    /// if a location's address falls outside `memory_words`.
+    /// `blocks`, if `memory_words` does not fit 32-bit addressing, if
+    /// a location's address falls outside `memory_words`, or if two
+    /// locations at one address have different non-zero initial values.
     pub fn grid(
         p: &Program,
         tpb: usize,
@@ -410,10 +419,8 @@ impl ProgramKernel {
     ///
     /// # Panics
     ///
-    /// Panics if `layout` is empty or not a multiple of `tpb`, if an
-    /// entry indexes past the program's threads, if `memory_words`
-    /// does not fit 32-bit addressing, or if a location's address falls
-    /// outside `memory_words`.
+    /// As [`ProgramKernel::grid`], and also if `layout` is empty or an
+    /// entry indexes past the program's threads.
     pub fn grid_with_layout(
         p: &Program,
         layout: &[usize],
@@ -422,59 +429,15 @@ impl ProgramKernel {
         scratch_words: usize,
         addr_of: impl Fn(&str) -> u64,
     ) -> ProgramKernel {
-        let n = layout.len();
-        assert!(n > 0, "cannot lower a program onto an empty grid");
-        assert!(tpb > 0 && n.is_multiple_of(tpb), "grid size {n} is not a multiple of tpb {tpb}");
-        check_addressable(p.name(), memory_words);
-        let addrs: Vec<u32> = (0..p.num_locs() as u32)
-            .map(|l| {
-                let a = addr_of(p.loc_name(Loc(l)));
-                assert!(
-                    (a as usize) < memory_words,
-                    "location {} at address {a} outside memory ({memory_words} words)",
-                    p.loc_name(Loc(l))
-                );
-                a as u32
-            })
-            .collect();
-        // Lower each distinct body once, sharing its ThreadCode even
-        // when the program itself repeats bodies.
-        let threads = p.threads();
-        let mut distinct: Vec<(usize, Arc<ThreadCode>)> = Vec::new();
-        let codes: Vec<Arc<ThreadCode>> = threads
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                if let Some((_, c)) = distinct.iter().find(|(j, _)| threads[*j].instrs == t.instrs)
-                {
-                    return Arc::clone(c);
-                }
-                let c = Arc::new(ThreadCode::lower(t, &addrs, None));
-                distinct.push((i, Arc::clone(&c)));
-                c
-            })
-            .collect();
-        let cells = layout
-            .iter()
-            .map(|&i| {
-                assert!(i < codes.len(), "layout entry {i} has no program thread");
-                Arc::clone(&codes[i])
-            })
-            .collect();
-        let init = (0..p.num_locs() as u32)
-            .map(Loc)
-            .filter(|&l| p.init_value(l) != 0)
-            .map(|l| (addrs[l.0 as usize] as u64, p.init_value(l) as u64))
-            .collect();
-        ProgramKernel {
-            name: p.name().to_string(),
-            blocks: n / tpb,
-            threads_per_block: tpb,
-            memory_words,
-            scratch_words,
-            init,
-            cells,
-        }
+        let mut grid = GridBuilder::new(p.name(), tpb, memory_words, scratch_words, addr_of);
+        grid.lower(p, layout);
+        grid.finish()
+    }
+
+    /// The lowered code grid thread `(block, thread)` runs. Threads
+    /// with one body share one [`ThreadCode`].
+    pub fn code(&self, block: usize, thread: usize) -> &Arc<ThreadCode> {
+        &self.cells[block * self.threads_per_block + thread]
     }
 
     /// Per-thread dense register-file sizes.
@@ -507,6 +470,160 @@ fn check_addressable(kernel: &str, memory_words: usize) {
     );
 }
 
+/// Builds a [`ProgramKernel`] in the workload shape one grid thread at
+/// a time, so no unrolled whole-grid [`Program`] is ever held.
+///
+/// [`GridBuilder::thread`] builds the next grid thread (block-major)
+/// into its own one-thread program, places that program's locations
+/// with `addr_of`, lowers it, keeps the lowered code and the non-zero
+/// initial words, and drops the program. [`ProgramKernel::grid`] is
+/// the same builder fed one whole program, so both produce the same
+/// kernel for the same threads. Bodies are shared within one program
+/// only: a grid that repeats a body builds it once and replicates it
+/// with [`ProgramKernel::grid_with_layout`].
+///
+/// ```
+/// # use drfrlx_bridge::GridBuilder;
+/// # use drfrlx_core::{program::RmwOp, OpClass};
+/// # use hsim_gpu::Kernel;
+/// let mut grid = GridBuilder::new("bump", 2, 1, 0, |_| 0);
+/// for _ in 0..4 {
+///     grid.thread(|p| {
+///         p.thread().rmw(OpClass::Commutative, "ctr", RmwOp::FetchAdd, 1);
+///     });
+/// }
+/// let kernel = grid.finish();
+/// assert_eq!((kernel.blocks(), kernel.threads_per_block()), (2, 2));
+/// ```
+pub struct GridBuilder<A> {
+    name: String,
+    tpb: usize,
+    memory_words: usize,
+    scratch_words: usize,
+    addr_of: A,
+    /// Non-zero initial memory by address.
+    init: BTreeMap<u64, u64>,
+    /// Grid threads so far, block-major.
+    cells: Vec<Arc<ThreadCode>>,
+}
+
+impl<A: Fn(&str) -> u64> GridBuilder<A> {
+    /// An empty grid of `tpb` threads per block over `memory_words`
+    /// words of memory and `scratch_words` of scratchpad per block;
+    /// `addr_of` places a location by name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memory_words` does not fit 32-bit addressing.
+    pub fn new(
+        name: impl Into<String>,
+        tpb: usize,
+        memory_words: usize,
+        scratch_words: usize,
+        addr_of: A,
+    ) -> GridBuilder<A> {
+        let name = name.into();
+        check_addressable(&name, memory_words);
+        GridBuilder {
+            name,
+            tpb,
+            memory_words,
+            scratch_words,
+            addr_of,
+            init: BTreeMap::new(),
+            cells: Vec::new(),
+        }
+    }
+
+    /// Add the next grid thread: `build` emits exactly one thread into
+    /// a fresh program, whose locations and initial values are this
+    /// thread's alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `build` leaves other than one thread, if a location's
+    /// address falls outside memory, or if the thread gives an address
+    /// a non-zero initial value that differs from one an earlier thread
+    /// gave it.
+    pub fn thread(&mut self, build: impl FnOnce(&mut Program)) {
+        let mut p = Program::new(self.name.as_str());
+        build(&mut p);
+        assert_eq!(p.threads().len(), 1, "a grid thread is a one-thread program");
+        self.lower(&p, &[0]);
+    }
+
+    /// Lower each distinct body of `p` once and append one grid thread
+    /// per `layout` entry, running program thread `layout[i]`.
+    fn lower(&mut self, p: &Program, layout: &[usize]) {
+        let memory_words = self.memory_words;
+        let addrs: Vec<u32> = (0..p.num_locs() as u32)
+            .map(|l| {
+                let a = (self.addr_of)(p.loc_name(Loc(l)));
+                assert!(
+                    (a as usize) < memory_words,
+                    "location {} at address {a} outside memory ({memory_words} words)",
+                    p.loc_name(Loc(l))
+                );
+                a as u32
+            })
+            .collect();
+        for (l, &a) in addrs.iter().enumerate() {
+            let v = p.init_value(Loc(l as u32)) as u64;
+            if v == 0 {
+                continue;
+            }
+            let old = *self.init.entry(a.into()).or_insert(v);
+            assert!(
+                old == v,
+                "kernel {}: address {a} initialised to both {old} and {v}",
+                self.name
+            );
+        }
+        // Lower each distinct body once, sharing its ThreadCode even
+        // when the program itself repeats bodies.
+        let threads = p.threads();
+        let mut distinct: Vec<(usize, Arc<ThreadCode>)> = Vec::new();
+        let codes: Vec<Arc<ThreadCode>> = threads
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                if let Some((_, c)) = distinct.iter().find(|(j, _)| threads[*j].instrs == t.instrs)
+                {
+                    return Arc::clone(c);
+                }
+                let c = Arc::new(ThreadCode::lower(t, &addrs, None));
+                distinct.push((i, Arc::clone(&c)));
+                c
+            })
+            .collect();
+        self.cells.extend(layout.iter().map(|&i| {
+            assert!(i < codes.len(), "layout entry {i} has no program thread");
+            Arc::clone(&codes[i])
+        }));
+    }
+
+    /// The finished kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no thread was added, or if the thread count is not a
+    /// multiple of `tpb`.
+    pub fn finish(self) -> ProgramKernel {
+        let (n, tpb) = (self.cells.len(), self.tpb);
+        assert!(n > 0, "cannot lower a program onto an empty grid");
+        assert!(tpb > 0 && n.is_multiple_of(tpb), "grid size {n} is not a multiple of tpb {tpb}");
+        ProgramKernel {
+            name: self.name,
+            blocks: n / tpb,
+            threads_per_block: tpb,
+            memory_words: self.memory_words,
+            scratch_words: self.scratch_words,
+            init: self.init.into_iter().collect(),
+            cells: self.cells,
+        }
+    }
+}
+
 impl Kernel for ProgramKernel {
     fn name(&self) -> String {
         self.name.clone()
@@ -535,8 +652,7 @@ impl Kernel for ProgramKernel {
     }
 
     fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
-        let code = Arc::clone(&self.cells[block * self.threads_per_block + thread]);
-        Box::new(ProgramItem::new(code))
+        Box::new(ProgramItem::new(Arc::clone(self.code(block, thread))))
     }
 }
 
@@ -897,6 +1013,42 @@ mod tests {
         let mut p = Program::new("huge");
         p.thread().store(OpClass::Data, "x", 1);
         ProgramKernel::grid(&p.build(), 1, usize::MAX, 0, |_| 0);
+    }
+
+    #[test]
+    fn repeated_bodies_share_one_lowered_code() {
+        let mut p = Program::new("repeat");
+        for loc in ["x", "y", "x"] {
+            p.thread().rmw(OpClass::Commutative, loc, RmwOp::FetchAdd, 1);
+        }
+        let k = ProgramKernel::grid(&p.build(), 3, 2, 0, |n| u64::from(n == "y"));
+        assert!(Arc::ptr_eq(k.code(0, 0), k.code(0, 2)));
+        assert!(!Arc::ptr_eq(k.code(0, 0), k.code(0, 1)));
+    }
+
+    /// Two grid threads, each a one-thread program that stores to `x`
+    /// with `x` initialised to `inits[i]`, every location at word 3.
+    fn two_initialising_threads(inits: [Value; 2]) -> ProgramKernel {
+        let mut grid = GridBuilder::new("init", 2, 4, 0, |_| 3);
+        for v in inits {
+            grid.thread(|p| {
+                p.thread().store(OpClass::Data, "x", 1);
+                p.set_init("x", v);
+            });
+        }
+        grid.finish()
+    }
+
+    #[test]
+    fn threads_may_repeat_an_initial_value() {
+        let k = two_initialising_threads([5, 5]);
+        assert_eq!(k.init, vec![(3, 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel init: address 3 initialised to both 5 and 6")]
+    fn threads_that_disagree_on_an_initial_value_panic() {
+        two_initialising_threads([5, 6]);
     }
 
     /// SplitMix64, for the seeded evaluator test.

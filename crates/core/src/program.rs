@@ -348,8 +348,8 @@ pub struct Program {
     name: String,
     threads: Vec<Thread>,
     locs: Vec<String>,
-    /// Name → index of `locs`, so interning stays O(log n) even for
-    /// grid-scale programs with tens of thousands of locations.
+    /// Name → index of `locs`: interning is O(log n) in the locations
+    /// named so far (grid kernels build one program per grid thread).
     loc_index: BTreeMap<String, u32>,
     init: BTreeMap<Loc, Value>,
 }

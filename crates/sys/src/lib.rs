@@ -28,8 +28,8 @@ pub use backend::CoherenceBackend;
 pub use config::SysParams;
 pub use run::{run_workload, run_workload_traced, total_ratio, RunReport};
 pub use sweep::{
-    default_threads, extended_config_jobs, run_matrix, run_matrix_map, run_matrix_resilient,
-    six_config_jobs, MatrixOutcome, MatrixResilience, SimJob,
+    config_jobs, default_threads, extended_config_jobs, run_matrix, run_matrix_map,
+    run_matrix_resilient, six_config_jobs, MatrixOutcome, MatrixResilience, SimJob,
 };
 
 pub use drfrlx_core::{MemoryModel, Protocol, SystemConfig};

@@ -94,7 +94,7 @@ pub fn six_config_jobs(
     params: &SysParams,
     validate: bool,
 ) -> Vec<SimJob> {
-    row_jobs(workload, kernel, &SystemConfig::all(), params, validate)
+    config_jobs(workload, kernel, &SystemConfig::all(), params, validate)
 }
 
 /// The jobs for one workload under all nine configurations — the paper
@@ -106,11 +106,12 @@ pub fn extended_config_jobs(
     params: &SysParams,
     validate: bool,
 ) -> Vec<SimJob> {
-    row_jobs(workload, kernel, &SystemConfig::extended(), params, validate)
+    config_jobs(workload, kernel, &SystemConfig::extended(), params, validate)
 }
 
-/// One job per configuration, all sharing one copy of `params`.
-fn row_jobs(
+/// One job per configuration, in `configs` order, all sharing `kernel`
+/// and one copy of `params`.
+pub fn config_jobs(
     workload: &str,
     kernel: Arc<dyn Kernel>,
     configs: &[SystemConfig],

@@ -140,6 +140,11 @@ mod tests {
     }
 
     #[test]
+    fn workers_share_one_lowered_body() {
+        crate::micro::assert_one_body_beside_thread_zero(&Flags::new(3, 4, 8, 16).kernel);
+    }
+
+    #[test]
     fn workers_terminate_via_stop_not_poll_cap() {
         // With a long cap and a short delay, workers should exit from
         // seeing the stop flag well before the cap.

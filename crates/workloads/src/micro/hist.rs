@@ -14,14 +14,20 @@
 //!
 //! All three are instantiations of the `hist` templates in
 //! [`drfrlx_bridge::templates`] (the scratch/barrier/merge shape, the
-//! global-RMW shape, the non-ordering read walk), lowered through
-//! [`ProgramKernel::grid`]. The per-value bin assignment stays here —
-//! the templates take it as a closure — so the kernels share their
-//! `expected()` oracle with the emitted programs by construction.
+//! global-RMW shape, the non-ordering read walk). The per-value bin
+//! assignment stays here — the templates take it as a closure — so the
+//! kernels share their `expected()` oracle with the emitted programs by
+//! construction.
+//!
+//! Each grid thread is emitted into its own one-thread program and
+//! lowered at once by [`GridBuilder`], so no code holds the unrolled
+//! grid: the full-size H would be ~500k instructions over 122,880
+//! input locations. The tests pin the result to [`ProgramKernel::grid`]
+//! on the whole program.
 
 use crate::util::SplitMix64;
 use drfrlx_bridge::templates::hist;
-use drfrlx_bridge::ProgramKernel;
+use drfrlx_bridge::{GridBuilder, ProgramKernel};
 use drfrlx_core::program::Program;
 use drfrlx_core::OpClass;
 use hsim_gpu::{Kernel, Value, WorkItem};
@@ -124,18 +130,18 @@ impl Hist {
         let seed = params.seed;
         let bins = params.bins;
         let bin_of = move |b: usize, t: usize, i: usize| input_of(seed, b, t, i, bins) as usize;
-        let mut p = Program::new("H");
-        for block in 0..params.blocks {
-            for thread in 0..params.tpb {
-                let t = hist::local_thread(&mut p, &shape, block, thread, &bin_of);
-                p.push_thread(t);
-            }
-        }
-        let p = p.build();
         let memory = params.bins + params.blocks * params.tpb * params.per_thread;
         let scratch = params.tpb * params.bins;
-        let kernel = ProgramKernel::grid(&p, params.tpb, memory, scratch, params.addr_of());
-        Hist { params, kernel }
+        let mut grid = GridBuilder::new("H", params.tpb, memory, scratch, params.addr_of());
+        for block in 0..params.blocks {
+            for thread in 0..params.tpb {
+                grid.thread(|p| {
+                    let t = hist::local_thread(p, &shape, block, thread, &bin_of);
+                    p.push_thread(t);
+                });
+            }
+        }
+        Hist { params, kernel: grid.finish() }
     }
 }
 
@@ -202,17 +208,17 @@ impl HistGlobal {
         let seed = params.seed;
         let bins = params.bins;
         let bin_of = move |b: usize, t: usize, i: usize| input_of(seed, b, t, i, bins) as usize;
-        let mut p = Program::new("HG");
+        let memory = params.bins + params.blocks * params.tpb * params.per_thread;
+        let mut grid = GridBuilder::new("HG", params.tpb, memory, 0, params.addr_of());
         for block in 0..params.blocks {
             for thread in 0..params.tpb {
-                let t = hist::global_thread(&mut p, &shape, block, thread, update_class, &bin_of);
-                p.push_thread(t);
+                grid.thread(|p| {
+                    let t = hist::global_thread(p, &shape, block, thread, update_class, &bin_of);
+                    p.push_thread(t);
+                });
             }
         }
-        let p = p.build();
-        let memory = params.bins + params.blocks * params.tpb * params.per_thread;
-        let kernel = ProgramKernel::grid(&p, params.tpb, memory, 0, params.addr_of());
-        HistGlobal { params, update_class, kernel }
+        HistGlobal { params, update_class, kernel: grid.finish() }
     }
 }
 
@@ -271,17 +277,26 @@ impl HistGlobalNonOrder {
     /// non-ordering atomic loads (the update phase is excluded).
     pub fn new(params: HistParams) -> HistGlobalNonOrder {
         let threads = params.blocks * params.tpb;
-        let mut p = Program::new("HG-NO");
+        let mut grid = GridBuilder::new("HG-NO", params.tpb, params.bins, 0, params.addr_of());
         for gid in 0..threads {
-            let t = hist::nonorder_thread(&mut p, params.bins, params.per_thread, gid, threads);
-            p.push_thread(t);
+            grid.thread(|p| {
+                let t = hist::nonorder_thread(p, params.bins, params.per_thread, gid, threads);
+                p.push_thread(t);
+                // The first thread's program carries the table's
+                // initial values, read or not.
+                if gid == 0 {
+                    init_table(p, params.bins);
+                }
+            });
         }
-        for j in 0..params.bins {
-            p.set_init(&format!("b{j}"), (j % 7 + 1) as i64);
-        }
-        let p = p.build();
-        let kernel = ProgramKernel::grid(&p, params.tpb, params.bins, 0, params.addr_of());
-        HistGlobalNonOrder { params, kernel }
+        HistGlobalNonOrder { params, kernel: grid.finish() }
+    }
+}
+
+/// HG-NO's pre-populated table: bin `j` holds `j % 7 + 1`.
+fn init_table(p: &mut Program, bins: usize) {
+    for j in 0..bins {
+        p.set_init(&format!("b{j}"), (j % 7 + 1) as i64);
     }
 }
 
@@ -329,6 +344,119 @@ mod tests {
 
     fn small() -> HistParams {
         HistParams { bins: 32, per_thread: 8, blocks: 4, tpb: 4, seed: 1 }
+    }
+
+    /// The three histograms lowered the other way: every thread into
+    /// one whole program, then [`ProgramKernel::grid`].
+    fn whole_program(name: &str, params: &HistParams) -> ProgramKernel {
+        let (seed, bins) = (params.seed, params.bins);
+        let bin_of = move |b: usize, t: usize, i: usize| input_of(seed, b, t, i, bins) as usize;
+        let shape = |merge_class| hist::Shape {
+            bins,
+            per_thread: params.per_thread,
+            tpb: params.tpb,
+            merge_class,
+        };
+        let threads = params.blocks * params.tpb;
+        let inputs = bins + threads * params.per_thread;
+        let mut p = Program::new(name);
+        for gid in 0..threads {
+            let (block, thread) = (gid / params.tpb, gid % params.tpb);
+            let t = match name {
+                "H" => {
+                    hist::local_thread(&mut p, &shape(OpClass::Commutative), block, thread, &bin_of)
+                }
+                "HG" => hist::global_thread(
+                    &mut p,
+                    &shape(OpClass::Commutative),
+                    block,
+                    thread,
+                    OpClass::Commutative,
+                    &bin_of,
+                ),
+                _ => hist::nonorder_thread(&mut p, bins, params.per_thread, gid, threads),
+            };
+            p.push_thread(t);
+        }
+        let (memory, scratch) = match name {
+            "H" => (inputs, params.tpb * bins),
+            "HG" => (inputs, 0),
+            _ => {
+                init_table(&mut p, bins);
+                (bins, 0)
+            }
+        };
+        ProgramKernel::grid(&p.build(), params.tpb, memory, scratch, params.addr_of())
+    }
+
+    /// The three kernels as built thread by thread.
+    fn thread_by_thread(params: &HistParams) -> [(&'static str, ProgramKernel); 3] {
+        [
+            ("H", Hist::new(params.clone()).kernel),
+            ("HG", HistGlobal::new(params.clone(), OpClass::Commutative).kernel),
+            ("HG-NO", HistGlobalNonOrder::new(params.clone()).kernel),
+        ]
+    }
+
+    /// FNV-1a over `k`'s `Debug` text as it is written, so a full-size
+    /// kernel's text is never held whole.
+    fn debug_digest(k: &ProgramKernel) -> u64 {
+        use std::fmt::Write as _;
+        struct Fnv(u64);
+        impl std::fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for b in s.bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                }
+                Ok(())
+            }
+        }
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        write!(h, "{k:?}").unwrap();
+        h.0
+    }
+
+    #[test]
+    fn thread_by_thread_lowering_equals_the_whole_program_lowering() {
+        let shapes = [
+            small(),
+            HistParams { bins: 16, per_thread: 5, blocks: 3, tpb: 2, seed: 7 },
+            HistParams { bins: 64, per_thread: 3, blocks: 2, tpb: 8, seed: 0xD1CE },
+        ];
+        for params in shapes {
+            for (name, k) in thread_by_thread(&params) {
+                let whole = whole_program(name, &params);
+                assert_eq!(format!("{k:?}"), format!("{whole:?}"), "{name} {params:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn thread_by_thread_kernels_run_like_the_whole_program_ones() {
+        let params = SysParams::integrated();
+        for (name, k) in thread_by_thread(&small()) {
+            let whole = whole_program(name, &small());
+            for cfg in SystemConfig::all() {
+                let (a, b) = (run_workload(&k, cfg, &params), run_workload(&whole, cfg, &params));
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{name} under {cfg}");
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "full-size H; run explicitly in release"]
+    fn registry_h_lowers_thread_by_thread_like_the_whole_program() {
+        let params = HistParams { per_thread: 256, ..HistParams::default() };
+        let k = Hist::new(params.clone()).kernel;
+        let registry = crate::microbenchmarks().into_iter().find(|s| s.name == "H").unwrap();
+        let h = registry.kernel();
+        assert_eq!(
+            (h.blocks(), h.threads_per_block(), h.memory_words(), h.scratch_words()),
+            (k.blocks(), k.threads_per_block(), k.memory_words(), k.scratch_words()),
+            "the registry's H has this shape"
+        );
+        drop(h);
+        assert_eq!(debug_digest(&k), debug_digest(&whole_program("H", &params)));
     }
 
     #[test]

@@ -166,6 +166,12 @@ mod tests {
     }
 
     #[test]
+    fn readers_share_one_lowered_body() {
+        let k = Seqlocks::new(true, 3, 4, 3, 4, 4, 16);
+        crate::micro::assert_one_body_beside_thread_zero(&k.kernel);
+    }
+
+    #[test]
     fn relaxed_speculative_loads_help() {
         let k = Seqlocks::default();
         let params = SysParams::integrated();

@@ -10,7 +10,7 @@ use crate::pagerank::PageRank;
 use crate::uts::Uts;
 use drfrlx_core::{OpClass, SystemConfig};
 use hsim_gpu::Kernel;
-use hsim_sys::{six_config_jobs, SimJob, SysParams};
+use hsim_sys::{config_jobs, SimJob, SysParams};
 use std::sync::Arc;
 
 /// One row of Table 3.
@@ -42,15 +42,23 @@ impl WorkloadSpec {
         Arc::from(self.kernel())
     }
 
-    /// One validated simulation job for this workload.
+    /// One validated simulation job for this workload. Every call
+    /// builds a fresh kernel; jobs for several configurations of one
+    /// workload come from [`WorkloadSpec::jobs`], which builds it once.
     pub fn job(&self, config: SystemConfig, params: &SysParams) -> SimJob {
         SimJob::new(self.name, self.shared_kernel(), config, params)
     }
 
-    /// Validated jobs for this workload under all six paper
-    /// configurations (GD0..DDR), sharing one kernel instance.
+    /// Validated jobs for this workload under each of `configs`, in
+    /// that order, sharing one kernel instance.
+    pub fn jobs(&self, configs: &[SystemConfig], params: &SysParams) -> Vec<SimJob> {
+        config_jobs(self.name, self.shared_kernel(), configs, params, true)
+    }
+
+    /// [`WorkloadSpec::jobs`] under all six paper configurations
+    /// (GD0..DDR).
     pub fn six_jobs(&self, params: &SysParams) -> Vec<SimJob> {
-        six_config_jobs(self.name, self.shared_kernel(), params, true)
+        self.jobs(&SystemConfig::all(), params)
     }
 }
 
