@@ -62,7 +62,7 @@ pub fn report_row(experiment: &str, job: &SimJob, r: &RunReport, base: &RunRepor
         .str("experiment", experiment)
         .str("workload", &job.workload)
         .str("config", r.config.abbrev())
-        .str("platform", &r.platform)
+        .str("platform", &job.params.name)
         .u64("cycles", r.cycles)
         .f64("normalized_time", r.normalized_time(base))
         .f64("energy_total", e.total())
@@ -109,8 +109,8 @@ pub fn rows_by_workload(jobs: &[SimJob], reports: &[RunReport]) -> Vec<(String, 
     let mut rows: Vec<(String, Vec<RunReport>)> = Vec::new();
     for (job, report) in jobs.iter().zip(reports) {
         match rows.last_mut() {
-            Some((name, row)) if *name == job.workload => row.push(report.clone()),
-            _ => rows.push((job.workload.clone(), vec![report.clone()])),
+            Some((name, row)) if **name == *job.workload => row.push(report.clone()),
+            _ => rows.push((job.workload.to_string(), vec![report.clone()])),
         }
     }
     rows

@@ -35,7 +35,7 @@ impl Experiment for Coalescing {
             .flat_map(|(name, kernel)| {
                 [(format!("{name}+coal"), &on), (format!("{name}-coal"), &off)].into_iter().map(
                     move |(workload, params)| SimJob {
-                        workload,
+                        workload: workload.into(),
                         kernel: Arc::clone(&kernel),
                         config: ddr,
                         params: Arc::clone(params),

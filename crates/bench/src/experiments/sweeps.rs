@@ -93,9 +93,9 @@ impl Experiment for Contexts {
                     drfrlx_core::OpClass::Commutative,
                 );
                 let kernel: Arc<dyn hsim_gpu::Kernel> = Arc::new(k);
-                let workload = format!("HG-c{contexts}");
+                let workload: Arc<str> = format!("HG-c{contexts}").into();
                 [gd1, gdr].into_iter().map(move |config| SimJob {
-                    workload: workload.clone(),
+                    workload: Arc::clone(&workload),
                     kernel: Arc::clone(&kernel),
                     config,
                     params: Arc::clone(&params),

@@ -68,7 +68,7 @@ fn figure_grids_cover_the_registered_workloads() {
         drfrlx_workloads::benchmarks().iter().map(|s| s.name.to_string()).collect();
     for (id, expect) in [("fig3", micro), ("fig4", bench)] {
         let jobs = find(id).unwrap().jobs();
-        let rows: Vec<String> = jobs.chunks(6).map(|row| row[0].workload.clone()).collect();
+        let rows: Vec<String> = jobs.chunks(6).map(|row| row[0].workload.to_string()).collect();
         assert_eq!(rows, expect, "{id}: workload rows diverge from the registry");
     }
 }

@@ -144,7 +144,13 @@ const _: () = assert!(std::mem::size_of::<Node>() == 8);
 const _: () = assert!(std::mem::size_of::<Insn>() <= 28);
 
 /// One lowered program thread, shared by every work item that runs it.
+///
+/// Aligned to two cache lines, so the `Arc` counts that every work
+/// item's clone and drop write sit apart from the code and arena
+/// headers that `next` reads on another worker, also under adjacent-line
+/// prefetch (`align(128)` read 4 % above `align(64)` on `conform_fuzz`).
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct ThreadCode {
     code: Vec<Insn>,
     /// Postfix arena the `Operand::Expr` runs index.
@@ -668,7 +674,7 @@ pub struct ProgramItem {
     /// The register file (`0..reg_count`, zero-initialised: a register
     /// never written reads 0, like the axiomatic enumerator's
     /// [`Expr::eval_slice`]) followed by the evaluation stack.
-    file: Vec<Value>,
+    file: File,
     pc: usize,
     /// Register awaiting the value delivered as `last`.
     pending: Option<Reg>,
@@ -676,60 +682,83 @@ pub struct ProgramItem {
     dumped: usize,
 }
 
+/// Register-file words a [`ProgramItem`] holds in its own box, so the
+/// item is one allocation. Every thread of the conformance corpora
+/// fits: the largest, the seqlock-retry template's reader, has 16
+/// registers and a three-word stack.
+const INLINE_FILE: usize = 19;
+
+/// A register file: inline when registers plus stack fit
+/// [`INLINE_FILE`] words, else on the heap.
+enum File {
+    Inline([Value; INLINE_FILE]),
+    Heap(Vec<Value>),
+}
+
 impl ProgramItem {
     /// A fresh item at the top of `code`.
     pub fn new(code: Arc<ThreadCode>) -> ProgramItem {
-        let file = vec![0; code.reg_count + code.depth];
+        let words = code.reg_count + code.depth;
+        let file = if words <= INLINE_FILE {
+            File::Inline([0; INLINE_FILE])
+        } else {
+            File::Heap(vec![0; words])
+        };
         ProgramItem { code, file, pc: 0, pending: None, dumped: 0 }
     }
 }
 
 impl WorkItem for ProgramItem {
     fn next(&mut self, last: Option<u64>) -> Op {
-        if let Some(dst) = self.pending.take() {
+        let ProgramItem { code, file, pc, pending, dumped } = self;
+        let file: &mut [Value] = match file {
+            File::Inline(words) => words,
+            File::Heap(words) => words,
+        };
+        if let Some(dst) = pending.take() {
             let v = last.expect("memory op with a destination returns a value");
-            self.file[dst.0 as usize] = v as Value;
+            file[dst.0 as usize] = v as Value;
         }
-        let code = &*self.code;
-        while let Some(&insn) = code.code.get(self.pc) {
-            self.pc += 1;
+        let code = &**code;
+        while let Some(&insn) = code.code.get(*pc) {
+            *pc += 1;
             match insn {
                 Insn::Marker => {}
                 Insn::Assign { dst, val } => {
-                    self.file[dst.0 as usize] = code.eval(val, &mut self.file);
+                    file[dst.0 as usize] = code.eval(val, file);
                 }
                 Insn::JumpIfZero { cond, skip } => {
-                    if code.eval(cond, &mut self.file) == 0 {
-                        self.pc += skip as usize;
+                    if code.eval(cond, file) == 0 {
+                        *pc += skip as usize;
                     }
                 }
                 Insn::Think(cycles) => return Op::Think(cycles),
                 Insn::Barrier => return Op::Barrier,
                 Insn::ScratchLoad { addr, dst } => {
-                    self.pending = Some(dst);
-                    return Op::ScratchLoad { addr: code.eval(addr, &mut self.file) as u64 };
+                    *pending = Some(dst);
+                    return Op::ScratchLoad { addr: code.eval(addr, file) as u64 };
                 }
                 Insn::ScratchStore { addr, val } => {
                     return Op::ScratchStore {
-                        addr: code.eval(addr, &mut self.file) as u64,
-                        value: code.eval(val, &mut self.file) as u64,
+                        addr: code.eval(addr, file) as u64,
+                        value: code.eval(val, file) as u64,
                     };
                 }
                 Insn::Load { class, addr, dst } => {
-                    self.pending = Some(dst);
+                    *pending = Some(dst);
                     return Op::Load { addr: addr.into(), class };
                 }
                 Insn::Store { class, addr, val } => {
                     return Op::Store {
                         addr: addr.into(),
-                        value: code.eval(val, &mut self.file) as u64,
+                        value: code.eval(val, file) as u64,
                         class,
                     };
                 }
                 Insn::Rmw { class, op, addr, operand, operand2, dst } => {
-                    let k = code.eval(operand, &mut self.file);
-                    let k2 = code.eval(operand2, &mut self.file);
-                    self.pending = dst;
+                    let k = code.eval(operand, file);
+                    let k2 = code.eval(operand2, file);
+                    *pending = dst;
                     return Op::Rmw {
                         addr: addr.into(),
                         rmw: lower_rmw(op, k2),
@@ -745,12 +774,12 @@ impl WorkItem for ProgramItem {
         // thread-private words — racing with nothing, invisible to
         // other threads.
         if let Some(base) = code.obs_base {
-            if self.dumped < code.reg_count {
-                let r = self.dumped;
-                self.dumped += 1;
+            if *dumped < code.reg_count {
+                let r = *dumped;
+                *dumped += 1;
                 return Op::Store {
                     addr: base + r as u64,
-                    value: self.file[r] as u64,
+                    value: file[r] as u64,
                     class: OpClass::Data,
                 };
             }

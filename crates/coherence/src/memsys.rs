@@ -48,7 +48,7 @@ impl AccessKind {
 
 /// Memory-system configuration (paper Table 2 defaults live in
 /// `hsim-sys`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemSysParams {
     /// Words per cache line.
     pub line_words: u64,
@@ -111,6 +111,69 @@ impl MemSysParams {
             dram: DramParams::default(),
             atomic_coalescing: true,
         }
+    }
+}
+
+impl Clone for MemSysParams {
+    fn clone(&self) -> MemSysParams {
+        MemSysParams {
+            line_words: self.line_words,
+            num_cus: self.num_cus,
+            cu_nodes: self.cu_nodes.clone(),
+            l1: self.l1.clone(),
+            l1_hit_latency: self.l1_hit_latency,
+            l1_mshrs: self.l1_mshrs,
+            store_buffer: self.store_buffer,
+            l2_banks: self.l2_banks,
+            l2_bank: self.l2_bank.clone(),
+            l2_latency: self.l2_latency,
+            l2_occupancy: self.l2_occupancy,
+            ctl_flits: self.ctl_flits,
+            data_flits: self.data_flits,
+            noc: self.noc.clone(),
+            dram: self.dram.clone(),
+            atomic_coalescing: self.atomic_coalescing,
+        }
+    }
+
+    /// Field by field, so a machine reset to unchanged geometry
+    /// ([`MemorySystem::reset`]) reuses `cu_nodes`' storage; a derived
+    /// `clone_from` would allocate a new one.
+    fn clone_from(&mut self, source: &MemSysParams) {
+        let MemSysParams {
+            line_words,
+            num_cus,
+            cu_nodes,
+            l1,
+            l1_hit_latency,
+            l1_mshrs,
+            store_buffer,
+            l2_banks,
+            l2_bank,
+            l2_latency,
+            l2_occupancy,
+            ctl_flits,
+            data_flits,
+            noc,
+            dram,
+            atomic_coalescing,
+        } = self;
+        *line_words = source.line_words;
+        *num_cus = source.num_cus;
+        cu_nodes.clone_from(&source.cu_nodes);
+        l1.clone_from(&source.l1);
+        *l1_hit_latency = source.l1_hit_latency;
+        *l1_mshrs = source.l1_mshrs;
+        *store_buffer = source.store_buffer;
+        *l2_banks = source.l2_banks;
+        l2_bank.clone_from(&source.l2_bank);
+        *l2_latency = source.l2_latency;
+        *l2_occupancy = source.l2_occupancy;
+        *ctl_flits = source.ctl_flits;
+        *data_flits = source.data_flits;
+        noc.clone_from(&source.noc);
+        dram.clone_from(&source.dram);
+        *atomic_coalescing = source.atomic_coalescing;
     }
 }
 

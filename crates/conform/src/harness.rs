@@ -142,18 +142,18 @@ impl ConformReport {
 /// schedule-minor, in `opts.configs` order. [`report_from_runs`]
 /// expects reports in exactly this order. Each schedule's platform is
 /// derived once and shared by its job in every configuration, and
-/// every job is named after the program.
+/// every job shares one label, the program's name.
 pub fn conform_jobs(shape: &CompiledLitmus, opts: &ConformOptions) -> Vec<SimJob> {
     let kernel: Arc<dyn hsim_gpu::Kernel> = Arc::new(shape.clone());
     let base = SysParams::integrated();
     let schedules: Vec<Arc<SysParams>> = (0..opts.schedules.max(1))
         .map(|s| Arc::new(schedule_params(&base, opts.seed, s)))
         .collect();
-    let name = shape.program.name();
+    let name: Arc<str> = shape.program.name().into();
     let mut jobs = Vec::with_capacity(opts.configs.len() * schedules.len());
     for &config in &opts.configs {
         jobs.extend(schedules.iter().map(|params| SimJob {
-            workload: name.to_string(),
+            workload: Arc::clone(&name),
             kernel: Arc::clone(&kernel),
             config,
             params: Arc::clone(params),
@@ -476,7 +476,8 @@ mod tests {
                 assert_eq!(job.config, config, "job {}", c * per + s);
                 assert!(!job.validate);
                 assert!(job.trace.is_none());
-                assert_eq!(job.workload, shape.program.name());
+                assert_eq!(&*job.workload, shape.program.name());
+                assert!(Arc::ptr_eq(&job.workload, &jobs[0].workload), "one shared label");
                 assert_eq!(format!("{:?}", job.params), want, "config {config}, schedule {s}");
                 // One allocation per schedule, not one clone per job.
                 assert!(Arc::ptr_eq(&job.params, &jobs[s].params), "config {config}, schedule {s}");

@@ -15,22 +15,31 @@
 //! a ready cycle must stay below 2^44 (checked on every push); either
 //! violation panics rather than mis-scheduling.
 //!
-//! Launch state is flat: apart from one boxed work item per context, a
-//! launch allocates a fixed handful of vectors however many blocks the
-//! kernel has. Blocks go to CUs round-robin, so CU `c` runs blocks
-//! `c, c + num_cus, …` and needs only the index of its next block. A
-//! block's contexts launch together and are contiguous in the context
-//! table, so a block is its first context's index. Every block's
-//! scratchpad lives in one `blocks × scratch_words` array, and a
-//! scratch address past the block's own words panics rather than
-//! reaching a neighbour's. The context table and the ready heap are
-//! sized up front.
+//! Launch state is flat, and a run allocates only its work items (one
+//! box per context) and the memory image it returns. Blocks go to CUs
+//! round-robin, so CU `c` runs blocks `c, c + num_cus, …` and needs
+//! only the index of its next block. A block's contexts launch
+//! together and are contiguous in the context table, so a block is its
+//! first context's index. Every block's scratchpad lives in one
+//! `blocks × scratch_words` array, and a scratch address past the
+//! block's own words panics rather than reaching a neighbour's.
+//!
+//! The context table, the ready heap, the issue ports, the block
+//! indices, the scratch array and the contexts' outstanding-atomic
+//! windows belong to the thread, not the run: each thread keeps one
+//! set between runs and resets it in place (zeroing scratch to the new
+//! size), the way `hsim-sys` keeps one memory system per thread. A run
+//! takes the set out of its thread-local slot and puts it back only
+//! when it returns, with the context table emptied so the work items
+//! drop, so a run that panics drops the set and the thread's next run
+//! starts from an empty one.
 
 use crate::consistency::{AccessActions, ConsistencyPolicy, DrfPolicy};
 use crate::ir::{Kernel, Op, WorkItem};
 use crate::{Addr, Cycle, Value};
 use drfrlx_core::MemoryModel;
 use hsim_trace::{EventKind, NoTrace, Trace, TraceEvent};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -201,15 +210,17 @@ const MAX_CONTEXTS: usize = 1 << CTX_BITS;
 /// consumed at most once, so the heap never holds stale entries for a
 /// context that was rescheduled; the state check on pop is a cheap
 /// invariant guard, not a lazy-deletion scheme.
+#[derive(Default)]
 struct HeapQueue {
     heap: BinaryHeap<Reverse<u64>>,
 }
 
 impl HeapQueue {
-    /// An empty queue with room for `contexts` entries: the most that
-    /// can be ready at once is every resident context.
-    fn with_capacity(contexts: usize) -> HeapQueue {
-        HeapQueue { heap: BinaryHeap::with_capacity(contexts) }
+    /// Empty the queue and make room for `contexts` entries: the most
+    /// that can be ready at once is every resident context.
+    fn reset(&mut self, contexts: usize) {
+        self.heap.clear();
+        self.heap.reserve(contexts);
     }
 
     /// Note that context `ctx` became `Ready(at)`. `ctx` fits in
@@ -238,6 +249,62 @@ impl HeapQueue {
         }
         None
     }
+}
+
+/// A run's launch state apart from its work items and memory image
+/// (see the module doc): one per thread, reset in place by each run.
+#[derive(Default)]
+struct Launch {
+    /// Contexts in launch order; block `b` owns `tpb` of them from
+    /// `block_first[b]`.
+    ctxs: Vec<Ctx>,
+    ready: HeapQueue,
+    /// One issue port per CU.
+    ports: Vec<IssuePort>,
+    /// `next_block[c]`: the next block CU `c` launches.
+    next_block: Vec<usize>,
+    /// Index of each launched block's first context.
+    block_first: Vec<usize>,
+    /// Every block's scratchpad, block-major.
+    scratch: Vec<Value>,
+    /// Empty outstanding-atomic windows of earlier runs' contexts,
+    /// handed to new contexts so an overlapping context reuses one.
+    windows: Vec<Vec<Cycle>>,
+}
+
+impl Launch {
+    /// Return to the state a run of `blocks` blocks of `tpb` contexts
+    /// with `scratch_words` per block on `num_cus` CUs starts from,
+    /// keeping every vector's storage. `resident` bounds the contexts
+    /// ready at once.
+    fn reset(
+        &mut self,
+        blocks: usize,
+        tpb: usize,
+        scratch_words: usize,
+        num_cus: usize,
+        resident: usize,
+    ) {
+        // `windows` carries over as it is: every window in it is empty.
+        let Launch { ctxs, ready, ports, next_block, block_first, scratch, windows: _ } = self;
+        ctxs.clear();
+        ctxs.reserve(blocks * tpb);
+        ready.reset(resident);
+        ports.clear();
+        ports.resize(num_cus, IssuePort::default());
+        next_block.clear();
+        next_block.extend(0..num_cus);
+        block_first.clear();
+        block_first.resize(blocks, 0);
+        scratch.clear();
+        scratch.resize(blocks * scratch_words, 0);
+    }
+}
+
+thread_local! {
+    /// This thread's launch state between runs. Empty while a run
+    /// holds it, so a run that panics drops it during unwind.
+    static LAUNCH: Cell<Option<Launch>> = const { Cell::new(None) };
 }
 
 /// Run `kernel` to completion under `params` on `backend`.
@@ -324,28 +391,32 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
     kernel.init_memory(&mut memory);
     let blocks = kernel.blocks();
     let scratch_words = kernel.scratch_words();
-    let mut scratch: Vec<Value> = vec![0; blocks * scratch_words];
-
     let tpb = kernel.threads_per_block();
     let blocks_per_cu_resident = (params.max_contexts_per_cu / tpb).max(1);
+    let resident = blocks.min(params.num_cus * blocks_per_cu_resident) * tpb;
 
     // Round-robin block → CU assignment: CU `c` runs blocks `c`,
     // `c + num_cus`, … in order, `blocks_per_cu_resident` at a time.
-    // `next_block[c]` is the next block CU `c` will launch.
-    let mut next_block: Vec<usize> = (0..params.num_cus).collect();
-
     // A block's contexts launch together, so they are contiguous:
     // block `b` owns `ctxs[block_first[b]..block_first[b] + tpb]`.
-    let mut ctxs: Vec<Ctx> = Vec::with_capacity(blocks * tpb);
-    let mut block_first: Vec<usize> = vec![0; blocks];
-    let resident = blocks.min(params.num_cus * blocks_per_cu_resident) * tpb;
-    let mut ready = HeapQueue::with_capacity(resident);
+    let mut state = LAUNCH.take().unwrap_or_default();
+    state.reset(blocks, tpb, scratch_words, params.num_cus, resident);
+    let Launch {
+        mut ctxs,
+        mut ready,
+        mut ports,
+        mut next_block,
+        mut block_first,
+        mut scratch,
+        mut windows,
+    } = state;
     let launch = |block: usize,
                   cu: usize,
                   at: Cycle,
                   ctxs: &mut Vec<Ctx>,
                   block_first: &mut [usize],
-                  ready: &mut HeapQueue| {
+                  ready: &mut HeapQueue,
+                  windows: &mut Vec<Vec<Cycle>>| {
         if T::ENABLED {
             tracer.record(TraceEvent::new(
                 EventKind::BlockLaunch,
@@ -366,7 +437,7 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
                 block,
                 state: CtxState::Ready(at),
                 last: None,
-                outstanding: Vec::new(),
+                outstanding: windows.pop().unwrap_or_default(),
                 steps: 0,
             });
         }
@@ -376,12 +447,11 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
             if *next >= blocks {
                 break;
             }
-            launch(*next, cu, 0, &mut ctxs, &mut block_first, &mut ready);
+            launch(*next, cu, 0, &mut ctxs, &mut block_first, &mut ready, &mut windows);
             *next += params.num_cus;
         }
     }
 
-    let mut ports: Vec<IssuePort> = vec![IssuePort::default(); params.num_cus];
     let mut report = EngineReport {
         cycles: 0,
         core_ops: 0,
@@ -620,7 +690,7 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
                         .unwrap_or(fenced);
                     let b = next_block[cu];
                     next_block[cu] += params.num_cus;
-                    launch(b, cu, retire, &mut ctxs, &mut block_first, &mut ready);
+                    launch(b, cu, retire, &mut ctxs, &mut block_first, &mut ready, &mut windows);
                 }
             }
         }
@@ -631,6 +701,10 @@ fn run_kernel_with<T: Trace, P: ConsistencyPolicy + ?Sized>(
         ctxs.iter().all(|c| matches!(c.state, CtxState::Finished(_))),
         "kernel ended with contexts parked at a barrier"
     );
+    // Every context drained its window when it finished; keep the ones
+    // that hold storage and drop the work items.
+    windows.extend(ctxs.drain(..).map(|c| c.outstanding).filter(|w| w.capacity() > 0));
+    LAUNCH.set(Some(Launch { ctxs, ready, ports, next_block, block_first, scratch, windows }));
     report.memory = memory;
     report
 }
@@ -1005,6 +1079,147 @@ mod tests {
         assert_eq!(r.memory, want, "each block reads back only its own scratchpad");
         assert_eq!(r.barriers, SCRATCH_BLOCKS as u64);
         assert_eq!(r.scratch_accesses, (2 * SCRATCH_BLOCKS * WORDS) as u64);
+    }
+
+    /// `blocks` one-thread blocks that copy their `words`-word
+    /// scratchpad to global memory without writing it: every copied
+    /// word must read 0.
+    struct ScratchDump {
+        blocks: usize,
+        words: usize,
+    }
+
+    struct ScratchDumpItem {
+        base: usize,
+        words: usize,
+        step: usize,
+    }
+
+    impl WorkItem for ScratchDumpItem {
+        fn next(&mut self, last: Option<Value>) -> Op {
+            self.step += 1;
+            let word = (self.step - 1) / 2;
+            match (word < self.words, self.step % 2) {
+                (false, _) => Op::Done,
+                (true, 1) => Op::ScratchLoad { addr: word as Addr },
+                (true, _) => Op::Store {
+                    addr: (self.base + word) as Addr,
+                    value: last.expect("a scratch load returns a value"),
+                    class: OpClass::Data,
+                },
+            }
+        }
+    }
+
+    impl Kernel for ScratchDump {
+        fn name(&self) -> String {
+            "scratch_dump".into()
+        }
+        fn blocks(&self) -> usize {
+            self.blocks
+        }
+        fn threads_per_block(&self) -> usize {
+            1
+        }
+        fn scratch_words(&self) -> usize {
+            self.words
+        }
+        fn memory_words(&self) -> usize {
+            self.blocks * self.words
+        }
+        fn init_memory(&self, mem: &mut [Value]) {
+            mem.fill(Value::MAX);
+        }
+        fn item(&self, b: usize, _t: usize) -> Box<dyn WorkItem> {
+            Box::new(ScratchDumpItem { base: b * self.words, words: self.words, step: 0 })
+        }
+    }
+
+    /// `run` on a new thread, which starts with no launch state.
+    fn on_a_fresh_thread<R: Send>(run: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| s.spawn(run).join()).expect("the fresh run does not panic")
+    }
+
+    #[test]
+    fn a_run_after_one_that_dirtied_scratch_matches_a_fresh_run() {
+        let p = params(MemoryModel::Drf0);
+        let dump = |blocks, words| {
+            run_kernel(&ScratchDump { blocks, words }, &p, &mut FixedLat::default())
+        };
+        // Fewer, equal and more scratch words than the dirtying run
+        // left behind (12 blocks × 3 words), on one thread.
+        for (blocks, words) in [(4, 3), (12, 3), (5, 9)] {
+            let dirty = run_kernel(&ScratchKernel, &p, &mut FixedLat::default());
+            assert!(dirty.memory.iter().all(|&v| v != 0), "the first kernel fills scratch");
+            let reused = dump(blocks, words);
+            assert_eq!(reused, on_a_fresh_thread(|| dump(blocks, words)), "{blocks}×{words}");
+            assert!(reused.memory.iter().all(|&v| v == 0), "scratch reads as zero");
+        }
+    }
+
+    /// Two blocks of two items that issue relaxed stores and a scratch
+    /// store; item (1, 0) then panics while the others are queued, with
+    /// atomics outstanding.
+    struct PanicsMidRun;
+
+    struct PanicsMidRunItem {
+        panics: bool,
+        step: usize,
+    }
+
+    impl WorkItem for PanicsMidRunItem {
+        fn next(&mut self, _last: Option<Value>) -> Op {
+            self.step += 1;
+            match self.step {
+                1..=3 => {
+                    Op::Store { addr: self.step as Addr, value: 1, class: OpClass::Commutative }
+                }
+                4 => Op::ScratchStore { addr: 0, value: 9 },
+                5 if self.panics => panic!("work item panics mid-run"),
+                5 => Op::Think(50),
+                _ => Op::Done,
+            }
+        }
+    }
+
+    impl Kernel for PanicsMidRun {
+        fn name(&self) -> String {
+            "panics".into()
+        }
+        fn blocks(&self) -> usize {
+            2
+        }
+        fn threads_per_block(&self) -> usize {
+            2
+        }
+        fn scratch_words(&self) -> usize {
+            1
+        }
+        fn memory_words(&self) -> usize {
+            4
+        }
+        fn item(&self, b: usize, t: usize) -> Box<dyn WorkItem> {
+            Box::new(PanicsMidRunItem { panics: (b, t) == (1, 0), step: 0 })
+        }
+    }
+
+    #[test]
+    fn a_run_after_a_mid_run_panic_matches_a_fresh_run() {
+        let p = params(MemoryModel::Drfrlx);
+        let rerun = || {
+            let counter = CounterKernel { blocks: 4, tpb: 4, n: 8, class: OpClass::Commutative };
+            let counted = run_kernel(&counter, &p, &mut FixedLat::default());
+            let dumped =
+                run_kernel(&ScratchDump { blocks: 2, words: 1 }, &p, &mut FixedLat::default());
+            (counted, dumped)
+        };
+        let panicked = std::panic::catch_unwind(|| {
+            run_kernel(&PanicsMidRun, &p, &mut FixedLat::default());
+        });
+        assert!(panicked.is_err(), "the first run panics");
+        let (counted, dumped) = rerun();
+        assert!(counted.atomics_overlapped > 0, "the rerun overlaps atomics");
+        assert_eq!((counted, dumped), on_a_fresh_thread(rerun));
     }
 
     #[test]

@@ -9,15 +9,14 @@ use hsim_gpu::{run_kernel_traced, EngineReport, Kernel};
 use hsim_trace::{NoTrace, SharedTracer, Trace, TraceBuffer};
 use std::cell::Cell;
 
-/// Everything one simulation run produced.
+/// Everything one simulation run produced. Names are not repeated
+/// here: the kernel and the platform ([`SysParams::name`]) are the
+/// caller's, so a report owns no heap data but its memory image (and
+/// its trace, when traced).
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Kernel name.
-    pub kernel: String,
     /// Protocol × model configuration.
     pub config: SystemConfig,
-    /// Platform name ("integrated"/"discrete").
-    pub platform: String,
     /// Execution time in cycles.
     pub cycles: u64,
     /// Raw energy event counts.
@@ -79,7 +78,8 @@ thread_local! {
 /// [resets](MemorySystem::reset) it to `(config.protocol,
 /// params.memsys)` before each run instead of building and dropping a
 /// Table-2 machine per run. A reset machine is a cold machine, so the
-/// report equals the one a freshly built machine gives.
+/// report equals the one a freshly built machine gives. The engine
+/// keeps its launch state per thread the same way.
 pub fn run_workload(kernel: &dyn Kernel, config: SystemConfig, params: &SysParams) -> RunReport {
     let mem = match MACHINE.take() {
         Some(mut mem) => {
@@ -148,9 +148,7 @@ fn run_on<T: Trace>(
         noc_flit_hops: flits,
     };
     let report = RunReport {
-        kernel: kernel.name(),
         config,
-        platform: params.name.clone(),
         cycles,
         energy: breakdown(&params.energy, &counters),
         counters,
@@ -293,7 +291,6 @@ mod tests {
         let d =
             run_workload(&k, SystemConfig::from_abbrev("GD0").unwrap(), &SysParams::discrete_gpu());
         assert!(d.cycles > i.cycles);
-        assert_eq!(d.platform, "discrete");
     }
 
     #[test]

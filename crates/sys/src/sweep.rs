@@ -5,17 +5,17 @@
 //! [`SystemConfig`] and the platform [`SysParams`] — and [`run_matrix`]
 //! executes a whole job list on `threads` workers of the shared
 //! [`drfrlx_core::resilience::Pool`], one pool unit per job. The jobs of
-//! one matrix row share their kernel and their platform through `Arc`s,
-//! so building a job costs its label and two reference counts. Running
-//! it makes a [`RunReport`] — counters, energy, two name `String`s and
-//! the final memory image — and a caller that needs only part of it
-//! says so with [`run_matrix_map`]'s `keep`, so the rest never leaves
-//! the worker.
+//! one matrix row share their label, their kernel and their platform
+//! through `Arc`s, so building a job costs three reference counts.
+//! Running it makes a [`RunReport`] — counters, energy and the final
+//! memory image, its one heap allocation — and a caller that needs
+//! only part of it says so with [`run_matrix_map`]'s `keep`, so the
+//! rest never leaves the worker.
 //! Every simulation is deterministic and starts from a cold machine:
-//! each worker thread keeps one untraced memory system and resets it
-//! before every job (see [`run_workload`]), and a job that panics drops
-//! it, so no job sees another's state and jobs are embarrassingly
-//! parallel.
+//! each worker thread keeps one untraced memory system and one set of
+//! engine launch state and resets both before every job (see
+//! [`run_workload`]), and a job that panics drops them, so no job sees
+//! another's state and jobs are embarrassingly parallel.
 //! Reports come back **in job order**, which makes parallel and serial
 //! sweeps byte-identical (`threads = 1` and `threads = 8` produce the
 //! same `Vec<RunReport>`).
@@ -37,12 +37,13 @@ use hsim_gpu::Kernel;
 use std::sync::Arc;
 
 /// One simulation to run: a kernel under one configuration on one
-/// platform. Cloning a job copies its label and shares the rest.
+/// platform. Cloning a job shares its label, kernel and platform.
 #[derive(Clone)]
 pub struct SimJob {
     /// Display/workload id for reports and result files (the Table 3
-    /// name, e.g. `"BC-1"` — not necessarily the kernel's own name).
-    pub workload: String,
+    /// name, e.g. `"BC-1"` — not necessarily the kernel's own name),
+    /// shared by the jobs of one matrix row.
+    pub workload: Arc<str>,
     /// The kernel to simulate; shared, immutable, run per-thread.
     pub kernel: Arc<dyn Kernel>,
     /// Protocol × model configuration.
@@ -63,7 +64,7 @@ impl SimJob {
     /// `params` into a new allocation; builders of several jobs on one
     /// platform share an `Arc` instead.
     pub fn new(
-        workload: impl Into<String>,
+        workload: impl Into<Arc<str>>,
         kernel: Arc<dyn Kernel>,
         config: SystemConfig,
         params: &SysParams,
@@ -109,8 +110,8 @@ pub fn extended_config_jobs(
     config_jobs(workload, kernel, &SystemConfig::extended(), params, validate)
 }
 
-/// One job per configuration, in `configs` order, all sharing `kernel`
-/// and one copy of `params`.
+/// One job per configuration, in `configs` order, all sharing one
+/// label, `kernel` and one copy of `params`.
 pub fn config_jobs(
     workload: &str,
     kernel: Arc<dyn Kernel>,
@@ -118,11 +119,12 @@ pub fn config_jobs(
     params: &SysParams,
     validate: bool,
 ) -> Vec<SimJob> {
+    let workload: Arc<str> = workload.into();
     let params = Arc::new(params.clone());
     configs
         .iter()
         .map(|&config| SimJob {
-            workload: workload.to_string(),
+            workload: Arc::clone(&workload),
             kernel: Arc::clone(&kernel),
             config,
             params: Arc::clone(&params),

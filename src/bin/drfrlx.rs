@@ -636,7 +636,7 @@ fn cmd_trace(args: &[String], pos: &[&str]) -> CmdResult {
 
     let r = run(config)?;
     let buf = r.trace.as_ref().expect("traced run carries a buffer");
-    let label = format!("{} {} ({}, {} cycles)", spec.name, config, r.platform, r.cycles);
+    let label = format!("{} {} ({}, {} cycles)", spec.name, config, params.name, r.cycles);
     print!("{}", render_profile(buf, &label));
     if buf.dropped() > 0 {
         eprintln!(
@@ -686,7 +686,7 @@ fn cmd_simulate(args: &[String], pos: &[&str]) -> CmdResult {
     let kernel = spec.kernel();
     let r = run_workload(kernel.as_ref(), config, &params);
     kernel.validate(&r.memory).map_err(|e| format!("functional check failed: {e}"))?;
-    println!("{} on {} ({}):", spec.name, config, r.platform);
+    println!("{} on {} ({}):", spec.name, config, params.name);
     println!("  cycles              {}", r.cycles);
     println!("  energy              {}", r.energy);
     println!("  atomics             {} ({} overlapped)", r.atomics, r.atomics_overlapped);

@@ -22,10 +22,11 @@ use drfrlx::model::quantum::has_quantum;
 use drfrlx::model::relation::Relation;
 use drfrlx::model::syscentric::compare_with_sc;
 use drfrlx::sim::coherence::{AccessKind, MemSysParams, MemorySystem};
+use drfrlx::sim::gpu::{Kernel, Op, RmwKind, WorkItem};
 use drfrlx::sim::mem::{Cache, CacheParams, DramParams, LineAddr, Mshr, MshrOutcome, StoreBuffer};
 use drfrlx::sim::noc::NocParams;
-use drfrlx::sim::SysParams;
-use drfrlx::{check_program, MemoryModel, OpClass, Protocol};
+use drfrlx::sim::{run_workload, SysParams};
+use drfrlx::{check_program, MemoryModel, OpClass, Protocol, SystemConfig};
 use rng::SplitMix64;
 
 /// One generated memory operation.
@@ -620,6 +621,127 @@ fn drive_lockstep(r: &mut SplitMix64, mems: &mut [&mut MemorySystem], steps: usi
     }
 }
 
+/// One step of a [`ScriptKernel`] work item: an engine op, or a plain
+/// store of the value the previous load returned.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Op(Op),
+    StoreLast(u64),
+}
+
+/// Random per-item scripts over a random grid: `scripts` is block-major.
+struct ScriptKernel {
+    tpb: usize,
+    scratch_words: usize,
+    scripts: Vec<Vec<Step>>,
+}
+
+const SCRIPT_WORDS: u64 = 64;
+
+struct ScriptItem {
+    steps: Vec<Step>,
+    at: usize,
+}
+
+impl WorkItem for ScriptItem {
+    fn next(&mut self, last: Option<u64>) -> Op {
+        let step = self.steps.get(self.at).copied();
+        self.at += 1;
+        match step {
+            None => Op::Done,
+            Some(Step::Op(op)) => op,
+            Some(Step::StoreLast(addr)) => Op::Store {
+                addr,
+                value: last.expect("a load precedes every StoreLast"),
+                class: OpClass::Data,
+            },
+        }
+    }
+}
+
+impl Kernel for ScriptKernel {
+    fn name(&self) -> String {
+        "script".into()
+    }
+    fn blocks(&self) -> usize {
+        self.scripts.len() / self.tpb
+    }
+    fn threads_per_block(&self) -> usize {
+        self.tpb
+    }
+    fn scratch_words(&self) -> usize {
+        self.scratch_words
+    }
+    fn memory_words(&self) -> usize {
+        SCRIPT_WORDS as usize
+    }
+    fn item(&self, block: usize, thread: usize) -> Box<dyn WorkItem> {
+        Box::new(ScriptItem { steps: self.scripts[block * self.tpb + thread].clone(), at: 0 })
+    }
+}
+
+/// A random kernel of up to 10 blocks of up to 4 items over up to 6
+/// scratch words. Items store to and copy out of scratch and global
+/// memory, issue RMWs (some overlapping under relaxed classes) and meet
+/// the same number of block barriers, each at its own points.
+fn script_kernel(r: &mut SplitMix64) -> ScriptKernel {
+    let blocks = 1 + r.below(10) as usize;
+    let tpb = 1 + r.below(4) as usize;
+    let scratch_words = r.below(7) as usize;
+    let barriers = r.below(3);
+    let scripts = (0..blocks * tpb)
+        .map(|_| {
+            let mut steps = Vec::new();
+            for _ in 0..1 + r.below(12) {
+                let class = CLASSES[r.below(CLASSES.len() as u64) as usize];
+                let addr = r.below(SCRIPT_WORDS);
+                let value = r.below(1000);
+                match r.below(6) {
+                    0 | 1 if scratch_words > 0 => {
+                        let word = r.below(scratch_words as u64);
+                        if r.below(2) == 0 {
+                            steps.push(Step::Op(Op::ScratchStore { addr: word, value }));
+                        } else {
+                            steps.push(Step::Op(Op::ScratchLoad { addr: word }));
+                            steps.push(Step::StoreLast(addr));
+                        }
+                    }
+                    2 => steps.push(Step::Op(Op::Store { addr, value, class })),
+                    3 => {
+                        steps.push(Step::Op(Op::Load { addr, class }));
+                        steps.push(Step::StoreLast(r.below(SCRIPT_WORDS)));
+                    }
+                    4 => {
+                        let use_result = r.below(2) == 0;
+                        let rmw = RmwKind::Add;
+                        steps.push(Step::Op(Op::Rmw {
+                            addr,
+                            rmw,
+                            operand: value,
+                            class,
+                            use_result,
+                        }));
+                        if use_result {
+                            steps.push(Step::StoreLast(r.below(SCRIPT_WORDS)));
+                        }
+                    }
+                    _ => steps.push(Step::Op(Op::Think(r.below(20) as u32))),
+                }
+            }
+            for _ in 0..barriers {
+                // Between steps, never between a load and its StoreLast.
+                let at = r.below(steps.len() as u64 + 1) as usize;
+                let at = (at..=steps.len())
+                    .find(|&i| !matches!(steps.get(i), Some(Step::StoreLast(_))))
+                    .expect("the end is a step boundary");
+                steps.insert(at, Step::Op(Op::Barrier));
+            }
+            steps
+        })
+        .collect();
+    ScriptKernel { tpb, scratch_words, scripts }
+}
+
 /// A machine reset to new parameters behaves exactly like a freshly
 /// built one. Machine A runs a random history under a random protocol
 /// and platform, is reset to another protocol and platform (a
@@ -627,6 +749,12 @@ fn drive_lockstep(r: &mut SplitMix64, mems: &mut [&mut MemorySystem], steps: usi
 /// DRAM channels, or a smaller geometry), and then sees the same access
 /// stream as a fresh machine B: every returned cycle, every statistic,
 /// every energy counter and the NoC statistics must agree.
+///
+/// The engine's launch state is reset the same way: random kernels
+/// whose grids and scratchpads shrink and grow run in sequence on this
+/// thread, where each run resets the thread's machine and launch state,
+/// and each report must equal the one from a new thread, which builds
+/// both afresh.
 #[test]
 fn reset_machine_matches_a_fresh_one() {
     let protocols = [Protocol::Gpu, Protocol::DeNovo, Protocol::MesiWb];
@@ -662,4 +790,32 @@ fn reset_machine_matches_a_fresh_one() {
             assert_eq!(a.noc_stats(), b.noc_stats(), "{at}");
         }
     }
+
+    let configs = SystemConfig::extended();
+    let (mut shrank, mut grew) = ([false; 2], [false; 2]);
+    let mut last = [0usize; 2];
+    for case in 0..32 {
+        let kernel = script_kernel(&mut r);
+        let config = configs[r.below(configs.len() as u64) as usize];
+        let params = schedule_params(&integrated, 11, r.below(4) as usize);
+        let at = format!(
+            "kernel {case}: {} blocks × {} items, {} scratch words, {config}",
+            kernel.blocks(),
+            kernel.tpb,
+            kernel.scratch_words
+        );
+        let shape = [kernel.scripts.len(), kernel.blocks() * kernel.scratch_words];
+        for d in 0..2 {
+            shrank[d] |= shape[d] < last[d];
+            grew[d] |= shape[d] > last[d];
+        }
+        last = shape;
+        let reused = format!("{:?}", run_workload(&kernel, config, &params));
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| format!("{:?}", run_workload(&kernel, config, &params))).join()
+        })
+        .expect("the fresh run does not panic");
+        assert_eq!(reused, fresh, "{at}");
+    }
+    assert_eq!((shrank, grew), ([true; 2], [true; 2]), "contexts and scratch shrink and grow");
 }
