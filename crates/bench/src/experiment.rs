@@ -5,9 +5,9 @@
 //!
 //! Every registered experiment (see [`crate::experiments::registry`])
 //! runs as `drfrlx bench <id>`. Artifacts land in `results/<id>.txt`
-//! and `results/<id>.json` (override the directory with `--out` or
-//! `DRFRLX_RESULTS`); worker count comes from `--threads` or
-//! `DRFRLX_THREADS`.
+//! and, for an experiment with JSON rows, `results/<id>.json`
+//! (override the directory with `--out` or `DRFRLX_RESULTS`); worker
+//! count comes from `--threads` or `DRFRLX_THREADS`.
 
 use crate::json::JsonObj;
 use hsim_sys::{run_matrix, RunReport, SimJob};
@@ -136,8 +136,9 @@ pub fn run_experiment(e: &dyn Experiment, threads: usize) -> ExperimentRun {
     ExperimentRun { reports, text, json }
 }
 
-/// Write `results/<id>.txt` and `results/<id>.json` under `outdir`
-/// (created if missing); returns both paths.
+/// Write `results/<id>.txt` under `outdir` (created if missing), and
+/// `results/<id>.json` when the run has JSON rows; returns the paths
+/// written. A static artifact has no rows, so it gets no JSON file.
 ///
 /// # Errors
 ///
@@ -146,7 +147,7 @@ pub fn write_artifacts(
     outdir: &Path,
     id: &str,
     run: &ExperimentRun,
-) -> std::io::Result<(PathBuf, PathBuf)> {
+) -> std::io::Result<(PathBuf, Option<PathBuf>)> {
     std::fs::create_dir_all(outdir)?;
     let txt = outdir.join(format!("{id}.txt"));
     let mut text = run.text.clone();
@@ -154,10 +155,13 @@ pub fn write_artifacts(
         text.push('\n');
     }
     std::fs::write(&txt, text)?;
+    if run.json.is_empty() {
+        return Ok((txt, None));
+    }
     let json = outdir.join(format!("{id}.json"));
     let mut f = std::fs::File::create(&json)?;
     for row in &run.json {
         writeln!(f, "{row}")?;
     }
-    Ok((txt, json))
+    Ok((txt, Some(json)))
 }

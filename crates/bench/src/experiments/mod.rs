@@ -1,9 +1,15 @@
-//! The experiment registry: every simulation-backed paper artifact as
-//! one [`Experiment`], keyed by a stable id.
+//! The experiment registry: every paper artifact as one
+//! [`Experiment`], keyed by a stable id that is also its `results/`
+//! file stem.
 //!
 //! | id | artifact |
 //! |----|----------|
 //! | `fig1` | Figure 1: relaxed vs SC atomics on a discrete GPU |
+//! | `fig2` | Figure 2: program/conflict graphs and ordering paths (static) |
+//! | `table1` | Table 1: use cases with checker verdicts (static) |
+//! | `listing7` | Listing 7 / §3.8: programmer- and system-centric verdicts (static) |
+//! | `table2` | Table 2: simulated system parameters (static) |
+//! | `table3` | Table 3: workloads, inputs and atomic classes (static) |
 //! | `fig3` | Figure 3: microbenchmark time + energy, 6 configs |
 //! | `fig4` | Figure 4: benchmark time + energy, 6 configs |
 //! | `table4` | Table 4: measured benefits per model |
@@ -16,11 +22,12 @@
 //! | `ext_pr_residual` | extension: quantum residual in PageRank |
 //! | `ext_mesi` | extension: MESI-WB writeback baseline, 3 models |
 //! | `hotspots` | diagnostic: protocol event profile GD0 vs DDR |
+//! | `checker_stress` | the stress corpus under the streaming checker (static) |
 //! | `conform_matrix` | conformance: Table-1 corpus vs the simulator |
 //! | `conform_templates` | conformance: template corpus (polls, think, scratch + barrier) |
 //!
-//! The static artifacts (Figure 2, Tables 1–3, Listing 7) have no
-//! simulation matrix and keep their dedicated binaries.
+//! A static artifact is a [`StaticArtifact`]: it has no simulation
+//! jobs, renders its text from the model alone and writes no JSON rows.
 
 mod ablations;
 mod conform;
@@ -29,6 +36,7 @@ mod hotspots;
 mod mesi;
 mod residual;
 mod section6;
+mod static_artifacts;
 mod sweeps;
 mod table4;
 
@@ -76,6 +84,32 @@ impl Experiment for GridExperiment {
     }
 }
 
+/// An artifact with no simulation matrix (Figure 2, Tables 1–3,
+/// Listing 7, the stress corpus): no jobs, and `render` returns `text`.
+pub struct StaticArtifact {
+    id: &'static str,
+    title: &'static str,
+    text: fn() -> String,
+}
+
+impl Experiment for StaticArtifact {
+    fn id(&self) -> &'static str {
+        self.id
+    }
+
+    fn title(&self) -> &'static str {
+        self.title
+    }
+
+    fn jobs(&self) -> Vec<SimJob> {
+        Vec::new()
+    }
+
+    fn render(&self, _jobs: &[SimJob], _reports: &[RunReport]) -> String {
+        (self.text)()
+    }
+}
+
 fn fig3() -> GridExperiment {
     GridExperiment {
         id: "fig3",
@@ -116,6 +150,31 @@ fn ext_sssp() -> GridExperiment {
 pub fn registry() -> Vec<Box<dyn Experiment>> {
     vec![
         Box::new(fig1::Fig1),
+        Box::new(StaticArtifact {
+            id: "fig2",
+            title: "Figure 2: program/conflict graphs and ordering paths, with and without a race",
+            text: static_artifacts::fig2,
+        }),
+        Box::new(StaticArtifact {
+            id: "table1",
+            title: "Table 1: GPU relaxed atomic use cases, with checker verdicts",
+            text: static_artifacts::table1,
+        }),
+        Box::new(StaticArtifact {
+            id: "listing7",
+            title: "Listing 7 / §3.8: programmer-centric and system-centric verdicts",
+            text: static_artifacts::listing7,
+        }),
+        Box::new(StaticArtifact {
+            id: "table2",
+            title: "Table 2: simulated heterogeneous system parameters",
+            text: static_artifacts::table2,
+        }),
+        Box::new(StaticArtifact {
+            id: "table3",
+            title: "Table 3: benchmarks, inputs, and relaxed atomic classes",
+            text: static_artifacts::table3,
+        }),
         Box::new(fig3()),
         Box::new(fig4()),
         Box::new(table4::Table4),
@@ -128,6 +187,11 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
         Box::new(residual::PrResidual),
         Box::new(mesi::MesiBaseline),
         Box::new(hotspots::Hotspots),
+        Box::new(StaticArtifact {
+            id: "checker_stress",
+            title: "Stress corpus: streaming checker verdicts with explored/pruned counts",
+            text: static_artifacts::checker_stress,
+        }),
         Box::new(conform::ConformMatrix),
         Box::new(conform::ConformTemplates),
     ]

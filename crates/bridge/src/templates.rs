@@ -16,7 +16,7 @@
 //! * small shapes (counters, queues, seqlock writers) go through
 //!   [`ThreadBuilder`] exactly like the original hand-written litmus tests,
 //!   guaranteeing instruction-for-instruction identity with the historical
-//!   programs (and hence byte-identical `results/conform.txt`);
+//!   programs (and hence byte-identical `results/conform_matrix.txt`);
 //! * data-dependent loops (flag polling, seqlock retry) are emitted
 //!   *forward* with all loop-exit `JumpIfZero`s patched to the end of the
 //!   region. Construction is O(n) in the unrolled length, early exit skips

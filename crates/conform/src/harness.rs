@@ -396,7 +396,7 @@ impl CorpusRow {
 }
 
 /// Render corpus reports as the stable text table committed to
-/// `results/conform.txt`.
+/// `results/conform_matrix.txt`.
 pub fn render_corpus(reports: &[ConformReport], opts: &ConformOptions) -> String {
     let mut out = String::new();
     out.push_str("Conformance: litmus corpus vs simulator (observed ⊆ allowed)\n");

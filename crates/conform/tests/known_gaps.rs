@@ -3,8 +3,9 @@
 //! Coverage gaps are diagnostics, not failures (soundness is
 //! `observed ⊆ allowed`; coverage only reports how much of the
 //! allowed set the schedule family witnessed). The committed
-//! `results/conform.txt` — 9 configurations × 128 schedules, seed 1 —
-//! witnesses 42 of the corpus's 43 allowed outcomes. The one gap:
+//! `results/conform_matrix.txt` — 9 configurations × 128 schedules,
+//! seed 1 — witnesses 42 of the corpus's 43 allowed outcomes. The one
+//! gap:
 //!
 //! * **seqlock**: the reader's clean-success outcome
 //!   `mem=[seq=2, d1=10, d2=20]`, reader registers
@@ -21,7 +22,7 @@
 //! This test re-runs the committed options for the seqlock program and
 //! asserts the gap is *exactly* that outcome: if a future schedule
 //! family witnesses it (or loses another outcome), this test fails and
-//! the documentation above — plus `results/conform.txt` — must move
+//! the documentation above — plus `results/conform_matrix.txt` — must move
 //! together.
 
 use drfrlx_conform::{check_conformance, table1_corpus, ConformOptions};

@@ -49,7 +49,7 @@ fn hist_program_lowers_to_one_block_with_sized_scratch() {
 }
 
 /// Barrier-free programs keep the historical one-thread-per-block
-/// litmus layout — the committed `results/conform.txt` depends on it.
+/// litmus layout — the committed `results/conform_matrix.txt` depends on it.
 #[test]
 fn barrier_free_programs_keep_one_thread_per_block() {
     use hsim_gpu::Kernel;

@@ -25,7 +25,8 @@
 //!
 //! The worker count for CLI entry points comes from
 //! [`default_threads`]: the `DRFRLX_THREADS` environment variable if
-//! set, else [`std::thread::available_parallelism`].
+//! set, else [`std::thread::available_parallelism`]. A set variable
+//! that is not a positive integer is an error.
 
 use crate::config::SysParams;
 use crate::run::{run_workload, run_workload_traced, RunReport};
@@ -134,14 +135,20 @@ pub fn config_jobs(
         .collect()
 }
 
-/// Worker count for sweeps: `DRFRLX_THREADS` if set to a positive
-/// integer, else the host's available parallelism.
-pub fn default_threads() -> usize {
-    std::env::var("DRFRLX_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+/// Worker count for sweeps: `DRFRLX_THREADS` if it is set, else the
+/// host's available parallelism.
+///
+/// # Errors
+///
+/// `DRFRLX_THREADS` is set but is not a positive integer; the message
+/// names the variable and its value.
+pub fn default_threads() -> Result<usize, String> {
+    let Some(raw) = std::env::var_os("DRFRLX_THREADS") else {
+        return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    };
+    raw.to_str().and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n >= 1).ok_or_else(|| {
+        format!("DRFRLX_THREADS needs a positive integer, got `{}`", raw.to_string_lossy())
+    })
 }
 
 /// Run every job on `threads` workers and return the reports **in job
@@ -387,7 +394,7 @@ mod tests {
 
     #[test]
     fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
+        assert!(default_threads().is_ok_and(|n| n >= 1));
     }
 
     #[test]

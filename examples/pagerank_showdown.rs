@@ -22,7 +22,8 @@ fn main() {
     let pr = PageRank::new(graph, 2, 15, 16);
     let params = SysParams::integrated();
     let jobs = six_config_jobs("PR", Arc::new(pr.clone()), &params, false);
-    let reports = run_matrix(&jobs, default_threads());
+    let threads = default_threads().unwrap_or_else(|e| panic!("{e}"));
+    let reports = run_matrix(&jobs, threads);
     let base = reports[0].cycles as f64;
     println!(
         "{:6} {:>10} {:>8} {:>10} {:>12}",

@@ -186,6 +186,29 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
+/// The worker count: `--threads N`, else `DRFRLX_THREADS`, else all
+/// cores.
+///
+/// # Errors
+///
+/// A `--threads` operand or a set `DRFRLX_THREADS` that is not a
+/// positive integer.
+fn threads_flag(args: &[String]) -> Result<usize, Box<dyn std::error::Error>> {
+    let Some(v) = flag_value(args, "--threads") else { return Ok(drfrlx::sim::default_threads()?) };
+    Ok(v.parse().ok().filter(|&n| n >= 1).ok_or("--threads needs a positive integer")?)
+}
+
+/// The `--model` operand, if given.
+fn model_flag(args: &[String]) -> Result<Option<MemoryModel>, Box<dyn std::error::Error>> {
+    let Some(m) = flag_value(args, "--model") else { return Ok(None) };
+    Ok(Some(match m.to_ascii_lowercase().as_str() {
+        "drf0" => MemoryModel::Drf0,
+        "drf1" => MemoryModel::Drf1,
+        "drfrlx" => MemoryModel::Drfrlx,
+        other => return Err(format!("unknown model `{other}`").into()),
+    }))
+}
+
 /// Create the directory an output file will land in, if it is missing.
 fn create_parent_dirs(path: &std::path::Path) -> std::io::Result<()> {
     match path.parent() {
@@ -196,20 +219,9 @@ fn create_parent_dirs(path: &std::path::Path) -> std::io::Result<()> {
 
 fn cmd_check(args: &[String], pos: &[&str]) -> CmdResult {
     let path = pos.first().ok_or("check needs a .litmus file")?;
-    let models: Vec<MemoryModel> = match flag_value(args, "--model") {
-        None => MemoryModel::ALL.to_vec(),
-        Some(m) => vec![match m.to_ascii_lowercase().as_str() {
-            "drf0" => MemoryModel::Drf0,
-            "drf1" => MemoryModel::Drf1,
-            "drfrlx" => MemoryModel::Drfrlx,
-            other => return Err(format!("unknown model `{other}`").into()),
-        }],
-    };
+    let models = model_flag(args)?.map_or_else(|| MemoryModel::ALL.to_vec(), |m| vec![m]);
     let p = load_program(path)?;
-    let threads = match flag_value(args, "--threads") {
-        None => drfrlx::sim::default_threads(),
-        Some(v) => v.parse().ok().filter(|&n| n > 0).ok_or("--threads needs a positive integer")?,
-    };
+    let threads = threads_flag(args)?;
     let mut limits = EnumLimits::default();
     if let Some(v) = flag_value(args, "--max-execs") {
         limits.max_executions =
@@ -441,14 +453,7 @@ fn cmd_bench(args: &[String], pos: &[&str]) -> CmdResult {
         }
         return ok01(true);
     }
-    let threads = match flag_value(args, "--threads") {
-        None => drfrlx::sim::default_threads(),
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("--threads needs a positive integer")?,
-    };
+    let threads = threads_flag(args)?;
     let outdir = std::path::PathBuf::from(
         flag_value(args, "--out")
             .map(String::from)
@@ -467,12 +472,8 @@ fn cmd_bench(args: &[String], pos: &[&str]) -> CmdResult {
         let run = run_experiment(e.as_ref(), threads);
         print!("{}", run.text);
         let (txt, json) = write_artifacts(&outdir, e.id(), &run)?;
-        eprintln!(
-            "\n[{}: wrote {} and {}; threads={threads}]",
-            e.id(),
-            txt.display(),
-            json.display()
-        );
+        let json = json.map(|j| format!(" and {}", j.display())).unwrap_or_default();
+        eprintln!("\n[{}: wrote {}{json}; threads={threads}]", e.id(), txt.display());
     }
     ok01(true)
 }
@@ -484,11 +485,7 @@ fn cmd_conform(args: &[String], pos: &[&str]) -> CmdResult {
     };
     use drfrlx::litmus::all_tests;
 
-    let threads = match flag_value(args, "--threads") {
-        None => drfrlx::sim::default_threads(),
-        Some(v) => v.parse().ok().filter(|&n| n > 0).ok_or("--threads needs a positive integer")?,
-    };
-    let mut opts = ConformOptions { threads, ..ConformOptions::default() };
+    let mut opts = ConformOptions { threads: threads_flag(args)?, ..ConformOptions::default() };
     if let Some(v) = flag_value(args, "--seed") {
         opts.seed = v.parse().map_err(|_| "--seed needs an unsigned integer")?;
     }
@@ -504,13 +501,7 @@ fn cmd_conform(args: &[String], pos: &[&str]) -> CmdResult {
                 Protocol::from_name(name).ok_or("unknown protocol (use gpu, denovo or mesi-wb)")?;
             opts.configs.retain(|c| c.protocol == p);
         }
-        if let Some(m) = flag_value(args, "--model") {
-            let model = match m.to_ascii_lowercase().as_str() {
-                "drf0" => MemoryModel::Drf0,
-                "drf1" => MemoryModel::Drf1,
-                "drfrlx" => MemoryModel::Drfrlx,
-                other => return Err(format!("unknown model `{other}`").into()),
-            };
+        if let Some(model) = model_flag(args)? {
             opts.configs.retain(|c| c.model == model);
         }
     }

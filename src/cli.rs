@@ -145,13 +145,18 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         name: "bench",
         usage: "bench <experiment-id>|all [--threads N] [--out DIR]",
         summary: "regenerate a registered paper artifact",
-        help: "Regenerate a registered paper artifact (fig1, fig3, fig4,\n\
-               table4, section6, sweeps, ablations, conform_matrix, ...) on\n\
-               the parallel sweep engine; writes results/<id>.txt and\n\
-               results/<id>.json. `bench list` prints the registry. Threads\n\
-               default to all cores (or DRFRLX_THREADS); output dir defaults\n\
-               to results/ (or DRFRLX_RESULTS). Timings of record come from\n\
-               the benchmark/ package, not from this command.",
+        help: "Regenerate a registered paper artifact (fig1, fig2, table1,\n\
+               listing7, fig3, fig4, table4, section6, sweeps, ablations,\n\
+               checker_stress, conform_matrix, ...) and write\n\
+               results/<id>.txt; this is the one path to every results/\n\
+               file. A simulation-backed artifact runs on the parallel sweep\n\
+               engine and also writes JSON rows to results/<id>.json; a\n\
+               static one (Figure 2, Tables 1-3, Listing 7, checker_stress)\n\
+               has no jobs and writes no JSON. `bench list` prints the\n\
+               registry. Threads default to all cores (or DRFRLX_THREADS,\n\
+               which must be a positive integer); output dir defaults to\n\
+               results/ (or DRFRLX_RESULTS). Timings of record come from the\n\
+               benchmark/ package, not from this command.",
     },
     Subcommand {
         name: "conform",

@@ -3,13 +3,24 @@
 //! when a run ends without a verdict (budget exhausted, degraded) and
 //! 101 on an internal error — so CI can tell "the program is racy"
 //! from "the checker fell over". Flags a subcommand's usage line does
-//! not name are rejected, not ignored.
+//! not name are rejected, not ignored, and so is a malformed
+//! `DRFRLX_THREADS`. `bench` is the one path to every `results/*`
+//! artifact.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn drfrlx(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_drfrlx")).args(args).output().expect("binary runs")
+}
+
+/// `drfrlx` with `DRFRLX_THREADS` set to `threads`.
+fn drfrlx_with_threads_env(threads: &str, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_drfrlx"))
+        .env("DRFRLX_THREADS", threads)
+        .args(args)
+        .output()
+        .expect("binary runs")
 }
 
 fn code(out: &Output) -> i32 {
@@ -20,11 +31,16 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// Write a litmus source into a per-test scratch dir, returning its path.
-fn litmus_file(name: &str, src: &str) -> PathBuf {
+/// The per-process scratch dir, created if missing.
+fn scratch_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("drfrlx_exit_codes_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = dir.join(name);
+    dir
+}
+
+/// Write a litmus source into the scratch dir, returning its path.
+fn litmus_file(name: &str, src: &str) -> PathBuf {
+    let path = scratch_dir().join(name);
     std::fs::write(&path, src).expect("litmus file written");
     path
 }
@@ -149,4 +165,51 @@ fn conform_corpus_under_chaos_never_crashes() {
     assert!(matches!(rc, 0 | 2 | 3), "exit {rc}:\n{}", stdout(&out));
     // The fault plan reaches the corpus: seed 1 loses simulation jobs.
     assert!(stdout(&out).contains("status: work_queue: degraded"), "{}", stdout(&out));
+}
+
+#[test]
+fn a_malformed_threads_variable_is_an_error_that_names_it() {
+    let clean = litmus_file("quiet_env.litmus", RACE_FREE);
+    let path = clean.to_str().unwrap();
+    let out_dir = scratch_dir().join("bad_env_results");
+    let out_dir = out_dir.to_str().unwrap();
+    for bad in ["0", "abc"] {
+        for (args, expect) in [
+            (&["check", path][..], 101),
+            (&["conform", "corpus"], 101),
+            (&["bench", "table2", "--out", out_dir], 2),
+        ] {
+            let out = drfrlx_with_threads_env(bad, args);
+            assert_eq!(code(&out), expect, "DRFRLX_THREADS={bad} {args:?}: {}", stdout(&out));
+            let err = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert!(
+                err.contains(&format!("DRFRLX_THREADS needs a positive integer, got `{bad}`")),
+                "{args:?}: {err}"
+            );
+        }
+    }
+    // Nothing ran, so nothing was written.
+    assert!(!std::path::Path::new(out_dir).exists());
+    // --threads wins over the variable, which is then never read.
+    assert_eq!(code(&drfrlx_with_threads_env("abc", &["check", path, "--threads", "1"])), 0);
+}
+
+#[test]
+fn bench_regenerates_a_static_artifact_without_json() {
+    let out_dir = scratch_dir().join("bench_fig2");
+    let out = drfrlx(&["bench", "fig2", "--out", out_dir.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    let committed =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/results/fig2.txt"))
+            .expect("committed fig2.txt");
+    let written = std::fs::read_to_string(out_dir.join("fig2.txt")).expect("fig2.txt written");
+    assert_eq!(written, committed, "bench fig2 drifted from results/fig2.txt");
+    assert_eq!(stdout(&out), committed, "stdout is the artifact");
+    assert!(!out_dir.join("fig2.json").exists(), "a static artifact writes no JSON");
+
+    let list = stdout(&drfrlx(&["bench", "list"]));
+    let listed: Vec<&str> =
+        list.lines().skip(1).filter_map(|l| l.split_whitespace().next()).collect();
+    assert_eq!(listed, drfrlx::bench::ids());
+    assert_eq!(listed.len(), 21, "{list}");
 }
