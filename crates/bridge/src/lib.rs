@@ -261,7 +261,8 @@ impl ThreadCode {
                 self.nodes.push(Node::Reg(*r));
                 1
             }
-            Expr::Bin(op, a, b) => {
+            Expr::Bin(op, ab) => {
+                let [a, b] = &**ab;
                 let left = self.postfix(a);
                 let right = self.postfix(b);
                 self.nodes.push(Node::Bin(*op));
@@ -1208,10 +1209,9 @@ mod tests {
     }
 
     fn mark_ops(e: &Expr, seen: &mut [bool; OPS.len()]) {
-        if let Expr::Bin(op, a, b) = e {
+        if let Expr::Bin(op, ab) = e {
             seen[OPS.iter().position(|o| o == op).unwrap()] = true;
-            mark_ops(a, seen);
-            mark_ops(b, seen);
+            ab.iter().for_each(|x| mark_ops(x, seen));
         }
     }
 }

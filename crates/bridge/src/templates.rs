@@ -572,6 +572,17 @@ pub mod hist {
         pub merge_class: OpClass,
     }
 
+    /// `prefix` followed by `n` in decimal, written into `buf`: one
+    /// name buffer serves a whole thread instead of a `format!` per
+    /// location.
+    fn name(buf: &mut String, prefix: char, n: usize) -> &str {
+        use std::fmt::Write as _;
+        buf.clear();
+        buf.push(prefix);
+        write!(buf, "{n}").expect("writing to a String cannot fail");
+        buf
+    }
+
     /// Scratchpad-privatised thread: count into a private scratch row,
     /// barrier, then merge owned bins (one commutative RMW per non-empty
     /// bin) into global memory.
@@ -582,11 +593,15 @@ pub mod hist {
         thread: usize,
         bin_of: &BinOf,
     ) -> Thread {
-        let mut ins: Vec<Instr> = Vec::new();
+        // Three instructions per value, the barrier, then per owned bin
+        // `tpb` scratch loads, the jump and the merge.
+        let owned = s.bins.saturating_sub(thread).div_ceil(s.tpb);
+        let mut ins: Vec<Instr> = Vec::with_capacity(3 * s.per_thread + 1 + owned * (s.tpb + 2));
+        let mut buf = String::new();
         let mut reg = 0u16;
         let gid = |b: usize, t: usize| b * s.tpb + t;
         for i in 0..s.per_thread {
-            let input = p.intern(&format!("i{}", gid(block, thread) * s.per_thread + i));
+            let input = p.intern(name(&mut buf, 'i', gid(block, thread) * s.per_thread + i));
             let v = Reg(reg);
             reg += 1;
             ins.push(Instr::Load { class: OpClass::Data, loc: input, dst: v });
@@ -601,9 +616,10 @@ pub mod hist {
             });
         }
         ins.push(Instr::Barrier);
+        let mut parts: Vec<Reg> = Vec::with_capacity(s.tpb);
         let mut b = thread;
         while b < s.bins {
-            let mut parts: Vec<Reg> = Vec::new();
+            parts.clear();
             for t in 0..s.tpb {
                 let slot = (t * s.bins + b) as Value;
                 let r = Reg(reg);
@@ -612,7 +628,7 @@ pub mod hist {
                 parts.push(r);
             }
             let acc = fold_regs(BinOp::Add, &parts);
-            let global = p.intern(&format!("b{b}"));
+            let global = p.intern(name(&mut buf, 'b', b));
             ins.push(Instr::JumpIfZero { cond: acc.clone(), skip: 1 });
             ins.push(Instr::Rmw {
                 class: s.merge_class,
@@ -638,15 +654,16 @@ pub mod hist {
         update_class: OpClass,
         bin_of: &BinOf,
     ) -> Thread {
-        let mut ins: Vec<Instr> = Vec::new();
+        let mut ins: Vec<Instr> = Vec::with_capacity(2 * s.per_thread);
+        let mut buf = String::new();
         let mut reg = 0u16;
         let gid = block * s.tpb + thread;
         for i in 0..s.per_thread {
-            let input = p.intern(&format!("i{}", gid * s.per_thread + i));
+            let input = p.intern(name(&mut buf, 'i', gid * s.per_thread + i));
             let v = Reg(reg);
             reg += 1;
             ins.push(Instr::Load { class: OpClass::Data, loc: input, dst: v });
-            let global = p.intern(&format!("b{}", bin_of(block, thread, i)));
+            let global = p.intern(name(&mut buf, 'b', bin_of(block, thread, i)));
             ins.push(Instr::Rmw {
                 class: update_class,
                 loc: global,
@@ -669,13 +686,14 @@ pub mod hist {
         gid: usize,
         threads: usize,
     ) -> Thread {
-        let mut ins: Vec<Instr> = Vec::new();
+        let mut ins: Vec<Instr> = Vec::with_capacity(per_thread);
+        let mut buf = String::new();
         for i in 0..per_thread {
             // Odd multiplier ⇒ bijection on a power-of-two table:
             // spreads logically-adjacent reads across lines and CUs.
             let k = gid as u64 + i as u64 * threads as u64;
             let bin = (k.wrapping_mul(0x9E37_79B1) % bins as u64) as usize;
-            let loc = p.intern(&format!("b{bin}"));
+            let loc = p.intern(name(&mut buf, 'b', bin));
             ins.push(Instr::Load { class: OpClass::NonOrdering, loc, dst: Reg(i as u16) });
         }
         Thread { instrs: ins }

@@ -31,32 +31,35 @@ fn emit_expr(e: &Expr, out: &mut String) {
             let _ = write!(out, "{v}");
         }
         Expr::Reg(r) => out.push_str(&reg_name(*r)),
-        Expr::Bin(op, a, b) => match op {
-            BinOp::Min | BinOp::Max => {
-                out.push_str(if *op == BinOp::Min { "min(" } else { "max(" });
-                emit_expr(a, out);
-                out.push(' ');
-                emit_expr(b, out);
-                out.push(')');
+        Expr::Bin(op, ab) => {
+            let [a, b] = &**ab;
+            match op {
+                BinOp::Min | BinOp::Max => {
+                    out.push_str(if *op == BinOp::Min { "min(" } else { "max(" });
+                    emit_expr(a, out);
+                    out.push(' ');
+                    emit_expr(b, out);
+                    out.push(')');
+                }
+                _ => {
+                    out.push('(');
+                    emit_expr(a, out);
+                    out.push_str(match op {
+                        BinOp::Add => " + ",
+                        BinOp::Sub => " - ",
+                        BinOp::And => " & ",
+                        BinOp::Or => " | ",
+                        BinOp::Xor => " ^ ",
+                        BinOp::Eq => " == ",
+                        BinOp::Ne => " != ",
+                        BinOp::Lt => " < ",
+                        BinOp::Min | BinOp::Max => unreachable!("handled above"),
+                    });
+                    emit_expr(b, out);
+                    out.push(')');
+                }
             }
-            _ => {
-                out.push('(');
-                emit_expr(a, out);
-                out.push_str(match op {
-                    BinOp::Add => " + ",
-                    BinOp::Sub => " - ",
-                    BinOp::And => " & ",
-                    BinOp::Or => " | ",
-                    BinOp::Xor => " ^ ",
-                    BinOp::Eq => " == ",
-                    BinOp::Ne => " != ",
-                    BinOp::Lt => " < ",
-                    BinOp::Min | BinOp::Max => unreachable!("handled above"),
-                });
-                emit_expr(b, out);
-                out.push(')');
-            }
-        },
+        }
     }
 }
 
@@ -294,6 +297,31 @@ mod tests {
             ea.result.memory.values().collect::<Vec<_>>(),
             eb.result.memory.values().collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn nested_expressions_roundtrip() {
+        // Every infix operator, nested on both sides, and min/max calls
+        // inside them and around them.
+        let src = "litmus nested\n\
+            thread t0 {\n\
+                r0 = load.data x;\n\
+                r1 = load.data y;\n\
+                r2 = min((r0 + 3) max(r1 (r0 ^ 6)));\n\
+                store.data z ((r2 - 1) & max(min(r0 r1) (7 | r1)));\n\
+                if ((r2 == 4) != ((r1 < r0) | (3 < min(r1 2)))) {\n\
+                    store.data w max(min(1 2) min(r2 (r0 + (r1 + 5))));\n\
+                }\n\
+            }\n";
+        let p = parse(src).unwrap();
+        let q = roundtrip(&p);
+        assert_eq!(p.threads(), q.threads());
+        assert_eq!(emit(&p), emit(&q));
+        let Instr::Assign { expr: Expr::Bin(BinOp::Min, ab), .. } = &p.threads()[0].instrs[2]
+        else {
+            panic!("r2 is a min: {:?}", p.threads()[0].instrs[2]);
+        };
+        assert!(matches!(&ab[1], Expr::Bin(BinOp::Max, _)), "its right operand is a max");
     }
 
     #[test]

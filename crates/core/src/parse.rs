@@ -88,8 +88,8 @@ struct Lexer {
     pos: usize,
 }
 
-const SYMBOLS: [&str; 14] =
-    ["==", "!=", "{", "}", "(", ")", "=", ";", ".", "+", "-", "&", "|", "^"];
+const SYMBOLS: [&str; 15] =
+    ["==", "!=", "<", "{", "}", "(", ")", "=", ";", ".", "+", "-", "&", "|", "^"];
 
 fn lex(src: &str) -> Result<Lexer, ParseError> {
     let mut toks = Vec::new();
@@ -278,6 +278,10 @@ fn parse_expr(lx: &mut Lexer, regs: &RegEnv) -> Result<Expr, ParseError> {
     if lx.eat_sym("!=") {
         let rhs = parse_sum(lx, regs)?;
         return Ok(Expr::bin(BinOp::Ne, lhs, rhs));
+    }
+    if lx.eat_sym("<") {
+        let rhs = parse_sum(lx, regs)?;
+        return Ok(Expr::bin(BinOp::Lt, lhs, rhs));
     }
     Ok(lhs)
 }

@@ -9,8 +9,10 @@
 //! paper's Listing 7 model operates on.
 
 use crate::classes::OpClass;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// A shared memory location, interned by [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,15 +27,22 @@ pub type Value = i64;
 
 /// A register expression: the right-hand side of stores, RMW operands,
 /// assignments and branch conditions.
+///
+/// An expression is a tree of 16-byte nodes: a [`Expr::Bin`] keeps its
+/// two operands in one boxed pair, so building a node costs one heap
+/// allocation and a leaf none. Building the histogram H's grid kernel
+/// makes about 360,000 `Bin` nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
     /// A constant.
     Const(Value),
     /// A register read.
     Reg(Reg),
-    /// A binary operation over two sub-expressions.
-    Bin(BinOp, Box<Expr>, Box<Expr>),
+    /// A binary operation over its left and right operands.
+    Bin(BinOp, Box<[Expr; 2]>),
 }
+
+const _: () = assert!(size_of::<Expr>() == 16);
 
 /// Binary operators available in [`Expr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,9 +97,9 @@ impl Expr {
         match self {
             Expr::Const(v) => *v,
             Expr::Reg(r) => *regs.get(r).unwrap_or(&0),
-            Expr::Bin(op, a, b) => {
-                let (a, b) = (a.eval(regs), b.eval(regs));
-                op.apply(a, b)
+            Expr::Bin(op, ab) => {
+                let [a, b] = &**ab;
+                op.apply(a.eval(regs), b.eval(regs))
             }
         }
     }
@@ -100,7 +109,8 @@ impl Expr {
         match self {
             Expr::Const(_) => {}
             Expr::Reg(r) => out.push(*r),
-            Expr::Bin(_, a, b) => {
+            Expr::Bin(_, ab) => {
+                let [a, b] = &**ab;
                 a.regs_read(out);
                 b.regs_read(out);
             }
@@ -113,7 +123,8 @@ impl Expr {
         match self {
             Expr::Const(_) => {}
             Expr::Reg(r) => f(*r),
-            Expr::Bin(_, a, b) => {
+            Expr::Bin(_, ab) => {
+                let [a, b] = &**ab;
                 a.for_each_reg(f);
                 b.for_each_reg(f);
             }
@@ -126,16 +137,16 @@ impl Expr {
         match self {
             Expr::Const(v) => *v,
             Expr::Reg(r) => regs.get(r.0 as usize).copied().flatten().unwrap_or(0),
-            Expr::Bin(op, a, b) => {
-                let (a, b) = (a.eval_slice(regs), b.eval_slice(regs));
-                op.apply(a, b)
+            Expr::Bin(op, ab) => {
+                let [a, b] = &**ab;
+                op.apply(a.eval_slice(regs), b.eval_slice(regs))
             }
         }
     }
 
-    /// Shorthand for `Expr::Bin(op, a, b)`.
+    /// Shorthand for `Expr::Bin(op, Box::new([a, b]))`.
     pub fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
-        Expr::Bin(op, Box::new(a), Box::new(b))
+        Expr::Bin(op, Box::new([a, b]))
     }
 }
 
@@ -342,15 +353,45 @@ pub struct Thread {
     pub instrs: Vec<Instr>,
 }
 
+/// FNV-1a, the location index's hasher: location names are a few
+/// bytes long, and SipHash's per-lookup setup costs more than hashing
+/// them. Programs are built from trusted templates and files, so the
+/// index needs no protection from chosen collisions.
+#[derive(Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
 /// A whole litmus program.
+///
+/// Locations are interned: [`Program::intern`] hands out [`Loc`]s in
+/// first-seen order. Each name is allocated once and shared by the
+/// name table and its hash index, so interning a new name costs one
+/// allocation (plus amortized table growth) and a repeated one none.
 #[derive(Debug, Clone)]
 pub struct Program {
     name: String,
     threads: Vec<Thread>,
-    locs: Vec<String>,
-    /// Name → index of `locs`: interning is O(log n) in the locations
-    /// named so far (grid kernels build one program per grid thread).
-    loc_index: BTreeMap<String, u32>,
+    /// Location names by [`Loc`] index.
+    locs: Vec<Arc<str>>,
+    /// Name → index of `locs`, sharing `locs`' strings.
+    loc_index: HashMap<Arc<str>, u32, BuildHasherDefault<Fnv1a>>,
     init: BTreeMap<Loc, Value>,
 }
 
@@ -363,7 +404,7 @@ impl Program {
             name: name.into(),
             threads: Vec::new(),
             locs: Vec::new(),
-            loc_index: BTreeMap::new(),
+            loc_index: HashMap::default(),
             init: BTreeMap::new(),
         }
     }
@@ -400,16 +441,17 @@ impl Program {
         self.init.insert(l, v);
     }
 
-    /// Intern a location name.
+    /// Intern a location name: the [`Loc`] it was given before, or the
+    /// next index for a name not seen yet.
     pub fn intern(&mut self, name: &str) -> Loc {
         if let Some(&i) = self.loc_index.get(name) {
-            Loc(i)
-        } else {
-            let i = self.locs.len() as u32;
-            self.locs.push(name.to_string());
-            self.loc_index.insert(name.to_string(), i);
-            Loc(i)
+            return Loc(i);
         }
+        let i = u32::try_from(self.locs.len()).expect("at most 2^32 locations");
+        let name: Arc<str> = Arc::from(name);
+        self.loc_index.insert(Arc::clone(&name), i);
+        self.locs.push(name);
+        Loc(i)
     }
 
     /// Look up an already-interned location.
@@ -705,6 +747,43 @@ mod tests {
         assert_eq!(p.loc_name(Loc(0)), "x");
         assert_eq!(p.loc_name(Loc(1)), "y");
         assert_eq!(p.memory_op_count(), 3);
+    }
+
+    #[test]
+    fn intern_hands_out_locs_in_first_seen_order() {
+        let mut p = Program::new("t");
+        let names = ["y", "x", "b7", "i12", "x", "y", "z", "b7"];
+        let locs: Vec<Loc> = names.iter().map(|n| p.intern(n)).collect();
+        assert_eq!(locs, [0, 1, 2, 3, 1, 0, 4, 2].map(Loc));
+        assert_eq!(p.num_locs(), 5);
+        for (&n, &l) in names.iter().zip(&locs) {
+            assert_eq!(p.find_loc(n), Some(l), "{n}");
+            assert_eq!(p.loc_name(l), n);
+        }
+        assert_eq!(p.find_loc("w"), None);
+        assert_eq!(p.find_loc(""), None);
+    }
+
+    #[test]
+    fn intern_keeps_its_index_past_100k_names() {
+        let n = 150_000u32;
+        let mut p = Program::new("big");
+        for i in 0..n {
+            assert_eq!(p.intern(&format!("i{i}")), Loc(i));
+        }
+        // A repeated name, in any order, gets its first Loc back.
+        for i in (0..n).rev().step_by(7) {
+            let name = format!("i{i}");
+            assert_eq!(p.intern(&name), Loc(i));
+            assert_eq!(p.find_loc(&name), Some(Loc(i)));
+            assert_eq!(p.loc_name(Loc(i)), name);
+        }
+        assert_eq!(p.num_locs(), n as usize);
+        // A copy shares the names and answers the same lookups.
+        let mut q = p.clone();
+        assert_eq!(q.find_loc("i99999"), Some(Loc(99_999)));
+        assert_eq!(q.intern("fresh"), Loc(n));
+        assert_eq!(p.find_loc("fresh"), None);
     }
 
     #[test]

@@ -43,7 +43,8 @@ pub fn default_domain(p: &Program) -> Vec<Value> {
         match e {
             Expr::Const(v) => add(*v),
             Expr::Reg(_) => {}
-            Expr::Bin(_, a, b) => {
+            Expr::Bin(_, ab) => {
+                let [a, b] = &**ab;
                 consts(a, add);
                 consts(b, add);
             }

@@ -11,7 +11,14 @@ use crate::uts::Uts;
 use drfrlx_core::{OpClass, SystemConfig};
 use hsim_gpu::Kernel;
 use hsim_sys::{config_jobs, SimJob, SysParams};
+use std::fmt;
 use std::sync::Arc;
+
+/// A registry kernel: simulated through [`Kernel`], and printable, so a
+/// test can pin the code and inputs it was built from.
+pub trait WorkloadKernel: Kernel + fmt::Debug {}
+
+impl<K: Kernel + fmt::Debug> WorkloadKernel for K {}
 
 /// One row of Table 3.
 pub struct WorkloadSpec {
@@ -27,7 +34,7 @@ pub struct WorkloadSpec {
     /// Atomic classes used.
     pub classes: &'static [OpClass],
     /// Kernel constructor.
-    pub build: Box<dyn Fn() -> Box<dyn Kernel> + Send + Sync>,
+    pub build: Box<dyn Fn() -> Box<dyn WorkloadKernel> + Send + Sync>,
 }
 
 impl WorkloadSpec {
@@ -68,7 +75,7 @@ fn spec(
     paper_input: &'static str,
     scaled_input: impl Into<String>,
     classes: &'static [OpClass],
-    build: impl Fn() -> Box<dyn Kernel> + Send + Sync + 'static,
+    build: impl Fn() -> Box<dyn WorkloadKernel> + Send + Sync + 'static,
 ) -> WorkloadSpec {
     WorkloadSpec {
         name,
