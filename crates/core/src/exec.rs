@@ -42,7 +42,7 @@
 //! *quantum-equivalent program* P<sub>q</sub>.
 
 use crate::classes::OpClass;
-use crate::fingerprint::{mix64, Fingerprint, FingerprintTable};
+use crate::fingerprint::{mix64, step, Fingerprint, FingerprintTable};
 use crate::program::{Expr, Instr, Loc, Program, Reg, Value};
 use crate::relation::Relation;
 use crate::resilience::{
@@ -1015,7 +1015,8 @@ struct Memo {
     /// not read register files.
     live: Vec<Vec<Vec<u16>>>,
     /// Fingerprint → smallest sleep set the state has been explored
-    /// under.
+    /// under, one 24-byte slot each (the fingerprint as two `u64`
+    /// halves, then the mask).
     table: FingerprintTable<u64>,
 }
 
@@ -1507,28 +1508,32 @@ impl<'a> Engine<'a> {
         st.lmix[ev.id] = lm;
         let sum = |s: &IdSet| s.iter().fold(0u64, |h, src| h.wrapping_add(st.lmix[src as usize]));
         let (dh, ch) = (sum(data), sum(ctrl));
-        let mut h = mix64(
-            lm ^ match ev.access {
+        let mut h = step(
+            lm,
+            match ev.access {
                 Access::Read => 1,
                 Access::Write => 2,
                 Access::Rmw => 3,
             },
         );
-        h = mix64(h ^ (ev.class as u64 + 1));
+        h = step(h, ev.class as u64 + 1);
         if let Some(wf) = ev.write_fn {
             let (tag, val) = wf.parts();
-            h = mix64(h ^ tag);
-            h = mix64(h ^ val as u64);
+            h = step(h, tag);
+            h = step(h, val as u64);
         }
         if ev.class.is_acquire_side() && ev.access.reads() {
-            h = mix64(h ^ st.rel_hash[li]);
+            h = step(h, st.rel_hash[li]);
         }
-        h = mix64(h ^ dh);
-        h = mix64(h ^ ch);
+        h = step(h, dh);
+        h = step(h, ch);
         if self.exact && ev.access.reads() {
             let src = st.writes[li].last().map_or(u64::MAX, |&(w, _)| st.lmix[w as usize]);
-            h = mix64(h ^ src);
+            h = step(h, src);
         }
+        // The terms are summed into `eh`, so the chain ends in a full
+        // finalizer.
+        let h = mix64(h);
         st.term[ev.id] = h;
         st.eh = st.eh.wrapping_add(h);
         let prev = st.thread_h[ev.tid].last().copied().unwrap_or(0);
@@ -2067,10 +2072,12 @@ impl<'a> Engine<'a> {
         s.iter().fold(0, |h, id| h.wrapping_add(self.st.lmix[id as usize]))
     }
 
-    /// Canonical fingerprint of the current search state, SplitMix64-
-    /// mixed into two independent 64-bit lanes. Two states with equal
-    /// fingerprints are indistinguishable to the race detectors —
-    /// everything Listing 7 reads is pinned:
+    /// Canonical fingerprint of the current search state: 128 bits from
+    /// [`Fingerprint`]'s two independent lanes, each fed word costing
+    /// one full-width multiply per lane and each lane finished by one
+    /// SplitMix64 finalizer. Two states with equal fingerprints are
+    /// indistinguishable to the race detectors — everything Listing 7
+    /// reads is pinned:
     ///
     /// - per-thread control state: pc plus the *static-label sequence*
     ///   of executed memory events (pins `po` and each thread's
@@ -2088,6 +2095,9 @@ impl<'a> Engine<'a> {
     /// Every per-event term is fixed when the event is performed
     /// ([`Engine::track_event`]) and sequences enter as prefix hashes,
     /// so the cost does not grow with the events already performed.
+    /// Distinct states share a fingerprint only by a 128-bit collision;
+    /// `tests/enumeration_digest.rs` pins every explored, pruned and
+    /// memo-pruned count the table decides, on the whole corpus.
     fn fingerprint(&self, memo: &Memo) -> u128 {
         let mut fp = Fingerprint::new();
         let mut feed = |v: u64| fp.feed(v);
@@ -2599,6 +2609,32 @@ mod tests {
         visit_sc(&p, &limits(), true, Reduction::SleepSet, &mut red).unwrap();
         assert_eq!(red.memories, full.memories);
         assert_eq!(red.race_kinds, full.race_kinds);
+    }
+
+    /// Memoization merges only states whose futures are equal, so it
+    /// keeps every final memory image, race kind and verdict of plain
+    /// sleep sets. In `ww` two threads write both locations; every
+    /// order ends with the same events and pcs, and only memory tells
+    /// the four final images apart.
+    #[test]
+    fn memo_preserves_results_and_verdicts() {
+        let mut ww = Program::new("ww");
+        for v in [1, 2] {
+            let mut t = ww.thread();
+            t.store(OpClass::Paired, "x", v);
+            t.store(OpClass::Data, "y", v);
+        }
+        let ww = ww.build();
+        for p in [sb(OpClass::Paired), sb(OpClass::Unpaired), sb(OpClass::NonOrdering), ww] {
+            let mut plain = Summary::default();
+            visit_sc(&p, &limits(), false, Reduction::SleepSet, &mut plain).unwrap();
+            let mut memo = Summary::default();
+            visit_sc(&p, &limits(), false, Reduction::SleepSetMemo, &mut memo).unwrap();
+            let name = p.name();
+            assert_eq!(memo.memories, plain.memories, "{name}: memory result set changed");
+            assert_eq!(memo.race_kinds, plain.race_kinds, "{name}: race kinds changed");
+            assert_eq!(memo.any_race, plain.any_race, "{name}: verdict changed");
+        }
     }
 
     #[test]
