@@ -68,7 +68,7 @@ pub fn run_campaign(
         CampaignState { seed: root, ran: 0, sound: 0, violations: Vec::new(), skipped: Vec::new() };
     for i in 0..total {
         let stop = |reason| RunStatus::Inconclusive { reason, frontier: vec![i as usize] };
-        if let Some(Err(reason)) = res.budget.as_ref().map(|b| b.check(0)) {
+        if let Some(Err(reason)) = res.budget.as_ref().map(|b| b.check()) {
             return (state, stop(reason));
         }
         let seed = root.wrapping_add(i);
@@ -96,9 +96,7 @@ fn run_ladder(seed: u64, index: u64, opts: &ConformOptions, res: &ConformResilie
     if p.threads().is_empty() {
         return Ladder::Skipped;
     }
-    let pool = Pool::new(EngineId::Conform, 1)
-        .budget(res.budget.as_deref())
-        .faults(res.fault_plan.as_ref());
+    let pool = Pool::new(EngineId::Conform, 1, res);
     for (rung, mult) in BUDGET_LADDER.iter().enumerate() {
         let mut rung_opts = opts.clone();
         rung_opts.limits.max_executions = opts.limits.max_executions.saturating_mul(*mult);
@@ -116,7 +114,7 @@ fn run_ladder(seed: u64, index: u64, opts: &ConformOptions, res: &ConformResilie
         }
         match out.report {
             Some(report) => return Ladder::Verdict(report),
-            // Oracle exhausted its execution/memory budget: climb.
+            // Oracle exhausted its execution budget: climb.
             None => continue,
         }
     }

@@ -25,10 +25,10 @@ use crate::outcome::{allowed_outcomes, Outcome};
 use crate::schedule::schedule_params;
 use drfrlx_core::exec::{EnumError, EnumLimits, EnumStats};
 use drfrlx_core::program::Program;
-use drfrlx_core::resilience::{require_complete, LostPanic, RunStatus};
+use drfrlx_core::resilience::{require_complete, Budget, LostPanic, Resilience, RunStatus};
 use drfrlx_core::{MemoryModel, SystemConfig};
 use drfrlx_litmus::{all_tests, Category};
-use hsim_sys::{run_matrix_map, MatrixResilience, RunReport, SimJob, SysParams};
+use hsim_sys::{run_matrix_map, RunReport, SimJob, SysParams};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -171,14 +171,14 @@ pub fn conform_jobs(shape: &CompiledLitmus, opts: &ConformOptions) -> Vec<SimJob
 ///
 /// # Errors
 ///
-/// Returns [`EnumError::TooManyExecutions`] when the oracle cannot
+/// Returns [`EnumError::Executions`] when the oracle cannot
 /// enumerate the program within `opts.limits`.
 pub fn report_from_runs(
     shape: &CompiledLitmus,
     opts: &ConformOptions,
     reports: &[RunReport],
 ) -> Result<ConformReport, EnumError> {
-    fold_report(shape, opts, &opts.limits, &|i| reports.get(i).map(|r| r.memory.as_slice()))
+    fold_report(shape, opts, None, &|i| reports.get(i).map(|r| r.memory.as_slice()))
 }
 
 /// [`report_from_runs`] over a partial sweep: `None` slots (jobs lost
@@ -197,19 +197,20 @@ pub fn report_from_partial_runs(
     reports: &[Option<RunReport>],
 ) -> Result<ConformReport, EnumError> {
     let image_at = |i: usize| reports.get(i)?.as_ref().map(|r| r.memory.as_slice());
-    fold_report(shape, opts, &opts.limits, &image_at)
+    fold_report(shape, opts, None, &image_at)
 }
 
-/// Shared fold: oracle + per-config observed sets, with the final
-/// memory image of job `i` — the one field of a report an outcome
-/// reads — looked up through `image_at` (absent images are skipped).
+/// Shared fold: oracle (polling `budget`) + per-config observed sets,
+/// with the final memory image of job `i` — the one field of a report
+/// an outcome reads — looked up through `image_at` (absent images are
+/// skipped).
 fn fold_report<'a>(
     shape: &CompiledLitmus,
     opts: &ConformOptions,
-    limits: &EnumLimits,
+    budget: Option<&Arc<Budget>>,
     image_at: &dyn Fn(usize) -> Option<&'a [u64]>,
 ) -> Result<ConformReport, EnumError> {
-    let (allowed, oracle_stats) = allowed_outcomes(shape, limits, opts.threads)?;
+    let (allowed, oracle_stats) = allowed_outcomes(shape, &opts.limits, budget, opts.threads)?;
     let per = opts.schedules.max(1);
     let verdicts = opts
         .configs
@@ -236,7 +237,7 @@ fn fold_report<'a>(
 ///
 /// # Errors
 ///
-/// Returns [`EnumError::TooManyExecutions`] when the oracle cannot
+/// Returns [`EnumError::Executions`] when the oracle cannot
 /// enumerate the program within `opts.limits` (the simulation side ran
 /// by then, but without an allowed set there is no verdict).
 ///
@@ -246,16 +247,16 @@ fn fold_report<'a>(
 /// the lowest simulation job that panicked on its try and its retry.
 pub fn check_conformance(p: &Program, opts: &ConformOptions) -> Result<ConformReport, EnumError> {
     let (out, lost_panic) = conform(p, opts, &ConformResilience::default());
-    require_complete(out.status, lost_panic)?;
+    require_complete(&out.status, lost_panic)?;
     Ok(out.report.expect("a complete run has an allowed set"))
 }
 
-/// Resilience controls for a conformance run: the sweep's. The
-/// budget also reaches the axiomatic oracle's enumerator (unless
-/// `opts.limits.budget` already carries one); the fault plan faults
-/// simulation jobs under `EngineId::Sweep` and fuzz-campaign rungs
-/// under `EngineId::Conform`.
-pub type ConformResilience = MatrixResilience;
+/// Resilience options for a conformance run: the shared
+/// [`Resilience`] value. The budget reaches the simulation sweep and
+/// the axiomatic oracle's enumerator; the fault plan faults simulation
+/// jobs under `EngineId::Sweep` and fuzz-campaign rungs under
+/// `EngineId::Conform`, never the oracle.
+pub type ConformResilience = Resilience;
 
 /// The outcome of a resilient conformance run.
 #[derive(Clone)]
@@ -307,16 +308,12 @@ fn conform(
     let shape = compile(p);
     let jobs = conform_jobs(&shape, opts);
     let matrix = run_matrix_map(&jobs, opts.threads, res, |r: RunReport| r.memory);
-    let mut limits = opts.limits.clone();
-    if limits.budget.is_none() {
-        limits.budget = res.budget.clone();
-    }
     let image_at = |i: usize| matrix.reports.get(i)?.as_deref();
-    let out = match fold_report(&shape, opts, &limits, &image_at) {
+    let out = match fold_report(&shape, opts, res.budget.as_ref(), &image_at) {
         Ok(report) => ConformOutcome { report: Some(report), status: matrix.status },
-        Err(e) => ConformOutcome {
+        Err(reason) => ConformOutcome {
             report: None,
-            status: RunStatus::Inconclusive { reason: e.exhaust_reason(), frontier: Vec::new() },
+            status: RunStatus::Inconclusive { reason, frontier: Vec::new() },
         },
     };
     (out, matrix.lost_panic)
@@ -546,6 +543,23 @@ mod tests {
             RunStatus::Inconclusive { reason: ExhaustReason::Executions { .. }, .. } => {}
             s => panic!("expected Inconclusive(Executions), got {s:?}"),
         }
+    }
+
+    #[test]
+    fn the_oracle_polls_the_run_budget() {
+        use drfrlx_core::resilience::ExhaustReason;
+        // iriw_stress's 4,825 executions overflow the sharding probe, so
+        // the oracle's pool polls the budget before its first shard.
+        let p = drfrlx_litmus::stress::iriw_stress();
+        let budget = Arc::new(Budget::unlimited());
+        budget.cancel();
+        let res = ConformResilience { budget: Some(budget), fault_plan: None };
+        let out = check_conformance_resilient(&p, &quick_opts(), &res);
+        assert!(out.report.is_none(), "a cancelled oracle has no allowed set");
+        assert_eq!(
+            out.status,
+            RunStatus::Inconclusive { reason: ExhaustReason::Cancelled, frontier: Vec::new() }
+        );
     }
 
     #[test]

@@ -20,11 +20,13 @@
 
 use crate::compile::CompiledLitmus;
 use drfrlx_core::exec::{
-    visit_sc_sharded, EnumError, EnumLimits, EnumStats, ExecResult, Execution, ExecutionVisitor,
+    visit_sc_resilient, EnumError, EnumLimits, EnumStats, ExecResult, Execution, ExecutionVisitor,
     Reduction,
 };
 use drfrlx_core::program::{Loc, Program, Reg};
+use drfrlx_core::resilience::{require_complete, Budget, Resilience};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One normalized final state: dense memory (indexed by `Loc`) and
 /// dense per-thread register files (unwritten = 0).
@@ -89,7 +91,8 @@ impl ExecutionVisitor for OutcomeSet<'_> {
     }
 }
 
-/// Enumerate the allowed (SC) outcome set of `p` on `threads` workers.
+/// Enumerate the allowed (SC) outcome set of `p` on `threads` workers,
+/// polling `budget` (when present). The oracle draws no faults.
 ///
 /// Uses sleep-set partial-order reduction: commuting adjacent steps
 /// touch different locations (or are both reads), so the pruned order
@@ -99,15 +102,22 @@ impl ExecutionVisitor for OutcomeSet<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`EnumError::TooManyExecutions`] when the interleaving tree
-/// exceeds `limits.max_executions`.
+/// Returns [`EnumError::Executions`] when the interleaving tree
+/// exceeds `limits.max_executions`, and the budget's reason when it
+/// trips.
+///
+/// # Panics
+///
+/// Re-raises the original panic of a shard that panicked on both its
+/// try and its retry.
 pub fn allowed_outcomes(
     shape: &CompiledLitmus,
     limits: &EnumLimits,
+    budget: Option<&Arc<Budget>>,
     threads: usize,
 ) -> Result<(BTreeSet<Outcome>, EnumStats), EnumError> {
     let p: &Program = &shape.program;
-    let run = visit_sc_sharded(
+    let mut run = visit_sc_resilient(
         p,
         limits,
         false,
@@ -115,7 +125,9 @@ pub fn allowed_outcomes(
         threads,
         &|| OutcomeSet { shape, set: BTreeSet::new() },
         &|_| false,
-    )?;
+        &Resilience { budget: budget.cloned(), fault_plan: None },
+    );
+    require_complete(&run.status, run.lost_panic.take())?;
     let mut set = BTreeSet::new();
     for (v, _) in run.shards {
         set.extend(v.set);
@@ -152,7 +164,7 @@ mod tests {
     fn sc_set_of_store_buffering_has_no_zero_zero() {
         let p = sb();
         let shape = compile(&p);
-        let (allowed, _) = allowed_outcomes(&shape, &EnumLimits::default(), 1).unwrap();
+        let (allowed, _) = allowed_outcomes(&shape, &EnumLimits::default(), None, 1).unwrap();
         // 3 outcomes: (r1,r2) in {(0,1),(1,0),(1,1)} — never (0,0).
         assert_eq!(allowed.len(), 3);
         assert!(!allowed.iter().any(|o| o.regs[0][0] == 0 && o.regs[1][0] == 0));
@@ -162,8 +174,8 @@ mod tests {
     fn sharded_oracle_is_thread_invariant() {
         let p = sb();
         let shape = compile(&p);
-        let (t1, _) = allowed_outcomes(&shape, &EnumLimits::default(), 1).unwrap();
-        let (t4, _) = allowed_outcomes(&shape, &EnumLimits::default(), 4).unwrap();
+        let (t1, _) = allowed_outcomes(&shape, &EnumLimits::default(), None, 1).unwrap();
+        let (t4, _) = allowed_outcomes(&shape, &EnumLimits::default(), None, 4).unwrap();
         assert_eq!(t1, t4);
     }
 
@@ -174,7 +186,7 @@ mod tests {
         let execs = enumerate_sc(&p, &EnumLimits::default()).unwrap();
         let exhaustive: BTreeSet<Outcome> =
             execs.iter().map(|e| Outcome::from_exec(&shape, &e.result)).collect();
-        let (reduced, _) = allowed_outcomes(&shape, &EnumLimits::default(), 1).unwrap();
+        let (reduced, _) = allowed_outcomes(&shape, &EnumLimits::default(), None, 1).unwrap();
         assert_eq!(exhaustive, reduced);
     }
 
@@ -188,7 +200,7 @@ mod tests {
         }
         let p = p.build();
         let shape = compile(&p);
-        let (allowed, _) = allowed_outcomes(&shape, &EnumLimits::default(), 1).unwrap();
+        let (allowed, _) = allowed_outcomes(&shape, &EnumLimits::default(), None, 1).unwrap();
         assert_eq!(allowed.len(), 1);
         let o = allowed.iter().next().unwrap();
         assert_eq!(o.mem, vec![0]);

@@ -35,7 +35,7 @@ fn check(name: &str, p: &Program, hole: usize) {
     let report = report_from_partial_runs(&shape, &opts, &reports)
         .unwrap_or_else(|e| panic!("{name}: oracle failed: {e:?}"));
 
-    let (allowed, _) = allowed_outcomes(&shape, &opts.limits, 1).expect("oracle enumerates");
+    let (allowed, _) = allowed_outcomes(&shape, &opts.limits, None, 1).expect("oracle enumerates");
     assert_eq!(report.allowed, allowed, "{name}: allowed set");
     let per = opts.schedules;
     assert_eq!(report.verdicts.len(), opts.configs.len(), "{name}");

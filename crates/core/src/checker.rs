@@ -32,7 +32,7 @@ use crate::fingerprint::FingerprintTable;
 use crate::program::Program;
 use crate::quantum::has_quantum;
 use crate::races::{attainable_kinds, shape_fingerprint, Race, RaceDetector, RaceKind};
-use crate::resilience::{require_complete, FaultPlan, LostPanic, RunStatus};
+use crate::resilience::{require_complete, LostPanic, Resilience, RunStatus};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
@@ -280,18 +280,9 @@ pub fn check_program_with(
     model: MemoryModel,
     opts: &CheckOptions,
 ) -> Result<CheckReport, EnumError> {
-    let (out, lost_panic) = check_shards(p, model, opts, &CheckResilience::default());
-    require_complete(out.status, lost_panic)?;
+    let (out, lost_panic) = check_shards(p, model, opts, &Resilience::default());
+    require_complete(&out.status, lost_panic)?;
     Ok(out.report)
-}
-
-/// Resilience options for [`check_program_resilient`]. The budget
-/// (deadline / cancel / memory cap) travels inside
-/// [`CheckOptions::limits`] so the DFS hot loop can poll it.
-#[derive(Debug, Clone, Default)]
-pub struct CheckResilience {
-    /// Deterministic fault injection (chaos testing only).
-    pub fault_plan: Option<FaultPlan>,
 }
 
 /// Result of a resilient check: the (possibly partial) report plus how
@@ -322,8 +313,9 @@ impl CheckOutcome {
 
 /// [`check_program_with`], resilient: panic-isolated shards with one
 /// retry (backing off [`Reduction::SleepSetMemo`] to
-/// [`Reduction::SleepSet`]), cooperative budgets and deterministic
-/// fault injection. Infallible — exhaustion comes back as
+/// [`Reduction::SleepSet`]), the cooperative `res.budget` (polled by
+/// the DFS and before every shard) and deterministic fault injection.
+/// Infallible — exhaustion comes back as
 /// [`RunStatus::Inconclusive`], lost shards as [`RunStatus::Degraded`],
 /// never an error or abort.
 ///
@@ -336,7 +328,7 @@ pub fn check_program_resilient(
     p: &Program,
     model: MemoryModel,
     opts: &CheckOptions,
-    res: &CheckResilience,
+    res: &Resilience,
 ) -> CheckOutcome {
     check_shards(p, model, opts, res).0
 }
@@ -347,7 +339,7 @@ fn check_shards(
     p: &Program,
     model: MemoryModel,
     opts: &CheckOptions,
-    res: &CheckResilience,
+    res: &Resilience,
 ) -> (CheckOutcome, Option<LostPanic>) {
     let view = model_view(p, model);
     let quantum = model == MemoryModel::Drfrlx && has_quantum(&view);
@@ -369,7 +361,7 @@ fn check_shards(
         opts.threads.min(cores.max(1)),
         &|| RaceCollector::new(&view, quantum, &attainable, opts.early_exit),
         &|v: &RaceCollector| opts.early_exit && v.saturated(),
-        res.fault_plan.as_ref(),
+        res,
     );
     let completed_shards = run.shards.len();
     // Deterministic merge: shards in index order, races deduped by

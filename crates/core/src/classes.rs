@@ -88,12 +88,6 @@ impl OpClass {
         matches!(self, OpClass::Paired | OpClass::Release)
     }
 
-    /// Is this an ordering atomic (participates in the atomic-atomic
-    /// program-order guarantee: paired, unpaired, acquire, release)?
-    pub fn is_ordering_atomic(self) -> bool {
-        matches!(self, OpClass::Paired | OpClass::Unpaired | OpClass::Acquire | OpClass::Release)
-    }
-
     /// Short label used in printed executions ("P", "UNP", "NO", ...).
     pub fn short(self) -> &'static str {
         match self {

@@ -29,7 +29,8 @@
 //!    results merge in shard order. The shard set is independent of the
 //!    thread count, so explored/pruned counts and visitor results are
 //!    byte-identical at any `--threads`. [`visit_sc_sharded`] is the
-//!    same run with no fault plan, mapped back to a `Result`.
+//!    same run with default [`Resilience`] options, mapped back to a
+//!    `Result`.
 //!
 //! [`enumerate_sc`] / [`enumerate_sc_quantum`] survive as collect()
 //! visitors over the exhaustive (unreduced) walk — the materializing
@@ -46,12 +47,10 @@ use crate::fingerprint::{mix64, step, Fingerprint, FingerprintTable};
 use crate::program::{Expr, Instr, Loc, Program, Reg, Value};
 use crate::relation::Relation;
 use crate::resilience::{
-    require_complete, Budget, EngineId, ExhaustReason, FaultPlan, LostPanic, Pool, RunStatus,
+    require_complete, Budget, EngineId, ExhaustReason, LostPanic, Pool, Resilience, RunStatus,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Kind of dynamic memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -254,7 +253,10 @@ impl Execution {
     }
 }
 
-/// Limits and options for enumeration.
+/// Limits and options for enumeration. A run's deadline and cancel
+/// flag are not limits of the walk: they travel in the
+/// [`Resilience`] options of [`visit_sc_resilient`], whose DFS polls
+/// them amortized.
 #[derive(Debug, Clone)]
 pub struct EnumLimits {
     /// Abort after this many complete executions.
@@ -263,88 +265,20 @@ pub struct EnumLimits {
     /// quantum-equivalent program. Ignored by [`enumerate_sc`]; used by
     /// [`enumerate_sc_quantum`].
     pub quantum_domain: Vec<Value>,
-    /// Optional shared resource budget (wall-clock deadline, cancel
-    /// flag, approximate memory high-water), polled amortized in the
-    /// DFS hot loop — every [`BUDGET_POLL_INTERVAL`] tree nodes, so the
-    /// default `None` costs one branch per node.
-    pub budget: Option<Arc<Budget>>,
 }
 
 impl Default for EnumLimits {
     fn default() -> Self {
-        EnumLimits { max_executions: 250_000, quantum_domain: vec![0, 1, JUNK], budget: None }
+        EnumLimits { max_executions: 250_000, quantum_domain: vec![0, 1, JUNK] }
     }
 }
 
 /// A recognizable "could be anything" value for quantum randomness.
 pub const JUNK: Value = 0x0BAD_F00D;
 
-/// Enumeration failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EnumError {
-    /// The execution count exceeded [`EnumLimits::max_executions`].
-    TooManyExecutions {
-        /// The configured limit.
-        limit: usize,
-    },
-    /// The wall-clock deadline of [`EnumLimits::budget`] expired.
-    DeadlineExpired,
-    /// The budget's cancel flag was set (by the caller).
-    Cancelled,
-    /// The enumeration's approximate memory high-water (undo journal
-    /// plus memo table) passed the budget's cap.
-    MemoryExhausted {
-        /// The configured cap in bytes.
-        limit: usize,
-    },
-}
-
-impl EnumError {
-    /// The structured exhaustion reason, for
-    /// [`RunStatus::Inconclusive`] reports.
-    pub fn exhaust_reason(&self) -> ExhaustReason {
-        match *self {
-            EnumError::TooManyExecutions { limit } => ExhaustReason::Executions { limit },
-            EnumError::DeadlineExpired => ExhaustReason::Deadline,
-            EnumError::Cancelled => ExhaustReason::Cancelled,
-            EnumError::MemoryExhausted { limit } => ExhaustReason::Memory { limit },
-        }
-    }
-}
-
-impl From<ExhaustReason> for EnumError {
-    fn from(r: ExhaustReason) -> EnumError {
-        match r {
-            ExhaustReason::Executions { limit } => EnumError::TooManyExecutions { limit },
-            ExhaustReason::Deadline => EnumError::DeadlineExpired,
-            ExhaustReason::Cancelled => EnumError::Cancelled,
-            ExhaustReason::Memory { limit } => EnumError::MemoryExhausted { limit },
-        }
-    }
-}
-
-impl fmt::Display for EnumError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EnumError::TooManyExecutions { limit } => {
-                write!(
-                    f,
-                    "more than {limit} SC executions; raise the limit with \
-                     `drfrlx check --max-execs N` (EnumLimits::max_executions)"
-                )
-            }
-            EnumError::DeadlineExpired => {
-                write!(f, "wall-clock deadline expired before enumeration finished")
-            }
-            EnumError::Cancelled => write!(f, "enumeration cancelled"),
-            EnumError::MemoryExhausted { limit } => {
-                write!(f, "enumeration memory high-water passed {limit} bytes")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EnumError {}
+/// Enumeration failure: the resilience layer's [`ExhaustReason`] —
+/// the execution limit, or a budget's deadline or cancel flag.
+pub type EnumError = ExhaustReason;
 
 /// A streaming consumer of completed SC executions.
 ///
@@ -415,7 +349,7 @@ impl EnumStats {
 ///
 /// # Errors
 ///
-/// Returns [`EnumError::TooManyExecutions`] if the interleaving count
+/// Returns [`ExhaustReason::Executions`] if the interleaving count
 /// exceeds the limit.
 pub fn enumerate_sc(p: &Program, limits: &EnumLimits) -> Result<Vec<Execution>, EnumError> {
     let mut c = Collect::default();
@@ -430,7 +364,7 @@ pub fn enumerate_sc(p: &Program, limits: &EnumLimits) -> Result<Vec<Execution>, 
 ///
 /// # Errors
 ///
-/// Returns [`EnumError::TooManyExecutions`] if the execution count
+/// Returns [`ExhaustReason::Executions`] if the execution count
 /// exceeds the limit.
 pub fn enumerate_sc_quantum(p: &Program, limits: &EnumLimits) -> Result<Vec<Execution>, EnumError> {
     let mut c = Collect::default();
@@ -454,7 +388,7 @@ impl ExecutionVisitor for Collect {
 ///
 /// # Errors
 ///
-/// Returns [`EnumError::TooManyExecutions`] if the execution count
+/// Returns [`ExhaustReason::Executions`] if the execution count
 /// exceeds the limit.
 pub fn visit_sc(
     p: &Program,
@@ -463,25 +397,8 @@ pub fn visit_sc(
     reduction: Reduction,
     visitor: &mut dyn ExecutionVisitor,
 ) -> Result<EnumStats, EnumError> {
-    let counter = AtomicUsize::new(0);
-    let st = SearchState::new(p);
-    let mut eng = Engine::new(p, limits, quantum, reduction, visitor, &counter, None, st);
-    eng.root(0)?;
-    Ok(eng.stats)
-}
-
-/// Result of a sharded enumeration: per-shard visitors in deterministic
-/// shard order, plus aggregate counts.
-pub struct ShardedRun<V> {
-    /// One `(visitor, stats)` per shard actually merged, in shard
-    /// (DFS frontier) order. When early exit cut the run short, shards
-    /// past the cutoff are absent.
-    pub shards: Vec<(V, EnumStats)>,
-    /// Aggregate explored/pruned over the merged shards (frontier-level
-    /// pruning included).
-    pub stats: EnumStats,
-    /// Did the saturation predicate cut the run short?
-    pub early_exit: bool,
+    let root = Shard { st: SearchState::new(p), sleep: 0 };
+    run_shard(p, limits, None, quantum, reduction, root, visitor, &AtomicUsize::new(0))
 }
 
 /// Execution budget for the sharding probe: before cutting the tree
@@ -510,14 +427,14 @@ fn shard_target(p: &Program) -> usize {
 const SHARD_MAX_DEPTH: usize = 6;
 
 /// Stream executions to per-shard visitors, in parallel:
-/// [`visit_sc_resilient`] with no fault plan, for callers that want
-/// the full result or an error.
+/// [`visit_sc_resilient`] with default [`Resilience`] options, for
+/// callers that want the full result or an error. On success the run's
+/// status is [`RunStatus::Complete`].
 ///
 /// # Errors
 ///
-/// Returns [`EnumError::TooManyExecutions`] when the executions
-/// explored across all shards (a shared counter) exceed the limit, and
-/// the matching error when [`EnumLimits::budget`] trips.
+/// Returns [`ExhaustReason::Executions`] when the executions
+/// explored across all shards (a shared counter) exceed the limit.
 ///
 /// # Panics
 ///
@@ -531,10 +448,11 @@ pub fn visit_sc_sharded<V: ExecutionVisitor + Send>(
     threads: usize,
     make: &(dyn Fn() -> V + Sync),
     saturated: &(dyn Fn(&V) -> bool + Sync),
-) -> Result<ShardedRun<V>, EnumError> {
-    let run = visit_sc_resilient(p, limits, quantum, reduction, threads, make, saturated, None);
-    require_complete(run.status, run.lost_panic)?;
-    Ok(ShardedRun { shards: run.shards, stats: run.stats, early_exit: run.early_exit })
+) -> Result<ResilientRun<V>, EnumError> {
+    let res = Resilience::default();
+    let mut run = visit_sc_resilient(p, limits, quantum, reduction, threads, make, saturated, &res);
+    require_complete(&run.status, run.lost_panic.take())?;
+    Ok(run)
 }
 
 /// One frontier job: a search-state snapshot plus the sleep set it was
@@ -570,7 +488,8 @@ fn collect_frontier(
     let mut shards = {
         let mut sink = Sink;
         let st = SearchState::new(p);
-        let mut eng = Engine::new(p, limits, quantum, reduction, &mut sink, &counter, Some(0), st);
+        let mut eng =
+            Engine::new(p, limits, None, quantum, reduction, &mut sink, &counter, Some(0), st);
         eng.root(0).expect("frontier collection emits no executions");
         pruned += eng.stats.pruned;
         std::mem::take(&mut eng.shards)
@@ -588,8 +507,17 @@ fn collect_frontier(
             }
             grew = true;
             let mut sink = Sink;
-            let mut eng =
-                Engine::new(p, limits, quantum, reduction, &mut sink, &counter, Some(1), shard.st);
+            let mut eng = Engine::new(
+                p,
+                limits,
+                None,
+                quantum,
+                reduction,
+                &mut sink,
+                &counter,
+                Some(1),
+                shard.st,
+            );
             eng.root(shard.sleep).expect("frontier collection emits no executions");
             pruned += eng.stats.pruned;
             next.append(&mut eng.shards);
@@ -616,24 +544,31 @@ impl ExecutionVisitor for Sink {
     }
 }
 
+/// Walk the tree below `shard`, polling `budget` (when present) and
+/// counting executions on `counter`.
+#[allow(clippy::too_many_arguments)] // the walk's inputs plus its start state
 fn run_shard(
     p: &Program,
     limits: &EnumLimits,
+    budget: Option<&Budget>,
     quantum: bool,
     reduction: Reduction,
     shard: Shard,
     visitor: &mut dyn ExecutionVisitor,
     counter: &AtomicUsize,
 ) -> Result<EnumStats, EnumError> {
-    let mut eng = Engine::new(p, limits, quantum, reduction, visitor, counter, None, shard.st);
+    let mut eng =
+        Engine::new(p, limits, budget, quantum, reduction, visitor, counter, None, shard.st);
     eng.root(shard.sleep)?;
     Ok(eng.stats)
 }
 
-/// Result of a resilient sharded enumeration ([`visit_sc_resilient`]).
+/// Result of a sharded enumeration ([`visit_sc_resilient`],
+/// [`visit_sc_sharded`]).
 pub struct ResilientRun<V> {
     /// `(visitor, stats)` for every completed shard, in shard-index
-    /// order.
+    /// (DFS frontier) order. When early exit cut the run short, shards
+    /// past the cutoff are absent.
     pub shards: Vec<(V, EnumStats)>,
     /// Aggregate over the completed shards, frontier-level pruning
     /// included.
@@ -646,14 +581,15 @@ pub struct ResilientRun<V> {
     /// Size of the deterministic shard plan (1 when the serial probe
     /// finished the whole tree).
     pub total_shards: usize,
-    /// The lowest lost shard's panic, re-raised by the callers that
-    /// take no resilience options.
-    pub(crate) lost_panic: Option<LostPanic>,
+    /// The lowest lost shard's panic, which the callers that take no
+    /// resilience options re-raise through [`require_complete`].
+    pub lost_panic: Option<LostPanic>,
 }
 
 /// Stream executions to per-shard visitors, in parallel and
-/// resiliently: panic isolation with one retry, cooperative budgets
-/// and deterministic fault injection (`faults`, chaos testing only).
+/// resiliently: panic isolation with one retry, the cooperative
+/// `res.budget` and deterministic fault injection (`res.fault_plan`,
+/// chaos testing only).
 /// Infallible — exhaustion and lost shards come back as
 /// [`RunStatus::Inconclusive`] / [`RunStatus::Degraded`].
 ///
@@ -677,11 +613,11 @@ pub struct ResilientRun<V> {
 /// A failed shard is retried once, backing off
 /// [`Reduction::SleepSetMemo`] to the coarser [`Reduction::SleepSet`],
 /// and is reported lost if the retry fails too. A budget trip (shared
-/// execution counter, deadline, cancel, memory) stops the run:
+/// execution counter, deadline, cancel) stops the run:
 /// completed shards are kept — a sound prefix, since every race was
 /// found by exploring real executions — and the rest become the
 /// frontier.
-#[allow(clippy::too_many_arguments)] // visit_sc_sharded's signature + fault plan
+#[allow(clippy::too_many_arguments)] // visit_sc_sharded's signature + resilience options
 pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
     p: &Program,
     limits: &EnumLimits,
@@ -690,21 +626,22 @@ pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
     threads: usize,
     make: &(dyn Fn() -> V + Sync),
     saturated: &(dyn Fn(&V) -> bool + Sync),
-    faults: Option<&FaultPlan>,
+    res: &Resilience,
 ) -> ResilientRun<V> {
     // Adaptive fast path: probe the tree serially with a tight budget.
     // On any failure — tree bigger than the probe budget, a budget
     // trip, even a panic — fall through to the sharded path, which
     // isolates and classifies all three per shard. The probe draws no
     // faults.
-    let probe_limits = EnumLimits {
-        max_executions: PROBE_BUDGET.min(limits.max_executions),
-        quantum_domain: limits.quantum_domain.clone(),
-        budget: limits.budget.clone(),
-    };
+    let budget = res.budget.as_deref();
+    let probe_limits =
+        EnumLimits { max_executions: PROBE_BUDGET.min(limits.max_executions), ..limits.clone() };
+    let root = Shard { st: SearchState::new(p), sleep: 0 };
     let mut probe = make();
-    let outcome = Pool::new(EngineId::Checker, 1)
-        .attempt(0, 0, || visit_sc(p, &probe_limits, quantum, reduction, &mut probe));
+    let outcome = Pool::new(EngineId::Checker, 1, &Resilience::default()).attempt(0, 0, || {
+        let probed = AtomicUsize::new(0);
+        run_shard(p, &probe_limits, budget, quantum, reduction, root, &mut probe, &probed)
+    });
     if let Ok(Ok(stats)) = outcome {
         let early_exit = saturated(&probe);
         return ResilientRun {
@@ -723,17 +660,13 @@ pub fn visit_sc_resilient<V: ExecutionVisitor + Send>(
         Reduction::SleepSetMemo => Reduction::SleepSet,
         r => r,
     };
-    let pool =
-        Pool::new(EngineId::Checker, threads).budget(limits.budget.as_deref()).faults(faults);
-    let run = pool.run(
+    let run = Pool::new(EngineId::Checker, threads, res).run(
         plan.len(),
         |j, attempt| {
             let red = if attempt == 0 { reduction } else { backoff };
             let mut v = make();
-            match run_shard(p, limits, quantum, red, plan[j].clone(), &mut v, &counter) {
-                Ok(stats) => Ok((v, stats)),
-                Err(e) => Err(e.exhaust_reason()),
-            }
+            let shard = plan[j].clone();
+            run_shard(p, limits, budget, quantum, red, shard, &mut v, &counter).map(|s| (v, s))
         },
         |(v, _): &(V, EnumStats)| saturated(v),
     );
@@ -1200,6 +1133,11 @@ fn derive_relations(out: &mut Execution, nthreads: usize, nlocs: usize, masks: &
 struct Engine<'a> {
     p: &'a Program,
     limits: &'a EnumLimits,
+    /// The run's budget, polled by [`Engine::poll_budget`].
+    /// Frontier-collection engines get none: the cut walks only the
+    /// top levels of the tree, and a poll failure there would leave
+    /// nothing to report a frontier *of*.
+    budget: Option<&'a Budget>,
     quantum: bool,
     por: bool,
     /// Maintain the memo bookkeeping columns (`rel_hash`, `term`, …)?
@@ -1260,6 +1198,7 @@ impl<'a> Engine<'a> {
     fn new(
         p: &'a Program,
         limits: &'a EnumLimits,
+        budget: Option<&'a Budget>,
         quantum: bool,
         reduction: Reduction,
         visitor: &'a mut dyn ExecutionVisitor,
@@ -1296,6 +1235,7 @@ impl<'a> Engine<'a> {
         Engine {
             p,
             limits,
+            budget,
             quantum,
             por: reduction != Reduction::Exhaustive,
             track,
@@ -1328,25 +1268,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Amortized cooperative budget poll — called once per tree node,
-    /// consults [`EnumLimits::budget`] every [`BUDGET_POLL_INTERVAL`]
-    /// calls. Frontier-collection engines never poll: the cut walks
-    /// only the top levels of the tree, and a poll failure there would
-    /// leave nothing to report a frontier *of*.
+    /// consults the engine's budget every [`BUDGET_POLL_INTERVAL`]
+    /// calls.
     fn poll_budget(&mut self) -> Result<(), EnumError> {
-        let Some(budget) = &self.limits.budget else { return Ok(()) };
+        let Some(budget) = self.budget else { return Ok(()) };
         self.poll -= 1;
         if self.poll > 0 {
             return Ok(());
         }
         self.poll = BUDGET_POLL_INTERVAL;
-        if self.frontier_depth.is_some() {
-            return Ok(());
-        }
-        let approx = self.journal.capacity() * std::mem::size_of::<Undo>()
-            + self.taint_undo.capacity() * std::mem::size_of::<IdSet>()
-            + self.scratch_undo.capacity() * std::mem::size_of::<Option<(Value, IdSet)>>()
-            + self.memo.as_ref().map_or(0, |m| m.table.bytes());
-        budget.check(approx).map_err(EnumError::from)
+        budget.check()
     }
 
     fn set_pc(&mut self, tid: usize, pc: usize) {
@@ -2039,7 +1970,7 @@ impl<'a> Engine<'a> {
     fn emit(&mut self) -> Result<(), EnumError> {
         let seen = self.counter.fetch_add(1, Ordering::Relaxed);
         if seen >= self.limits.max_executions {
-            return Err(EnumError::TooManyExecutions { limit: self.limits.max_executions });
+            return Err(ExhaustReason::Executions { limit: self.limits.max_executions });
         }
         self.stats.explored += 1;
         let n = self.st.events.len();
@@ -2409,7 +2340,7 @@ mod tests {
         let err =
             enumerate_sc(&p.build(), &EnumLimits { max_executions: 10, ..EnumLimits::default() })
                 .unwrap_err();
-        assert_eq!(err, EnumError::TooManyExecutions { limit: 10 });
+        assert_eq!(err, ExhaustReason::Executions { limit: 10 });
     }
 
     #[test]
@@ -2721,7 +2652,7 @@ mod tests {
             &|_v: &Summary| false,
         );
         match r {
-            Err(e) => assert_eq!(e, EnumError::TooManyExecutions { limit: 3 }),
+            Err(e) => assert_eq!(e, ExhaustReason::Executions { limit: 3 }),
             Ok(_) => panic!("limit must apply across shards"),
         }
 
@@ -2749,7 +2680,7 @@ mod tests {
                 &|_v: &Summary| false,
             );
             match r {
-                Err(e) => assert_eq!(e, EnumError::TooManyExecutions { limit }, "t={threads}"),
+                Err(e) => assert_eq!(e, ExhaustReason::Executions { limit }, "t={threads}"),
                 Ok(run) => {
                     panic!("t={threads}: {} executions under limit {limit}", run.stats.explored)
                 }

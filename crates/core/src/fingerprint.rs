@@ -131,11 +131,6 @@ impl<T: Copy + Default> FingerprintTable<T> {
         self.len
     }
 
-    /// Bytes held by the slot array.
-    pub(crate) fn bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<Slot<T>>()
-    }
-
     /// Linear probe to the slot holding `(hi, lo)`, or the first empty
     /// slot.
     fn slot(&self, hi: u64, lo: u64) -> usize {

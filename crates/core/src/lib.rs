@@ -79,11 +79,9 @@ pub mod prelude {
     pub use crate::syscentric::{explore_relaxed, RelaxedOutcomes};
 }
 
-pub use checker::{
-    check_program, check_program_resilient, CheckOutcome, CheckReport, CheckResilience, Verdict,
-};
+pub use checker::{check_program, check_program_resilient, CheckOutcome, CheckReport, Verdict};
 pub use classes::{MemoryModel, OpClass, Protocol, SystemConfig};
 pub use exec::{enumerate_sc, EnumLimits, Execution};
 pub use program::{Program, RmwOp};
 pub use races::{Race, RaceAnalysis, RaceDetector, RaceKind};
-pub use resilience::{Budget, EngineId, ExhaustReason, Fault, FaultPlan, RunStatus};
+pub use resilience::{Budget, EngineId, ExhaustReason, Fault, FaultPlan, Resilience, RunStatus};

@@ -1,30 +1,36 @@
 //! Resilience primitives shared by the three compute engines: budgets
 //! with cooperative cancellation, structured exhaustion reasons,
-//! deterministic fault injection, and the one work pool every engine
-//! runs its units on.
+//! deterministic fault injection, the one options value that carries
+//! them, and the one work pool every engine runs its units on.
 //!
 //! The execution layer treats resource exhaustion as a *first-class
 //! outcome* rather than a crash (herd reports partial exploration when
-//! enumeration is cut short; this layer does the same). Four pieces
+//! enumeration is cut short; this layer does the same). Five pieces
 //! compose:
 //!
-//! * [`Budget`] — a shared, cooperatively-polled resource bound:
-//!   wall-clock deadline, approximate memory high-water and an
-//!   explicit cancel flag. The enumerator polls it amortized in the
-//!   DFS hot loop ([`crate::exec`]); the pool polls it before every
-//!   unit attempt. Each poll reads the deadline itself, so nothing has
-//!   to watch the clock on the budget's behalf.
+//! * [`Budget`] — a shared, cooperatively-polled resource bound: a
+//!   wall-clock deadline and an explicit cancel flag. The enumerator
+//!   polls it amortized in the DFS hot loop ([`crate::exec`]); the
+//!   pool polls it before every unit attempt. Each poll reads the
+//!   deadline itself, so nothing has to watch the clock on the
+//!   budget's behalf.
 //! * [`ExhaustReason`] / [`RunStatus`] — the structured vocabulary for
-//!   "the run did not finish": `Inconclusive` carries what was
-//!   explored and which shards remain (the frontier), `Degraded`
-//!   names the shards lost to panics after retry. Both are reports,
-//!   never aborts.
+//!   "the run did not finish": `ExhaustReason` is also the
+//!   enumerators' error type ([`crate::exec::EnumError`]), and
+//!   `Inconclusive` carries what was explored and which shards remain
+//!   (the frontier), `Degraded` names the shards lost to panics after
+//!   retry. Both are reports, never aborts.
 //! * [`FaultPlan`] — seeded, deterministic fault injection (SplitMix64,
 //!   the same discipline as `drfrlx_conform::schedule_params`):
 //!   whether shard `u` of engine `e` panics, stalls or exhausts on
 //!   attempt `a` is a pure function of `(seed, e, u, a)`, so every
 //!   chaos run is replayable from its seed alone. All injection is off
 //!   unless a plan is supplied.
+//! * [`Resilience`] — a run's budget and fault plan, the one options
+//!   value the checker (`check_program_resilient`), the sweep
+//!   (`hsim_sys::run_matrix_map`) and the conformance loop
+//!   (`drfrlx_conform::check_conformance_resilient`) all take. The
+//!   default — no budget, no faults — reproduces the plain runs.
 //! * [`Pool`] — the work pool behind the checker's shards
 //!   (`drfrlx_core::exec`), the simulation sweep
 //!   (`hsim_sys::run_matrix`) and, one attempt at a time, the fuzz
@@ -38,7 +44,7 @@ use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::fingerprint::mix64;
@@ -48,14 +54,12 @@ use crate::fingerprint::mix64;
 /// The execution-count budget stays where it always lived
 /// ([`crate::exec::EnumLimits::max_executions`], a shared atomic
 /// counter); `Budget` adds the bounds that need wall-clock or external
-/// intervention: a deadline, an approximate per-engine memory
-/// high-water, and a cancel flag anyone (a signal handler, an
-/// embedding application, a test) may set.
+/// intervention: a deadline and a cancel flag anyone (a signal
+/// handler, an embedding application, a test) may set.
 #[derive(Debug, Default)]
 pub struct Budget {
     cancel: AtomicBool,
     deadline: Option<Instant>,
-    max_memory_bytes: Option<usize>,
 }
 
 impl Budget {
@@ -70,14 +74,6 @@ impl Budget {
         Budget { deadline: Some(Instant::now() + timeout), ..Budget::default() }
     }
 
-    /// Cap the approximate per-engine memory high-water (journal,
-    /// memo table, relation carriers — an estimate, not an allocator
-    /// measurement).
-    pub fn with_max_memory(mut self, bytes: usize) -> Budget {
-        self.max_memory_bytes = Some(bytes);
-        self
-    }
-
     /// Request cooperative cancellation; every poll site unwinds soon
     /// after.
     pub fn cancel(&self) {
@@ -90,15 +86,12 @@ impl Budget {
     }
 
     /// One cooperative poll: `Err` when the budget is exhausted.
-    /// `approx_memory_bytes` is the caller's current memory estimate
-    /// (pass 0 to skip the memory check).
     ///
     /// # Errors
     ///
     /// [`ExhaustReason::Cancelled`] if the cancel flag is set,
-    /// [`ExhaustReason::Deadline`] past the deadline,
-    /// [`ExhaustReason::Memory`] past the memory cap.
-    pub fn check(&self, approx_memory_bytes: usize) -> Result<(), ExhaustReason> {
+    /// [`ExhaustReason::Deadline`] past the deadline.
+    pub fn check(&self) -> Result<(), ExhaustReason> {
         if self.cancelled() {
             return Err(ExhaustReason::Cancelled);
         }
@@ -107,16 +100,12 @@ impl Budget {
                 return Err(ExhaustReason::Deadline);
             }
         }
-        if let Some(cap) = self.max_memory_bytes {
-            if approx_memory_bytes > cap {
-                return Err(ExhaustReason::Memory { limit: cap });
-            }
-        }
         Ok(())
     }
 }
 
-/// Why a run stopped short of full exploration.
+/// Why a run stopped short of full exploration — and, as
+/// [`crate::exec::EnumError`], why an enumeration failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExhaustReason {
     /// The shared execution counter hit
@@ -129,11 +118,6 @@ pub enum ExhaustReason {
     Deadline,
     /// Someone called [`Budget::cancel`] (signal handler, test).
     Cancelled,
-    /// The approximate memory high-water passed its cap.
-    Memory {
-        /// The configured cap in bytes.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for ExhaustReason {
@@ -144,12 +128,11 @@ impl fmt::Display for ExhaustReason {
             }
             ExhaustReason::Deadline => write!(f, "wall-clock deadline expired"),
             ExhaustReason::Cancelled => write!(f, "cancelled"),
-            ExhaustReason::Memory { limit } => {
-                write!(f, "approximate memory high-water passed {limit} bytes")
-            }
         }
     }
 }
+
+impl std::error::Error for ExhaustReason {}
 
 /// How a resilient run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -296,6 +279,19 @@ impl FaultPlan {
     }
 }
 
+/// A run's resilience options, shared by the checker, the sweep and
+/// the conformance loop. The default — no budget, no fault plan — runs
+/// every unit, retrying a panicking one once and reporting it lost if
+/// the retry panics too.
+#[derive(Debug, Clone, Default)]
+pub struct Resilience {
+    /// Shared resource budget (deadline / cancel flag), polled before
+    /// every unit attempt and, by the enumerator, amortized in its DFS.
+    pub budget: Option<Arc<Budget>>,
+    /// Deterministic fault injection (chaos testing only).
+    pub fault_plan: Option<FaultPlan>,
+}
+
 /// The panic payload of a [`RunStatus::Degraded`] run's lowest lost
 /// unit, kept so a caller without resilience options can re-raise it.
 pub type LostPanic = Box<dyn Any + Send>;
@@ -308,10 +304,10 @@ pub type LostPanic = Box<dyn Any + Send>;
 /// # Errors
 ///
 /// The [`ExhaustReason`] of an `Inconclusive` run.
-pub fn require_complete(status: RunStatus, lost: Option<LostPanic>) -> Result<(), ExhaustReason> {
+pub fn require_complete(status: &RunStatus, lost: Option<LostPanic>) -> Result<(), ExhaustReason> {
     match status {
         RunStatus::Complete => Ok(()),
-        RunStatus::Inconclusive { reason, .. } => Err(reason),
+        RunStatus::Inconclusive { reason, .. } => Err(*reason),
         RunStatus::Degraded { .. } => resume_unwind(lost.expect("a lost unit left its panic")),
     }
 }
@@ -326,15 +322,14 @@ const STALL_FALLBACK: Duration = Duration::from_millis(25);
 /// unit's own slot, so results come back in unit order at any thread
 /// count. Each unit gets up to two [`Pool::attempt`]s — the work
 /// closure sees the attempt number, so it can back off on the retry —
-/// with [`Budget::check`] polled before each. A unit that fails twice
+/// with the [`Resilience`] budget polled before each. A unit that fails twice
 /// is *lost*; a budget trip stops all claiming and leaves the unrun
 /// units as the frontier. With `threads == 1` the caller's thread
 /// runs the same worker loop.
 pub struct Pool<'a> {
     engine: EngineId,
     threads: usize,
-    budget: Option<&'a Budget>,
-    faults: Option<&'a FaultPlan>,
+    res: &'a Resilience,
 }
 
 /// The result of [`Pool::run`].
@@ -352,20 +347,12 @@ pub struct PoolRun<T> {
 }
 
 impl<'a> Pool<'a> {
-    /// `threads` workers (clamped to the unit count) for `engine`, with
-    /// no budget and no faults.
-    pub fn new(engine: EngineId, threads: usize) -> Pool<'a> {
-        Pool { engine, threads, budget: None, faults: None }
-    }
-
-    /// Poll `budget` before every attempt; stalls end when it trips.
-    pub fn budget(self, budget: Option<&'a Budget>) -> Pool<'a> {
-        Pool { budget, ..self }
-    }
-
-    /// Inject the faults `plan` draws for this engine.
-    pub fn faults(self, faults: Option<&'a FaultPlan>) -> Pool<'a> {
-        Pool { faults, ..self }
+    /// `threads` workers (clamped to the unit count) for `engine`. The
+    /// pool polls `res.budget` before every attempt (an injected stall
+    /// ends when it trips) and injects the faults `res.fault_plan`
+    /// draws for `engine`.
+    pub fn new(engine: EngineId, threads: usize, res: &'a Resilience) -> Pool<'a> {
+        Pool { engine, threads, res }
     }
 
     /// One attempt at `unit`: draw its fault, then run `work` under
@@ -382,12 +369,14 @@ impl<'a> Pool<'a> {
         attempt: usize,
         work: impl FnOnce() -> T,
     ) -> Result<T, LostPanic> {
-        let fault = self.faults.and_then(|plan| plan.fault_for(self.engine, unit, attempt));
+        let fault = self.res.fault_plan.and_then(|plan| plan.fault_for(self.engine, unit, attempt));
         let label = |f: Fault| format!("{f}: {:?} unit {unit} attempt {attempt}", self.engine);
         match fault {
             Some(Fault::Stall) => {
                 let cap = Instant::now() + STALL_FALLBACK;
-                while self.budget.is_none_or(|b| b.check(0).is_ok()) && Instant::now() < cap {
+                while self.res.budget.as_ref().is_none_or(|b| b.check().is_ok())
+                    && Instant::now() < cap
+                {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 Err(Box::new(label(Fault::Stall)))
@@ -427,7 +416,7 @@ impl<'a> Pool<'a> {
         let unit = |u: usize| {
             let mut failed = None;
             for attempt in 0..2 {
-                if let Some(Err(reason)) = self.budget.map(|b| b.check(0)) {
+                if let Some(Err(reason)) = self.res.budget.as_ref().map(|b| b.check()) {
                     let _ = exhausted.set(reason);
                 }
                 if exhausted.get().is_some() {
@@ -506,7 +495,7 @@ mod tests {
     #[test]
     fn unlimited_budget_never_trips() {
         let b = Budget::unlimited();
-        assert!(b.check(usize::MAX / 2).is_ok());
+        assert!(b.check().is_ok());
         assert!(!b.cancelled());
     }
 
@@ -514,20 +503,13 @@ mod tests {
     fn cancel_trips_every_poll() {
         let b = Budget::unlimited();
         b.cancel();
-        assert_eq!(b.check(0), Err(ExhaustReason::Cancelled));
+        assert_eq!(b.check(), Err(ExhaustReason::Cancelled));
     }
 
     #[test]
     fn elapsed_deadline_trips() {
         let b = Budget::with_timeout(Duration::from_secs(0));
-        assert_eq!(b.check(0), Err(ExhaustReason::Deadline));
-    }
-
-    #[test]
-    fn memory_cap_compares_the_estimate() {
-        let b = Budget::unlimited().with_max_memory(1000);
-        assert!(b.check(1000).is_ok());
-        assert_eq!(b.check(1001), Err(ExhaustReason::Memory { limit: 1000 }));
+        assert_eq!(b.check(), Err(ExhaustReason::Deadline));
     }
 
     #[test]
@@ -578,7 +560,11 @@ mod tests {
 
     /// A pool over `units` squares with no faults or budget.
     fn squares(threads: usize, units: usize) -> PoolRun<usize> {
-        Pool::new(EngineId::Checker, threads).run(units, |u, _| Ok(u * u), |_: &_| false)
+        Pool::new(EngineId::Checker, threads, &Resilience::default()).run(
+            units,
+            |u, _| Ok(u * u),
+            |_: &_| false,
+        )
     }
 
     #[test]
@@ -596,7 +582,7 @@ mod tests {
     #[test]
     fn pool_cutoff_keeps_exactly_the_units_up_to_the_smallest_saturating_one() {
         for threads in [1, 2, 4, 8] {
-            let run = Pool::new(EngineId::Checker, threads).run(
+            let run = Pool::new(EngineId::Checker, threads, &Resilience::default()).run(
                 60,
                 |u, _| Ok(u),
                 |&u: &usize| [17, 23, 40].contains(&u),
@@ -612,7 +598,7 @@ mod tests {
     #[test]
     fn pool_retries_a_unit_that_panics_once() {
         for threads in [1, 4] {
-            let run = Pool::new(EngineId::Sweep, threads).run(
+            let run = Pool::new(EngineId::Sweep, threads, &Resilience::default()).run(
                 8,
                 |u, attempt| {
                     if u == 3 && attempt == 0 {
@@ -632,7 +618,7 @@ mod tests {
     #[test]
     fn pool_reports_a_unit_that_panics_twice_as_lost() {
         for threads in [1, 4] {
-            let run = Pool::new(EngineId::Sweep, threads).run(
+            let run = Pool::new(EngineId::Sweep, threads, &Resilience::default()).run(
                 8,
                 |u, _| {
                     if u == 3 || u == 6 {
@@ -647,15 +633,17 @@ mod tests {
             // The flag-less mapping re-raises the lowest lost unit's
             // own panic.
             let raised = catch_unwind(AssertUnwindSafe(|| {
-                let _ = require_complete(run.status, run.lost_panic);
+                let _ = require_complete(&run.status, run.lost_panic);
             }))
             .expect_err("a degraded run re-raises");
             assert_eq!(raised.downcast_ref::<String>().unwrap(), "unit 3 always panics");
         }
         // Injected faults count as failed attempts too.
-        let plan = FaultPlan::pinned(EngineId::Sweep, 2, 2, Fault::Exhaust);
-        let run =
-            Pool::new(EngineId::Sweep, 1).faults(Some(&plan)).run(4, |u, _| Ok(u), |_: &_| false);
+        let res = Resilience {
+            fault_plan: Some(FaultPlan::pinned(EngineId::Sweep, 2, 2, Fault::Exhaust)),
+            ..Resilience::default()
+        };
+        let run = Pool::new(EngineId::Sweep, 1, &res).run(4, |u, _| Ok(u), |_: &_| false);
         assert_eq!(run.status, RunStatus::Degraded { lost: vec![2] });
     }
 
@@ -663,7 +651,7 @@ mod tests {
     fn pool_budget_trip_leaves_the_unrun_units_as_an_ascending_frontier() {
         let limit = ExhaustReason::Executions { limit: 5 };
         for threads in [1, 2, 4] {
-            let run = Pool::new(EngineId::Checker, threads).run(
+            let run = Pool::new(EngineId::Checker, threads, &Resilience::default()).run(
                 20,
                 |u, _| if u >= 5 { Err(limit) } else { Ok(u) },
                 |_: &_| false,
@@ -685,9 +673,10 @@ mod tests {
             }
         }
         // A budget that has already tripped runs nothing.
-        let budget = Budget::unlimited();
+        let budget = Arc::new(Budget::unlimited());
         budget.cancel();
-        let run = Pool::new(EngineId::Sweep, 2).budget(Some(&budget)).run(
+        let res = Resilience { budget: Some(budget), ..Resilience::default() };
+        let run = Pool::new(EngineId::Sweep, 2, &res).run(
             6,
             |_, _| -> Result<(), ExhaustReason> { panic!("no unit may run") },
             |_: &_| false,
@@ -705,15 +694,13 @@ mod tests {
     fn a_budget_with_a_distant_deadline_adds_no_wait_to_a_pool_call() {
         // Nothing watches the deadline on the budget's behalf, so a
         // budgeted pool call costs what an unbudgeted one does.
-        let budget = Budget::with_timeout(Duration::from_secs(3600));
+        let budget = Arc::new(Budget::with_timeout(Duration::from_secs(3600)));
+        let res = Resilience { budget: Some(budget), ..Resilience::default() };
         let start = Instant::now();
         for threads in [1, 2] {
             for _ in 0..100 {
-                let run = Pool::new(EngineId::Sweep, threads).budget(Some(&budget)).run(
-                    1,
-                    |u, _| Ok(u),
-                    |_: &_| false,
-                );
+                let run =
+                    Pool::new(EngineId::Sweep, threads, &res).run(1, |u, _| Ok(u), |_: &_| false);
                 assert_eq!(run.status, RunStatus::Complete);
             }
         }

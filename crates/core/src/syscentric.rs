@@ -31,6 +31,7 @@ use crate::exec::{
 };
 use crate::program::{Expr, Instr, Loc, Program, Reg, Value};
 use crate::quantum::has_quantum;
+use crate::resilience::ExhaustReason;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Outcomes reachable on the relaxed machine.
@@ -47,12 +48,6 @@ impl RelaxedOutcomes {
     /// (§3.2.2: the memory state at the end of the execution).
     pub fn memory_results(&self) -> BTreeSet<BTreeMap<Loc, Value>> {
         self.results.iter().map(|r| r.memory.clone()).collect()
-    }
-
-    /// Do all outcomes satisfy a predicate (for seqlock-style
-    /// conditional-consistency assertions)?
-    pub fn all_satisfy(&self, pred: impl Fn(&ExecResult) -> bool) -> bool {
-        self.results.iter().all(pred)
     }
 }
 
@@ -270,7 +265,7 @@ fn perform(prog: &Program, m: &mut Machine, tid: usize, idx: usize) {
 ///
 /// # Errors
 ///
-/// Returns [`EnumError::TooManyExecutions`] if the number of complete
+/// Returns [`ExhaustReason::Executions`] if the number of complete
 /// schedules exceeds `limits.max_executions`.
 pub fn explore_relaxed(
     p: &Program,
@@ -353,7 +348,7 @@ fn dfs(
         }
         *schedules += 1;
         if *schedules > limits.max_executions {
-            return Err(EnumError::TooManyExecutions { limit: limits.max_executions });
+            return Err(ExhaustReason::Executions { limit: limits.max_executions });
         }
         results.insert(ExecResult {
             memory: m.memory,

@@ -4,11 +4,12 @@
 //! abort.
 
 use drfrlx_core::checker::{
-    check_program_resilient, check_program_with, CheckOptions, CheckReport, CheckResilience,
-    RaceKey,
+    check_program_resilient, check_program_with, CheckOptions, CheckReport, RaceKey,
 };
 use drfrlx_core::exec::{EnumLimits, Reduction};
-use drfrlx_core::resilience::{Budget, EngineId, ExhaustReason, Fault, FaultPlan, RunStatus};
+use drfrlx_core::resilience::{
+    Budget, EngineId, ExhaustReason, Fault, FaultPlan, Resilience, RunStatus,
+};
 use drfrlx_core::{MemoryModel, OpClass, Program};
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,8 +58,7 @@ fn resilient_complete_run_matches_the_plain_checker() {
         let plain = check_program_with(&p, MemoryModel::Drfrlx, &o).unwrap();
         for threads in [1, 4] {
             let o = CheckOptions { reduction, ..opts(threads) };
-            let out =
-                check_program_resilient(&p, MemoryModel::Drfrlx, &o, &CheckResilience::default());
+            let out = check_program_resilient(&p, MemoryModel::Drfrlx, &o, &Resilience::default());
             assert_eq!(out.status, RunStatus::Complete, "{reduction:?} t={threads}");
             assert_eq!(sig(&out.report), sig(&plain), "{reduction:?} t={threads}");
         }
@@ -69,8 +69,9 @@ fn resilient_complete_run_matches_the_plain_checker() {
 fn injected_panic_is_retried_and_the_run_completes() {
     let p = wide();
     let plain = check_program_with(&p, MemoryModel::Drfrlx, &opts(1)).unwrap();
-    let res = CheckResilience {
+    let res = Resilience {
         fault_plan: Some(FaultPlan::pinned(EngineId::Checker, 2, 1, Fault::Panic)),
+        ..Resilience::default()
     };
     let out = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(1), &res);
     assert_eq!(out.status, RunStatus::Complete, "one panic is absorbed by the retry");
@@ -81,8 +82,9 @@ fn injected_panic_is_retried_and_the_run_completes() {
 fn injected_stall_is_retried_and_the_run_completes() {
     let p = wide();
     let plain = check_program_with(&p, MemoryModel::Drfrlx, &opts(1)).unwrap();
-    let res = CheckResilience {
+    let res = Resilience {
         fault_plan: Some(FaultPlan::pinned(EngineId::Checker, 0, 1, Fault::Stall)),
+        ..Resilience::default()
     };
     let out = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(1), &res);
     assert_eq!(out.status, RunStatus::Complete);
@@ -93,8 +95,9 @@ fn injected_stall_is_retried_and_the_run_completes() {
 fn repeated_panic_degrades_instead_of_aborting() {
     let p = wide();
     let plain = check_program_with(&p, MemoryModel::Drfrlx, &opts(1)).unwrap();
-    let res = CheckResilience {
+    let res = Resilience {
         fault_plan: Some(FaultPlan::pinned(EngineId::Checker, 3, 2, Fault::Panic)),
+        ..Resilience::default()
     };
     for threads in [1, 4] {
         let out = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(threads), &res);
@@ -116,7 +119,7 @@ fn execution_budget_yields_inconclusive_with_a_frontier() {
         limits: EnumLimits { max_executions: 600, ..EnumLimits::default() },
         ..opts(1)
     };
-    let out = check_program_resilient(&p, MemoryModel::Drfrlx, &o, &CheckResilience::default());
+    let out = check_program_resilient(&p, MemoryModel::Drfrlx, &o, &Resilience::default());
     match &out.status {
         RunStatus::Inconclusive { reason, frontier } => {
             assert_eq!(*reason, ExhaustReason::Executions { limit: 600 });
@@ -139,14 +142,11 @@ fn execution_budget_yields_inconclusive_with_a_frontier() {
 #[test]
 fn an_expired_deadline_yields_inconclusive_not_an_abort() {
     let p = wide();
-    let o = CheckOptions {
-        limits: EnumLimits {
-            budget: Some(Arc::new(Budget::with_timeout(Duration::from_secs(0)))),
-            ..EnumLimits::default()
-        },
-        ..opts(2)
+    let res = Resilience {
+        budget: Some(Arc::new(Budget::with_timeout(Duration::from_secs(0)))),
+        ..Resilience::default()
     };
-    let out = check_program_resilient(&p, MemoryModel::Drfrlx, &o, &CheckResilience::default());
+    let out = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(2), &res);
     match out.status {
         RunStatus::Inconclusive { reason, .. } => {
             assert!(
@@ -163,11 +163,8 @@ fn cancellation_mid_run_keeps_a_sound_prefix() {
     let p = wide();
     let budget = Arc::new(Budget::unlimited());
     budget.cancel();
-    let o = CheckOptions {
-        limits: EnumLimits { budget: Some(budget), ..EnumLimits::default() },
-        ..opts(1)
-    };
-    let out = check_program_resilient(&p, MemoryModel::Drfrlx, &o, &CheckResilience::default());
+    let res = Resilience { budget: Some(budget), ..Resilience::default() };
+    let out = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(1), &res);
     match out.status {
         RunStatus::Inconclusive { reason: ExhaustReason::Cancelled, .. } => {}
         s => panic!("expected Inconclusive(Cancelled), got {s:?}"),
@@ -178,7 +175,7 @@ fn cancellation_mid_run_keeps_a_sound_prefix() {
 fn seeded_fault_plans_are_deterministic_and_never_abort() {
     let p = wide();
     for seed in 1..=5u64 {
-        let res = CheckResilience { fault_plan: Some(FaultPlan::seeded(seed)) };
+        let res = Resilience { fault_plan: Some(FaultPlan::seeded(seed)), ..Resilience::default() };
         let a = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(1), &res);
         let b = check_program_resilient(&p, MemoryModel::Drfrlx, &opts(1), &res);
         assert_eq!(a.status, b.status, "seed {seed}");

@@ -5,10 +5,8 @@
 //! budgeted run never explores more than the unbudgeted one, and a
 //! run that completes within its budget reports exactly the full set.
 
-use drfrlx_core::checker::{
-    check_program_resilient, check_program_with, CheckOptions, CheckResilience, RaceKey,
-};
-use drfrlx_core::resilience::RunStatus;
+use drfrlx_core::checker::{check_program_resilient, check_program_with, CheckOptions, RaceKey};
+use drfrlx_core::resilience::{Resilience, RunStatus};
 use drfrlx_core::{MemoryModel, OpClass, Program};
 use std::collections::BTreeSet;
 
@@ -81,7 +79,7 @@ fn budgeted_races_are_a_subset_of_the_unbudgeted_set() {
         for budget in [1usize, 3, 17, 120] {
             let mut tight = opts.clone();
             tight.limits.max_executions = budget;
-            let out = check_program_resilient(&p, model, &tight, &CheckResilience::default());
+            let out = check_program_resilient(&p, model, &tight, &Resilience::default());
 
             // Prefix soundness: nothing invented, nothing over-explored.
             let got = keys(&out.report.races);
@@ -134,7 +132,7 @@ fn an_exhausted_budget_is_never_reported_as_complete() {
     let (p, full) = racy.expect("some seed explores more than 4 executions");
     let mut tight = CheckOptions { threads: 1, early_exit: false, ..CheckOptions::default() };
     tight.limits.max_executions = 4;
-    let out = check_program_resilient(&p, MemoryModel::Drfrlx, &tight, &CheckResilience::default());
+    let out = check_program_resilient(&p, MemoryModel::Drfrlx, &tight, &Resilience::default());
     assert!(
         !out.status.is_complete(),
         "explored {} of {} executions but claimed Complete",

@@ -172,8 +172,9 @@ pub fn seqlock_counter_stress() -> Program {
 mod tests {
     use super::*;
     use drfrlx_core::exec::{
-        visit_sc, EnumError, EnumLimits, EnumStats, Execution, ExecutionVisitor, Reduction,
+        visit_sc, EnumLimits, EnumStats, Execution, ExecutionVisitor, Reduction,
     };
+    use drfrlx_core::ExhaustReason;
 
     struct Count;
     impl ExecutionVisitor for Count {
@@ -206,7 +207,7 @@ mod tests {
             let exhaustive = visit_sc(&p, &limits, false, Reduction::Exhaustive, &mut Count);
             assert_eq!(
                 exhaustive.unwrap_err(),
-                EnumError::TooManyExecutions { limit: limits.max_executions },
+                ExhaustReason::Executions { limit: limits.max_executions },
                 "{}: exhaustive enumeration was expected to exceed the budget",
                 p.name()
             );
@@ -226,7 +227,7 @@ mod tests {
         let sleep = visit_sc(&p, &limits, false, Reduction::SleepSet, &mut Count);
         assert_eq!(
             sleep.unwrap_err(),
-            EnumError::TooManyExecutions { limit: limits.max_executions },
+            ExhaustReason::Executions { limit: limits.max_executions },
             "sleep sets alone were expected to exceed the budget"
         );
         // The DRF0 view is the stress case for the memo: every atomic

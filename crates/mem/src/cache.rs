@@ -50,18 +50,6 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-impl CacheStats {
-    /// Hit rate in [0, 1].
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Way<S> {
     tag: LineAddr,

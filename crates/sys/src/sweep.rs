@@ -30,9 +30,7 @@
 
 use crate::config::SysParams;
 use crate::run::{run_workload, run_workload_traced, RunReport};
-use drfrlx_core::resilience::{
-    require_complete, Budget, EngineId, FaultPlan, LostPanic, Pool, RunStatus,
-};
+use drfrlx_core::resilience::{require_complete, EngineId, LostPanic, Pool, Resilience, RunStatus};
 use drfrlx_core::SystemConfig;
 use hsim_gpu::Kernel;
 use std::sync::Arc;
@@ -162,7 +160,7 @@ pub fn default_threads() -> Result<usize, String> {
 pub fn run_matrix(jobs: &[SimJob], threads: usize) -> Vec<RunReport> {
     let MatrixOutcome { reports, status, lost_panic } =
         run_matrix_resilient(jobs, threads, &MatrixResilience::default());
-    if let Err(reason) = require_complete(status, lost_panic) {
+    if let Err(reason) = require_complete(&status, lost_panic) {
         unreachable!("a sweep without a budget cannot run out of one: {reason}");
     }
     reports.into_iter().map(|r| r.expect("a complete sweep fills every slot")).collect()
@@ -183,17 +181,10 @@ fn run_job(job: &SimJob) -> RunReport {
     report
 }
 
-/// Resilience policy for [`run_matrix_resilient`]. The default —
-/// no budget, no fault plan — runs every job, retrying a panicking one
-/// once and reporting it lost if the retry panics too.
-#[derive(Clone, Default)]
-pub struct MatrixResilience {
-    /// Shared resource budget (deadline / cancel flag), polled before
-    /// every job attempt.
-    pub budget: Option<Arc<Budget>>,
-    /// Deterministic fault injection (chaos testing only).
-    pub fault_plan: Option<FaultPlan>,
-}
+/// Resilience options for [`run_matrix_resilient`]: the shared
+/// [`Resilience`] value, whose budget the pool polls before every job
+/// attempt.
+pub type MatrixResilience = Resilience;
 
 /// Result of a resilient sweep: per job, the full [`RunReport`] or
 /// whatever [`run_matrix_map`]'s `keep` made of it.
@@ -230,7 +221,8 @@ pub fn run_matrix_resilient(
 
 /// The one sweep body: every job runs on the [`Pool`] — panic-isolated,
 /// retried once before being reported lost, with the budget polled
-/// before every attempt and a seeded [`FaultPlan`] injecting panics,
+/// before every attempt and a seeded
+/// [`FaultPlan`](drfrlx_core::resilience::FaultPlan) injecting panics,
 /// stalls and exhaustion per `(job, attempt)` — and its report goes to
 /// `keep` on the worker, after validation; the slot holds only what
 /// `keep` returns, so the rest of the report is dropped there. `keep`
@@ -243,17 +235,18 @@ pub fn run_matrix_map<T: Send>(
     res: &MatrixResilience,
     keep: impl Fn(RunReport) -> T + Sync,
 ) -> MatrixOutcome<T> {
-    let run = Pool::new(EngineId::Sweep, threads)
-        .budget(res.budget.as_deref())
-        .faults(res.fault_plan.as_ref())
-        .run(jobs.len(), |i, _| Ok(keep(run_job(&jobs[i]))), |_: &T| false);
+    let run = Pool::new(EngineId::Sweep, threads, res).run(
+        jobs.len(),
+        |i, _| Ok(keep(run_job(&jobs[i]))),
+        |_: &T| false,
+    );
     MatrixOutcome { reports: run.results, status: run.status, lost_panic: run.lost_panic }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drfrlx_core::resilience::{ExhaustReason, Fault};
+    use drfrlx_core::resilience::{Budget, ExhaustReason, Fault, FaultPlan};
     use drfrlx_core::OpClass;
     use hsim_gpu::{Op, RmwKind, WorkItem};
     use std::time::Duration;

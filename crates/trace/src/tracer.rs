@@ -128,11 +128,6 @@ impl TraceBuffer {
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events[self.head..].iter().chain(self.events[..self.head].iter())
     }
-
-    /// The last cycle any retained event started at (0 when empty).
-    pub fn last_cycle(&self) -> u64 {
-        self.events.iter().map(|e| e.cycle).max().unwrap_or(0)
-    }
 }
 
 /// The enabled tracer: a shared handle onto one [`TraceBuffer`].

@@ -17,18 +17,15 @@
 //! rendered from the one table in [`drfrlx::cli`].
 
 use drfrlx::cli::Subcommand;
-use drfrlx::conform::ConformResilience;
-use drfrlx::model::checker::{check_program_resilient, CheckOptions, CheckResilience};
+use drfrlx::model::checker::{check_program_resilient, CheckOptions};
 use drfrlx::model::emit::emit;
-use drfrlx::model::exec::{
-    visit_sc, EnumError, EnumLimits, Execution, ExecutionVisitor, Reduction,
-};
+use drfrlx::model::exec::{visit_sc, EnumLimits, Execution, ExecutionVisitor, Reduction};
 use drfrlx::model::infer::infer;
 use drfrlx::model::parse::parse;
 use drfrlx::model::pretty::{format_conflict_graph, format_execution};
 use drfrlx::model::program::Program;
 use drfrlx::model::races::{Race, RaceDetector};
-use drfrlx::model::resilience::{Budget, FaultPlan};
+use drfrlx::model::resilience::{Budget, ExhaustReason, FaultPlan, Resilience};
 use drfrlx::model::syscentric::compare_with_sc;
 use drfrlx::sim::{run_workload, SysParams};
 use drfrlx::workloads::all_workloads;
@@ -156,7 +153,7 @@ fn verdict_exit(finding: bool, complete: bool) -> u8 {
 
 /// The `--timeout-secs` budget and `--chaos-seed` fault plan shared by
 /// `check` and `conform`; both default off.
-fn resilience_flags(args: &[String]) -> Result<ConformResilience, Box<dyn std::error::Error>> {
+fn resilience_flags(args: &[String]) -> Result<Resilience, Box<dyn std::error::Error>> {
     let budget = match flag_value(args, "--timeout-secs") {
         None => None,
         Some(v) => {
@@ -174,7 +171,7 @@ fn resilience_flags(args: &[String]) -> Result<ConformResilience, Box<dyn std::e
             v.parse().map_err(|_| "--chaos-seed needs an unsigned integer")?,
         )),
     };
-    Ok(ConformResilience { budget, fault_plan })
+    Ok(Resilience { budget, fault_plan })
 }
 
 fn load_program(path: &str) -> Result<Program, Box<dyn std::error::Error>> {
@@ -230,10 +227,8 @@ fn cmd_check(args: &[String], pos: &[&str]) -> CmdResult {
     let reduction = reduction_flag(args)?;
     let stats = args.iter().any(|a| a == "--stats");
     // One deadline for the whole command, shared by every model.
-    let flags = resilience_flags(args)?;
-    limits.budget = flags.budget;
+    let res = resilience_flags(args)?;
     let opts = CheckOptions { limits, threads, reduction, ..CheckOptions::default() };
-    let res = CheckResilience { fault_plan: flags.fault_plan };
 
     let (mut finding, mut complete) = (false, true);
     for model in models {
@@ -310,7 +305,7 @@ fn cmd_explore(args: &[String], pos: &[&str]) -> CmdResult {
     let mut walk =
         ExploreWalk { detector: RaceDetector::for_program(&p), racy: None, longest: None };
     let stats = match visit_sc(&p, &EnumLimits::default(), false, reduction, &mut walk) {
-        Err(EnumError::TooManyExecutions { limit }) => {
+        Err(ExhaustReason::Executions { limit }) => {
             let hint = if reduction == Reduction::SleepSetMemo {
                 ""
             } else {
@@ -539,9 +534,6 @@ fn cmd_conform(args: &[String], pos: &[&str]) -> CmdResult {
     };
 
     let res = resilience_flags(args)?;
-    // The oracle polls the budget through its enumeration limits; the
-    // simulation matrix polls it before every job attempt.
-    opts.limits.budget = res.budget.clone();
 
     if let Some(n) = flag_value(args, "--fuzz") {
         let n: u64 = n.parse().ok().filter(|&n| n > 0).ok_or("--fuzz needs a positive count")?;

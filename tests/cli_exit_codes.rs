@@ -104,6 +104,26 @@ fn a_check_cut_short_prints_what_it_explored_and_a_status_line() {
 }
 
 #[test]
+fn timeout_secs_reaches_the_checker_and_the_conformance_loop() {
+    // A deadline that has passed before the run starts. iriw_stress's
+    // 4,825 executions overflow the 512-execution probe, so the
+    // checker's pool polls the budget before its first shard.
+    let dir = env!("CARGO_MANIFEST_DIR");
+    let iriw = format!("{dir}/litmus-tests/iriw_stress.litmus");
+    let mp = format!("{dir}/litmus-tests/mp_paired.litmus");
+    let runs = [
+        vec!["check", &iriw, "--timeout-secs", "0.000001"],
+        vec!["conform", &mp, "--schedules", "2", "--timeout-secs", "0.000001"],
+    ];
+    for args in runs {
+        let out = drfrlx(&args);
+        let text = stdout(&out);
+        assert_eq!(code(&out), 3, "{args:?}:\n{text}");
+        assert!(text.contains("status: inconclusive (wall-clock deadline expired"), "{text}");
+    }
+}
+
+#[test]
 fn explore_streams_a_program_too_large_to_materialize() {
     // `check` finds iriw_stress race-free in 4,825 sleep-set-reduced
     // executions; an exhaustive enumeration passes the default limit.
