@@ -205,7 +205,8 @@ impl EngineId {
 /// A fault a [`FaultPlan`] may inject at a shard/job boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// The unit panics (caught by the unit's `catch_unwind`).
+    /// The unit is lost as if it panicked: the attempt returns a panic
+    /// payload without running the unit or raising a panic.
     Panic,
     /// The unit stalls until its budget trips (or a bounded fallback
     /// wait elapses) and is then treated as failed.
@@ -357,8 +358,11 @@ impl<'a> Pool<'a> {
 
     /// One attempt at `unit`: draw its fault, then run `work` under
     /// `catch_unwind`. An injected stall holds the thread until the
-    /// budget trips or [`STALL_FALLBACK`] elapses; it and an injected
-    /// exhaustion fail the attempt without running `work`.
+    /// budget trips or [`STALL_FALLBACK`] elapses; it, an injected
+    /// exhaustion and an injected panic fail the attempt without
+    /// running `work`. An injected panic is never raised: its payload
+    /// is the text a raised one would carry, and nothing reaches the
+    /// panic hook.
     ///
     /// # Errors
     ///
@@ -381,13 +385,8 @@ impl<'a> Pool<'a> {
                 }
                 Err(Box::new(label(Fault::Stall)))
             }
-            Some(Fault::Exhaust) => Err(Box::new(label(Fault::Exhaust))),
-            Some(Fault::Panic) | None => catch_unwind(AssertUnwindSafe(|| {
-                if fault.is_some() {
-                    panic!("{}", label(Fault::Panic));
-                }
-                work()
-            })),
+            Some(f @ (Fault::Exhaust | Fault::Panic)) => Err(Box::new(label(f))),
+            None => catch_unwind(AssertUnwindSafe(work)),
         }
     }
 

@@ -13,7 +13,9 @@
 //! the packed key is the order of the pair as long as both fit: a
 //! kernel may have at most 2^20 contexts (checked when it launches) and
 //! a ready cycle must stay below 2^44 (checked on every push); either
-//! violation panics rather than mis-scheduling.
+//! violation panics rather than mis-scheduling. A pop leaves its
+//! minimum at the root, and the popped context's next push overwrites
+//! it in place (see `HeapQueue`).
 //!
 //! Launch state is flat, and a run allocates only its work items (one
 //! box per context) and the memory image it returns. Blocks go to CUs
@@ -96,6 +98,7 @@ impl IssueJitter {
 }
 
 /// The delay (0 when jitter is off) for a context's next ready time.
+#[inline]
 fn jitter_delay(jitter: Option<IssueJitter>, ctx: usize, step: u64) -> Cycle {
     jitter.map_or(0, |j| j.delay(ctx, step))
 }
@@ -210,9 +213,20 @@ const MAX_CONTEXTS: usize = 1 << CTX_BITS;
 /// consumed at most once, so the heap never holds stale entries for a
 /// context that was rescheduled; the state check on pop is a cheap
 /// invariant guard, not a lazy-deletion scheme.
+///
+/// `pop` leaves the minimum at the root, *held*: it counts as removed.
+/// Almost every pop is followed by a push of the same context's next
+/// ready time, and that push overwrites the held root in place, one
+/// sift-down instead of a pop's sift plus a push's sift. A pop that
+/// finds the root still held (its context parked or finished and
+/// pushed nothing) removes it first. Each context has at most one
+/// entry and every key is unique, so the pop order is the one a plain
+/// pop-and-push heap gives.
 #[derive(Default)]
 struct HeapQueue {
     heap: BinaryHeap<Reverse<u64>>,
+    /// The root was returned by the last `pop` and is no longer queued.
+    held: bool,
 }
 
 impl HeapQueue {
@@ -220,6 +234,7 @@ impl HeapQueue {
     /// that can be ready at once is every resident context.
     fn reset(&mut self, contexts: usize) {
         self.heap.clear();
+        self.held = false;
         self.heap.reserve(contexts);
     }
 
@@ -235,17 +250,27 @@ impl HeapQueue {
             "ready cycle {at} does not fit the ready queue's {}-bit cycle field",
             u64::BITS - CTX_BITS
         );
-        self.heap.push(Reverse(at << CTX_BITS | ctx as u64));
+        let key = Reverse(at << CTX_BITS | ctx as u64);
+        if std::mem::take(&mut self.held) {
+            *self.heap.peek_mut().expect("a held root is in the heap") = key;
+        } else {
+            self.heap.push(key);
+        }
     }
 
     /// Remove and return the minimum `(ready cycle, context id)`, or
     /// `None` when no context is runnable.
     fn pop(&mut self, ctxs: &[Ctx]) -> Option<(Cycle, usize)> {
-        while let Some(Reverse(key)) = self.heap.pop() {
+        if std::mem::take(&mut self.held) {
+            self.heap.pop();
+        }
+        while let Some(&Reverse(key)) = self.heap.peek() {
             let (at, i) = (key >> CTX_BITS, (key & (MAX_CONTEXTS as u64 - 1)) as usize);
             if ctxs[i].state == CtxState::Ready(at) {
+                self.held = true;
                 return Some((at, i));
             }
+            self.heap.pop();
         }
         None
     }
@@ -1542,6 +1567,109 @@ mod tests {
         assert_eq!(third, ascending, "ties at cycle 3n + 2 must break by context id");
         // The last tie-breaker issues at 3n + 2 + (n - 1) and retires.
         assert_eq!(r.cycles, 4 * n as Cycle + 1);
+    }
+
+    /// A [`HeapQueue`] beside a plain heap, fed the same pushes.
+    struct QueueTwin {
+        queue: HeapQueue,
+        model: BinaryHeap<Reverse<u64>>,
+        ctxs: Vec<Ctx>,
+        seed: u64,
+        draws: u64,
+        pops: usize,
+    }
+
+    impl QueueTwin {
+        /// Make `ctx` ready a few cycles after `now` in both queues;
+        /// small offsets give many ties, broken by context id.
+        fn push(&mut self, now: Cycle, ctx: usize) {
+            let at = now + self.draw(4);
+            self.ctxs[ctx].state = CtxState::Ready(at);
+            self.queue.push(at, ctx);
+            self.model.push(Reverse(at << CTX_BITS | ctx as u64));
+        }
+
+        /// Pop both queues, check they agree, and park the popped
+        /// context (as one that reached `Barrier` or `Done`).
+        fn pop(&mut self) -> Option<(Cycle, usize)> {
+            let got = self.queue.pop(&self.ctxs);
+            let want = self
+                .model
+                .pop()
+                .map(|Reverse(k)| (k >> CTX_BITS, (k & (MAX_CONTEXTS as u64 - 1)) as usize));
+            assert_eq!(got, want, "pop {}", self.pops);
+            if let Some((at, i)) = got {
+                self.ctxs[i].state = CtxState::AtBarrier(at);
+                self.pops += 1;
+            }
+            got
+        }
+
+        /// The next draw in `0..n` of the seed's SplitMix64 stream.
+        fn draw(&mut self, n: u64) -> u64 {
+            self.draws += 1;
+            IssueJitter { seed: self.seed, max_delay: n - 1 }.delay(0, self.draws)
+        }
+    }
+
+    #[test]
+    fn ready_queue_pops_like_a_plain_heap() {
+        const N: usize = 48;
+        for seed in 0..8u64 {
+            let ctxs = (0..N)
+                .map(|_| Ctx {
+                    item: Box::new(CounterItem { left: 0, class: OpClass::Data }),
+                    cu: 0,
+                    block: 0,
+                    state: CtxState::Finished(0),
+                    last: None,
+                    outstanding: Vec::new(),
+                    steps: 0,
+                })
+                .collect();
+            let mut t = QueueTwin {
+                queue: HeapQueue::default(),
+                model: BinaryHeap::new(),
+                ctxs,
+                seed,
+                draws: 0,
+                pops: 0,
+            };
+            t.queue.reset(N);
+            for c in 0..N {
+                t.push(0, c);
+            }
+            let mut now = 0;
+            for _ in 0..4000 {
+                // One pop, or several in a row.
+                let pops = if t.draw(4) == 0 { 2 + t.draw(3) } else { 1 };
+                let mut last = None;
+                for _ in 0..pops {
+                    if let Some((at, i)) = t.pop() {
+                        (now, last) = (at, Some(i));
+                    }
+                }
+                match (t.draw(4), last) {
+                    // Pop then push of the same context.
+                    (0 | 1, Some(i)) => t.push(now + 1, i),
+                    // No push: the context is done.
+                    (2, _) => {}
+                    // A release: some parked contexts, the popped one
+                    // among them, become ready.
+                    _ => {
+                        let parked: Vec<usize> = (0..N)
+                            .filter(|&c| !matches!(t.ctxs[c].state, CtxState::Ready(_)))
+                            .collect();
+                        let mates = 1 + t.draw(parked.len() as u64) as usize;
+                        for &c in &parked[..mates] {
+                            t.push(now + 1, c);
+                        }
+                    }
+                }
+            }
+            while t.pop().is_some() {}
+            assert!(t.pops > 4000, "seed {seed}: only {} pops", t.pops);
+        }
     }
 
     /// A kernel that only reports its shape; running any item is a bug.

@@ -16,7 +16,8 @@ pub struct LineId {
 /// Cache geometry.
 #[derive(Debug, Clone)]
 pub struct CacheParams {
-    /// Number of sets (power of two).
+    /// Number of sets (any positive count: a line maps to set
+    /// `line % sets`).
     pub sets: usize,
     /// Associativity.
     pub ways: usize,

@@ -3,11 +3,14 @@
 //! Link state lives in flat per-direction tables indexed by
 //! `node * 4 + direction`, so the per-hop inner loop of [`Mesh::send`]
 //! is two array reads — no ordered-map lookups and no route-vector
-//! allocation (the X-Y walk is computed inline).
+//! allocation. The links of every `(src, dst)` route are looked up in a
+//! table built from [`route_xy`] when the mesh takes a new geometry, so
+//! a message computes no coordinates and walks no route.
 
-use crate::route::Coord;
+use crate::route::{route_xy, Coord};
 use crate::{Cycle, NodeId};
 use hsim_trace::{EventKind, NoTrace, Trace, TraceEvent};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Mesh configuration.
@@ -85,6 +88,13 @@ pub struct Mesh<T: Trace = NoTrace> {
     links_free: Vec<Cycle>,
     /// usage statistics, same indexing as `links_free`.
     link_stats: Vec<LinkStats>,
+    /// Every X-Y route's links, in hop order: the route from `src` to
+    /// `dst` is `route_links[route_start[p]..route_start[p + 1]]` with
+    /// `p = src * nodes + dst`.
+    route_links: Vec<u32>,
+    /// `nodes * nodes + 1` offsets into `route_links`; empty until the
+    /// first `reset`.
+    route_start: Vec<u32>,
     stats: NocStats,
     tracer: T,
 }
@@ -108,6 +118,19 @@ impl Dir {
             Dir::West => node - 1,
             Dir::South => node + width,
             Dir::North => node - width,
+        }
+    }
+
+    /// The direction of the hop from `from` to its neighbor `to`.
+    /// Compares coordinates, not ids: on a one-column mesh `+1` is a
+    /// step south.
+    fn between(from: NodeId, to: NodeId, width: u16) -> Dir {
+        let (a, b) = (Coord::of(from, width), Coord::of(to, width));
+        match (b.x.cmp(&a.x), b.y.cmp(&a.y)) {
+            (Ordering::Greater, _) => Dir::East,
+            (Ordering::Less, _) => Dir::West,
+            (_, Ordering::Greater) => Dir::South,
+            _ => Dir::North,
         }
     }
 }
@@ -136,6 +159,8 @@ impl<T: Trace> Mesh<T> {
             params: params.clone(),
             links_free: Vec::new(),
             link_stats: Vec::new(),
+            route_links: Vec::new(),
+            route_start: Vec::new(),
             stats: NocStats::default(),
             tracer,
         };
@@ -146,7 +171,8 @@ impl<T: Trace> Mesh<T> {
     /// Return to the idle mesh a fresh [`Mesh::with_tracer`] with
     /// `params` builds: every link free at cycle 0, statistics zero.
     /// Re-sizes the link tables to the new geometry and keeps the
-    /// tracer.
+    /// tracer. The route table is rebuilt only when the width or height
+    /// changes; latencies do not enter it.
     ///
     /// # Panics
     ///
@@ -154,7 +180,11 @@ impl<T: Trace> Mesh<T> {
     pub fn reset(&mut self, params: &NocParams) {
         assert!(params.width > 0 && params.height > 0, "mesh must have nodes");
         let slots = params.width as usize * params.height as usize * 4;
-        let Mesh { params: p, links_free, link_stats, stats, tracer: _ } = self;
+        let Mesh { params: p, links_free, link_stats, route_links, route_start, stats, tracer: _ } =
+            self;
+        if route_start.is_empty() || (p.width, p.height) != (params.width, params.height) {
+            build_routes(params.width, params.height, route_links, route_start);
+        }
         p.clone_from(params);
         links_free.clear();
         links_free.resize(slots, 0);
@@ -181,68 +211,55 @@ impl<T: Trace> Mesh<T> {
     ///
     /// Panics if `src` or `dst` is not on the mesh.
     pub fn send(&mut self, depart: Cycle, src: NodeId, dst: NodeId, flits: u64) -> Cycle {
-        assert!(src.0 < self.nodes() && dst.0 < self.nodes(), "node off mesh");
+        let nodes = self.nodes();
+        assert!(src.0 < nodes && dst.0 < nodes, "node off mesh");
+        let Mesh { params, links_free, link_stats, route_links, route_start, stats, tracer } = self;
         let flits = flits.max(1);
-        self.stats.messages += 1;
+        stats.messages += 1;
         if src == dst {
             // Local port loopback: no links, just ejection latency.
-            let arrival = depart + self.params.local_latency;
-            self.stats.total_latency += arrival - depart;
+            let arrival = depart + params.local_latency;
+            stats.total_latency += arrival - depart;
             return arrival;
         }
-        let mut at = depart + self.params.local_latency;
-        let occupancy = flits * self.params.cycles_per_flit;
-        // Inline X-Y walk (matches `route_xy`): hop east/west until the
-        // column matches, then north/south.
-        let width = self.params.width;
-        let (mut cur, to) = (Coord::of(src, width), Coord::of(dst, width));
-        let mut node = src.0;
-        let mut hop = |node: &mut u16, dir: Dir, at: &mut Cycle| {
-            let li = *node as usize * 4 + dir as usize;
-            let free = &mut self.links_free[li];
-            let start = (*at).max(*free);
-            self.stats.contention_cycles += start - *at;
+        let mut at = depart + params.local_latency;
+        let occupancy = flits * params.cycles_per_flit;
+        let pair = src.0 as usize * nodes as usize + dst.0 as usize;
+        let route = &route_links[route_start[pair] as usize..route_start[pair + 1] as usize];
+        for &li in route {
+            let li = li as usize;
+            let free = &mut links_free[li];
+            let start = at.max(*free);
+            stats.contention_cycles += start - at;
             if T::ENABLED {
-                if start > *at {
-                    self.tracer.record(TraceEvent::new(
+                if start > at {
+                    tracer.record(TraceEvent::new(
                         EventKind::NocStall,
-                        *at,
+                        at,
                         li as u16,
                         dst.0 as u64,
                         flits,
-                        start - *at,
+                        start - at,
                     ));
                 }
-                self.tracer.record(TraceEvent::new(
+                tracer.record(TraceEvent::new(
                     EventKind::NocHop,
                     start,
                     li as u16,
                     dst.0 as u64,
                     flits,
-                    self.params.hop_latency,
+                    params.hop_latency,
                 ));
             }
             *free = start + occupancy;
-            *at = start + self.params.hop_latency;
-            let ls = &mut self.link_stats[li];
+            at = start + params.hop_latency;
+            let ls = &mut link_stats[li];
             ls.flits += flits;
             ls.messages += 1;
-            self.stats.flit_hops += flits;
-            *node = dir.step(*node, width);
-        };
-        while cur.x != to.x {
-            let dir = if to.x > cur.x { Dir::East } else { Dir::West };
-            cur.x = if to.x > cur.x { cur.x + 1 } else { cur.x - 1 };
-            hop(&mut node, dir, &mut at);
         }
-        while cur.y != to.y {
-            let dir = if to.y > cur.y { Dir::South } else { Dir::North };
-            cur.y = if to.y > cur.y { cur.y + 1 } else { cur.y - 1 };
-            hop(&mut node, dir, &mut at);
-        }
-        debug_assert_eq!(node, dst.0);
-        let arrival = at + self.params.local_latency;
-        self.stats.total_latency += arrival - depart;
+        stats.flit_hops += flits * route.len() as u64;
+        let arrival = at + params.local_latency;
+        stats.total_latency += arrival - depart;
         arrival
     }
 
@@ -282,9 +299,30 @@ impl<T: Trace> Mesh<T> {
     }
 }
 
+/// Fill `links`/`start` with the X-Y route of every `(src, dst)` pair
+/// of a `width × height` mesh, as flat link indices in hop order (the
+/// layout of [`Mesh`]'s `route_links` and `route_start`).
+fn build_routes(width: u16, height: u16, links: &mut Vec<u32>, start: &mut Vec<u32>) {
+    let nodes = width * height;
+    links.clear();
+    start.clear();
+    start.push(0);
+    for src in (0..nodes).map(NodeId) {
+        for dst in (0..nodes).map(NodeId) {
+            let mut from = src;
+            for to in route_xy(width, src, dst) {
+                links.push(from.0 as u32 * 4 + Dir::between(from, to, width) as u32);
+                from = to;
+            }
+            start.push(u32::try_from(links.len()).expect("route table fits u32 offsets"));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::manhattan;
 
     fn mesh() -> Mesh {
         Mesh::new(NocParams::default())
@@ -376,6 +414,104 @@ mod tests {
         }
         assert_eq!(m.stats(), fresh.stats());
         assert_eq!(m.link_stats().len(), fresh.link_stats().len());
+    }
+
+    /// Meshes with one node, one row, one column, and both
+    /// dimensions above one, square and not.
+    const GEOMETRIES: [(u16, u16); 7] = [(1, 1), (1, 5), (5, 1), (3, 2), (4, 4), (5, 3), (6, 4)];
+
+    fn geometry(width: u16, height: u16) -> NocParams {
+        NocParams { width, height, ..NocParams::default() }
+    }
+
+    #[test]
+    fn route_table_holds_the_links_of_every_xy_route() {
+        // What each direction slot of a link index means, as a column
+        // and row step: East, West, South, North.
+        const STEP: [(i32, i32); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
+        for (w, h) in GEOMETRIES {
+            let m = Mesh::new(geometry(w, h));
+            let n = m.nodes();
+            assert_eq!(m.route_start.len(), n as usize * n as usize + 1);
+            let xy = |node: NodeId| {
+                let c = Coord::of(node, w);
+                (i32::from(c.x), i32::from(c.y))
+            };
+            for (src, dst) in (0..n).flat_map(|s| (0..n).map(move |d| (NodeId(s), NodeId(d)))) {
+                let p = src.0 as usize * n as usize + dst.0 as usize;
+                let table: Vec<_> = m.route_links
+                    [m.route_start[p] as usize..m.route_start[p + 1] as usize]
+                    .iter()
+                    .map(|&li| {
+                        let (x, y) = xy(NodeId((li / 4) as u16));
+                        let (dx, dy) = STEP[li as usize % 4];
+                        ((x, y), (x + dx, y + dy))
+                    })
+                    .collect();
+                let hops = route_xy(w, src, dst);
+                let walked: Vec<_> = std::iter::once(src)
+                    .chain(hops.iter().copied())
+                    .zip(&hops)
+                    .map(|(from, &to)| (xy(from), xy(to)))
+                    .collect();
+                assert_eq!(table, walked, "{w}x{h} mesh, {src:?} -> {dst:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn uncontended_sends_match_zero_load_on_every_geometry() {
+        for (w, h) in GEOMETRIES {
+            let params = geometry(w, h);
+            let mut m = Mesh::new(params.clone());
+            for (src, dst) in (0..m.nodes()).flat_map(|s| (0..w * h).map(move |d| (s, d))) {
+                let (src, dst) = (NodeId(src), NodeId(dst));
+                m.reset(&params);
+                let arrival = m.send(7, src, dst, 1);
+                assert_eq!(
+                    arrival - 7,
+                    m.zero_load_latency(src, dst, 1),
+                    "{w}x{h} mesh, {src:?} -> {dst:?}"
+                );
+                assert_eq!(m.stats().contention_cycles, 0);
+                assert_eq!(m.stats().flit_hops, manhattan(w, src, dst) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn a_mesh_reset_through_other_geometries_matches_a_fresh_one() {
+        let square = geometry(4, 4);
+        let summary = |mesh: &Mesh| -> Vec<_> {
+            mesh.link_stats().into_iter().map(|(k, s)| (k, s.flits, s.messages)).collect()
+        };
+        // The second path's last step changes only the height.
+        for via in [&[(6, 2)][..], &[(6, 2), (4, 2)]] {
+            let mut m = Mesh::new(square.clone());
+            m.send(0, NodeId(0), NodeId(15), 4);
+            for &(w, h) in via {
+                m.reset(&geometry(w, h));
+                m.send(0, NodeId(0), NodeId(w * h - 1), 4);
+            }
+            m.reset(&square);
+            let mut fresh = Mesh::new(square.clone());
+            assert_eq!(
+                (&m.route_links, &m.route_start),
+                (&fresh.route_links, &fresh.route_start),
+                "via {via:?}"
+            );
+            // Every pair, all departing together, so routes contend.
+            for (src, dst) in (0..16).flat_map(|s| (0..16).map(move |d| (NodeId(s), NodeId(d)))) {
+                assert_eq!(
+                    m.send(5, src, dst, 3),
+                    fresh.send(5, src, dst, 3),
+                    "{src:?} -> {dst:?}"
+                );
+            }
+            assert!(m.stats().contention_cycles > 0);
+            assert_eq!(m.stats(), fresh.stats());
+            assert_eq!(summary(&m), summary(&fresh));
+        }
     }
 
     #[test]

@@ -222,6 +222,29 @@ fn conform_corpus_under_chaos_never_crashes() {
 }
 
 #[test]
+fn injected_panics_are_reported_not_printed() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/litmus-tests/split_counter.litmus");
+    let out = Command::new(env!("CARGO_BIN_EXE_drfrlx"))
+        .args(["check", path, "--chaos-seed", "1", "--threads", "1"])
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("binary runs");
+    assert_eq!(code(&out), 3, "{}", stdout(&out));
+    assert_eq!(
+        stdout(&out),
+        "DRF0: race-free (4 SC executions)\n\
+         \x20 executions: 4 explored, 7 pruned by partial-order reduction\n\
+         DRF1: race-free (4 SC executions)\n\
+         \x20 executions: 4 explored, 7 pruned by partial-order reduction\n\
+         DRFrlx: INCONCLUSIVE (no races in 711 SC executions explored)\n\
+         \x20 status: degraded (7 unit(s) lost: [7, 10, 52, 65, 97, 119, 161]) \
+         — 155 of 162 shards completed\n"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("injected panic"), "a caught, injected panic was printed:\n{err}");
+}
+
+#[test]
 fn a_malformed_threads_variable_is_an_error_that_names_it() {
     let clean = litmus_file("quiet_env.litmus", RACE_FREE);
     let path = clean.to_str().unwrap();
