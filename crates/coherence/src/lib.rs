@@ -23,6 +23,16 @@
 //!   reads of owned lines recall the owner, and acquires are free
 //!   because the hardware keeps caches coherent.
 //!
+//! What the protocols share exists once: [`MemCore`] holds the
+//! structural steps (directory requests, data replies, DRAM fills,
+//! forwarding from an owner L1, self-invalidation, writebacks), and one
+//! L1 read front end and one ownership path (store, RMW, registration)
+//! serve every protocol that needs them, so each policy states only
+//! where its protocol differs. The built-in protocols are built by
+//! [`MemorySystem::with_tracer`] from their [`Protocol`]; a protocol
+//! defined outside this crate implements [`CoherencePolicy`] and is
+//! injected with [`MemorySystem::with_policy`].
+//!
 //! The memory system is timing + state only: functional values live in
 //! the execution engine (`hsim-gpu`/`hsim-sys`), mirroring how
 //! GPGPU-Sim executes functionally at issue.
@@ -36,6 +46,6 @@ mod policy;
 
 pub use memsys::{AccessKind, CuId, MemCore, MemSysParams, MemorySystem, ProtoStats};
 pub use mesi::MesiWbCoherence;
-pub use policy::{policy_for, CoherencePolicy, DeNovoCoherence, GpuCoherence};
+pub use policy::{CoherencePolicy, DeNovoCoherence, GpuCoherence};
 
 pub use drfrlx_core::Protocol;

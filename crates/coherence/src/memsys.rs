@@ -2,8 +2,9 @@
 //!
 //! Protocol behaviour lives behind the [`CoherencePolicy`] trait
 //! (`policy` / `mesi` modules); this module owns the hardware state
-//! ([`MemCore`]) and the structural helpers every protocol shares
-//! (bank queuing, DRAM fills, NoC round trips, writeback of evicted
+//! ([`MemCore`]) and the structural steps every protocol composes
+//! (bank queuing, directory requests, data replies, DRAM fills,
+//! forwarding from an owner L1, self-invalidation, writeback of evicted
 //! owned lines), plus the public [`MemorySystem`] facade the execution
 //! engine talks to.
 
@@ -405,8 +406,18 @@ impl<T: Trace> MemCore<T> {
         (line.0 as usize) % self.banks.len()
     }
 
-    /// L2-bank access at `now` arriving from `from`; returns (data
-    /// ready at bank, bank index). Handles bank queuing and DRAM fill.
+    /// Queue an access that reaches bank `b` at `arrive` for `line`;
+    /// returns the cycle the bank (and its directory) is done.
+    fn bank_access(&mut self, arrive: Cycle, b: usize, line: LineAddr) -> Cycle {
+        let start = self.banks[b].port.acquire(arrive, self.params.l2_occupancy);
+        self.l2_accesses += 1;
+        self.emit(EventKind::L2Access, start, b as u16, line.0, 0, self.params.l2_latency);
+        start + self.params.l2_latency
+    }
+
+    /// L2-bank access for `line` arriving at `arrive`; returns the cycle
+    /// the data is ready at the bank. Handles bank queuing and, when
+    /// `fill_from_dram`, a DRAM fill on a tag miss.
     pub(crate) fn l2_access(
         &mut self,
         arrive: Cycle,
@@ -414,24 +425,11 @@ impl<T: Trace> MemCore<T> {
         fill_from_dram: bool,
     ) -> Cycle {
         let b = self.bank_of(line);
-        self.l2_accesses += 1;
-        let start = self.banks[b].port.acquire(arrive, self.params.l2_occupancy);
-        self.emit(EventKind::L2Access, start, b as u16, line.0, 0, self.params.l2_latency);
-        let after = start + self.params.l2_latency;
-        if !fill_from_dram {
+        let after = self.bank_access(arrive, b, line);
+        if !fill_from_dram || self.banks[b].cache.lookup(line).is_some() {
             return after;
         }
-        // Tag check: miss goes to DRAM, then fills the bank.
-        let present = self.banks[b].cache.lookup(line).is_some();
-        if present {
-            after
-        } else {
-            self.stats.dram_refills += 1;
-            let done = self.dram.access(after, line.0);
-            self.emit(EventKind::DramRefill, after, b as u16, line.0, 0, done - after);
-            self.banks[b].cache.insert(line, L2State::Data);
-            done
-        }
+        self.dram_fill(after, b, line, L2State::Data)
     }
 
     /// Round-trip a control request + data response between a CU and a
@@ -451,6 +449,83 @@ impl<T: Trace> MemCore<T> {
         self.noc.send(bank_done, bank_node, cu_node, resp_flits)
     }
 
+    /// Send a `flits`-flit request for `line` from `cu` to its home
+    /// bank at `now`; the bank queues it and reads its directory.
+    /// Returns the bank and the cycle the directory is done.
+    pub(crate) fn dir_request(
+        &mut self,
+        now: Cycle,
+        cu: CuId,
+        line: LineAddr,
+        flits: u64,
+    ) -> (usize, Cycle) {
+        let b = self.bank_of(line);
+        let arrive = self.noc.send(now, self.params.cu_nodes[cu], self.banks[b].node, flits);
+        (b, self.bank_access(arrive, b, line))
+    }
+
+    /// Send a line of data from bank `b` to `cu` at `at`; returns its
+    /// arrival.
+    pub(crate) fn reply(&mut self, at: Cycle, b: usize, cu: CuId) -> Cycle {
+        self.noc.send(at, self.banks[b].node, self.params.cu_nodes[cu], self.params.data_flits)
+    }
+
+    /// Fill `line` from DRAM into bank `b` as `state`, starting when
+    /// the bank is done at `after`; returns the cycle the data is in.
+    pub(crate) fn dram_fill(
+        &mut self,
+        after: Cycle,
+        b: usize,
+        line: LineAddr,
+        state: L2State,
+    ) -> Cycle {
+        self.stats.dram_refills += 1;
+        let done = self.dram.access(after, line.0);
+        self.emit(EventKind::DramRefill, after, b as u16, line.0, 0, done - after);
+        self.banks[b].cache.insert(line, state);
+        done
+    }
+
+    /// Forward `cu`'s request for `line`, which the directory finished
+    /// at `dir_done`, to the L1 of `owner`: `owner_copy` updates the
+    /// owner's copy (and the directory), then the owner serves the line
+    /// to `cu` at remote-L1 latency. Returns the cycle the data reaches
+    /// `cu`.
+    pub(crate) fn forward_from_owner(
+        &mut self,
+        dir_done: Cycle,
+        cu: CuId,
+        line: LineAddr,
+        owner: CuId,
+        owner_copy: impl FnOnce(&mut Self),
+    ) -> Cycle {
+        self.stats.remote_l1_transfers += 1;
+        self.emit(EventKind::OwnershipTransfer, dir_done, cu as u16, line.0, owner as u64, 0);
+        owner_copy(self);
+        let bank_node = self.banks[self.bank_of(line)].node;
+        let owner_node = self.params.cu_nodes[owner];
+        let at_owner = self.noc.send(dir_done, bank_node, owner_node, self.params.ctl_flits);
+        let served = self.l1s[owner].port.acquire(at_owner, 1) + self.params.l1_hit_latency;
+        self.l1_accesses += 1;
+        self.noc.send(served, owner_node, self.params.cu_nodes[cu], self.params.data_flits)
+    }
+
+    /// An acquire's self-invalidation: drop every line of `cu`'s L1
+    /// whose state `stale` selects. Returns the cycle it is done.
+    pub(crate) fn self_invalidate(
+        &mut self,
+        now: Cycle,
+        cu: CuId,
+        stale: impl Fn(&L1State) -> bool,
+    ) -> Cycle {
+        let dropped = self.l1s[cu].cache.invalidate_where(|_, s| stale(s));
+        self.stats.invalidation_events += 1;
+        self.stats.lines_invalidated += dropped;
+        self.l1_tag_ops += dropped;
+        self.emit(EventKind::Invalidate, now, cu as u16, 0, dropped, 2);
+        now + 2
+    }
+
     /// Writeback an evicted owned line (ownership returns to L2).
     pub(crate) fn handle_l1_eviction(
         &mut self,
@@ -464,14 +539,7 @@ impl<T: Trace> MemCore<T> {
         }
         self.stats.writebacks += 1;
         self.emit(EventKind::Writeback, now, cu as u16, ev.line.0, 0, 0);
-        let cu_node = self.params.cu_nodes[cu];
-        let b = self.bank_of(ev.line);
-        let bank_node = self.banks[b].node;
-        let arrive = self.noc.send(now, cu_node, bank_node, self.params.data_flits);
-        let start = self.banks[b].port.acquire(arrive, self.params.l2_occupancy);
-        let _done = start + self.params.l2_latency;
-        self.l2_accesses += 1;
-        self.emit(EventKind::L2Access, start, b as u16, ev.line.0, 0, self.params.l2_latency);
+        let (b, _) = self.dir_request(now, cu, ev.line, self.params.data_flits);
         // Only reclaim if the directory still points at us.
         if self.banks[b].cache.peek(ev.line) == Some(&L2State::Owned(cu)) {
             self.banks[b].cache.insert(ev.line, L2State::Data);
@@ -486,7 +554,7 @@ impl<T: Trace> MemCore<T> {
 /// A thin facade: hardware state lives in [`MemCore`], per-protocol
 /// transitions behind a [`CoherencePolicy`] selected from the
 /// [`Protocol`] (or injected via [`MemorySystem::with_policy`]). The
-/// built-in protocols dispatch statically through [`PolicySlot`] so
+/// built-in protocols dispatch statically through `PolicySlot` so
 /// their transitions inline into the access API; only externally
 /// injected policies pay a vtable call per transaction.
 pub struct MemorySystem<T: Trace = NoTrace> {
@@ -787,6 +855,36 @@ mod tests {
             let flushed = m.release(accepted, 0);
             assert!(flushed > accepted, "{p}: release must wait for the drain");
             assert_eq!(m.stats().sb_flushes, 1);
+        }
+    }
+
+    #[test]
+    fn an_access_finding_every_mshr_busy_waits_for_one_then_fetches() {
+        // Loads take an MSHR under every protocol, atomics only under
+        // the ownership protocols (GPU atomics run at the L2).
+        let (gpu, denovo, mesi) = (Protocol::Gpu, Protocol::DeNovo, Protocol::MesiWb);
+        for (p, atomic) in
+            [(gpu, false), (denovo, false), (mesi, false), (denovo, true), (mesi, true)]
+        {
+            let mut m =
+                MemorySystem::new(p, MemSysParams { l1_mshrs: 2, ..MemSysParams::default() });
+            let (l2, hit) = (m.params().l2_latency, m.params().l1_hit_latency);
+            let mut access = |now, addr| {
+                if atomic {
+                    m.rmw(now, 0, addr)
+                } else {
+                    m.load(now, 0, addr, AccessKind::DataLoad)
+                }
+            };
+            // Two misses to distinct lines take both entries, so a third
+            // retries once the earlier fill frees one, then fetches.
+            let first = access(0, 0);
+            let second = access(0, 16);
+            let third = access(0, 32);
+            let freed = first.min(second);
+            assert!(third > freed + l2, "{p}, atomic {atomic}: {third} vs {freed}");
+            let again = access(third, 32);
+            assert!(again - third <= 1 + hit, "{p}, atomic {atomic}: the line stayed in the L1");
         }
     }
 

@@ -15,13 +15,17 @@
 //! coherent, so there is nothing to self-invalidate; release still
 //! waits for the store buffer (pending ownership upgrades) to drain.
 //!
-//! This file is the whole protocol: it demonstrates the
-//! [`CoherencePolicy`] seam (no other layer knows MESI exists beyond
-//! the `Protocol::MesiWb` label used for construction and reporting).
+//! Stores and atomics take DeNovo's ownership path
+//! ([`crate::policy::owned_store`], [`crate::policy::owned_rmw`]);
+//! this file holds what differs: the read path that records sharers
+//! and downgrades an owner, the sharer invalidation that
+//! [`crate::policy::register`] runs for a `SharedBy` line, and the free
+//! acquire. No other layer knows MESI exists beyond the
+//! `Protocol::MesiWb` label used for construction and reporting.
 
 use crate::memsys::{AccessKind, CuId, L1State, L2State, MemCore};
-use crate::policy::CoherencePolicy;
-use hsim_mem::{Addr, Cycle, LineAddr, MshrOutcome};
+use crate::policy::{l1_load, owned_rmw, owned_store, CoherencePolicy};
+use hsim_mem::{Addr, Cycle, LineAddr};
 use hsim_trace::{EventKind, Trace};
 
 /// Writeback MESI-style ownership coherence (see module docs).
@@ -33,113 +37,51 @@ fn bit(cu: CuId) -> u64 {
     1 << cu
 }
 
-impl MesiWbCoherence {
-    /// Invalidate every remote sharer in `mask` via the directory:
-    /// multicast invalidations, collect acks, drop the copies. Returns
-    /// the cycle all acks have arrived back at the bank.
-    fn invalidate_sharers<T: Trace>(
-        core: &mut MemCore<T>,
-        dir_done: Cycle,
-        cu: CuId,
-        line: LineAddr,
-        mask: u64,
-    ) -> Cycle {
-        let bank_node = core.banks[core.bank_of(line)].node;
-        let mut acks_done = dir_done;
-        let mut dropped = 0u64;
-        for sharer in 0..core.params.num_cus {
-            if sharer == cu || mask & bit(sharer) == 0 {
-                continue;
-            }
-            let sharer_node = core.params.cu_nodes[sharer];
-            let inv_at = core.noc.send(dir_done, bank_node, sharer_node, core.params.ctl_flits);
-            // The mask can be stale (shared copies evict silently);
-            // only an actual drop costs a tag operation.
-            if core.l1s[sharer].cache.remove(line).is_some() {
-                core.l1_tag_ops += 1;
-                dropped += 1;
-            }
-            let ack_at = core.noc.send(inv_at, sharer_node, bank_node, core.params.ctl_flits);
-            acks_done = acks_done.max(ack_at);
+/// Invalidate every remote sharer in `mask` via the directory:
+/// multicast invalidations, collect acks, drop the copies. Returns the
+/// cycle all acks have arrived back at the bank.
+pub(crate) fn invalidate_sharers<T: Trace>(
+    core: &mut MemCore<T>,
+    dir_done: Cycle,
+    cu: CuId,
+    line: LineAddr,
+    mask: u64,
+) -> Cycle {
+    let bank_node = core.banks[core.bank_of(line)].node;
+    let mut acks_done = dir_done;
+    let mut dropped = 0u64;
+    for sharer in 0..core.params.num_cus {
+        if sharer == cu || mask & bit(sharer) == 0 {
+            continue;
         }
-        if dropped > 0 {
-            core.stats.sharer_invalidations += dropped;
-            core.emit(
-                EventKind::SharerInvalidate,
-                dir_done,
-                cu as u16,
-                line.0,
-                dropped,
-                acks_done - dir_done,
-            );
+        let sharer_node = core.params.cu_nodes[sharer];
+        let inv_at = core.noc.send(dir_done, bank_node, sharer_node, core.params.ctl_flits);
+        // The mask can be stale (shared copies evict silently); only
+        // an actual drop costs a tag operation.
+        if core.l1s[sharer].cache.remove(line).is_some() {
+            core.l1_tag_ops += 1;
+            dropped += 1;
         }
-        acks_done
+        let ack_at = core.noc.send(inv_at, sharer_node, bank_node, core.params.ctl_flits);
+        acks_done = acks_done.max(ack_at);
     }
-
-    /// Obtain exclusive ownership of `line` for `cu` (the write/atomic
-    /// path): recall a remote owner or invalidate sharers, then install
-    /// the line as [`L1State::Registered`]. Returns the cycle the data
-    /// (and all invalidation acks) reach the requesting CU.
-    fn register_exclusive<T: Trace>(
-        core: &mut MemCore<T>,
-        now: Cycle,
-        cu: CuId,
-        line: LineAddr,
-    ) -> Cycle {
-        let cu_node = core.params.cu_nodes[cu];
-        let b = core.bank_of(line);
-        let bank_node = core.banks[b].node;
-        let arrive = core.noc.send(now, cu_node, bank_node, core.params.ctl_flits);
-        let start = core.banks[b].port.acquire(arrive, core.params.l2_occupancy);
-        core.l2_accesses += 1;
-        core.emit(EventKind::L2Access, start, b as u16, line.0, 0, core.params.l2_latency);
-        let dir_done = start + core.params.l2_latency;
-        let prev = core.banks[b].cache.lookup(line).copied();
-        core.banks[b].cache.insert(line, L2State::Owned(cu));
-        let data_at_cu = match prev {
-            Some(L2State::Owned(owner)) if owner != cu => {
-                // Forward to the previous owner; it hands the dirty
-                // line over and drops its copy.
-                core.stats.remote_l1_transfers += 1;
-                core.emit(
-                    EventKind::OwnershipTransfer,
-                    dir_done,
-                    cu as u16,
-                    line.0,
-                    owner as u64,
-                    0,
-                );
-                let owner_node = core.params.cu_nodes[owner];
-                core.l1s[owner].cache.remove(line);
-                core.l1_tag_ops += 1;
-                let at_owner =
-                    core.noc.send(dir_done, bank_node, owner_node, core.params.ctl_flits);
-                let served = core.l1s[owner].port.acquire(at_owner, 1) + core.params.l1_hit_latency;
-                core.l1_accesses += 1;
-                core.noc.send(served, owner_node, cu_node, core.params.data_flits)
-            }
-            Some(L2State::SharedBy(mask)) => {
-                let acks = MesiWbCoherence::invalidate_sharers(core, dir_done, cu, line, mask);
-                core.noc.send(acks, bank_node, cu_node, core.params.data_flits)
-            }
-            Some(_) => core.noc.send(dir_done, bank_node, cu_node, core.params.data_flits),
-            None => {
-                core.stats.dram_refills += 1;
-                let filled = core.dram.access(dir_done, line.0);
-                core.emit(EventKind::DramRefill, dir_done, b as u16, line.0, 0, filled - dir_done);
-                core.banks[b].cache.insert(line, L2State::Owned(cu));
-                core.noc.send(filled, bank_node, cu_node, core.params.data_flits)
-            }
-        };
-        let evicted = core.l1s[cu]
-            .cache
-            .insert_with_pin(line, L1State::Registered, |s| *s == L1State::Registered);
-        core.handle_l1_eviction(data_at_cu, cu, evicted);
-        data_at_cu
+    if dropped > 0 {
+        core.stats.sharer_invalidations += dropped;
+        core.emit(
+            EventKind::SharerInvalidate,
+            dir_done,
+            cu as u16,
+            line.0,
+            dropped,
+            acks_done - dir_done,
+        );
     }
+    acks_done
 }
 
 impl<T: Trace> CoherencePolicy<T> for MesiWbCoherence {
+    /// A read adds the reader to the line's sharers; a read of an owned
+    /// line recalls the owner, which downgrades to a shared copy.
     fn load(
         &self,
         core: &mut MemCore<T>,
@@ -152,93 +94,28 @@ impl<T: Trace> CoherencePolicy<T> for MesiWbCoherence {
             return self.rmw(core, now, cu, addr);
         }
         let line = core.line(addr);
-        core.l1_accesses += 1;
-        let start = now;
-        if let Some(done) = core.l1s[cu].mshr.pending(start, line) {
-            core.stats.mshr_coalesced += 1;
-            core.emit(
-                EventKind::MshrCoalesce,
-                start,
-                cu as u16,
-                line.0,
-                0,
-                done.max(start) - start,
-            );
-            return done.max(start);
-        }
-        if core.l1s[cu].cache.lookup(line).is_some() {
-            core.stats.l1_hits += 1;
-            core.emit(EventKind::L1Hit, start, cu as u16, line.0, 0, core.params.l1_hit_latency);
-            return start + core.params.l1_hit_latency;
-        }
-        core.stats.l1_misses += 1;
-        core.emit(EventKind::L1Miss, start, cu as u16, line.0, 0, 0);
-        match core.l1s[cu].mshr.request(start, line) {
-            MshrOutcome::Coalesced(done) => {
-                core.stats.mshr_coalesced += 1;
-                return done;
-            }
-            MshrOutcome::Full(free_at) => {
-                let retry = free_at.max(start);
-                return self.load(core, retry, cu, addr, kind);
-            }
-            MshrOutcome::Allocated => {}
-        }
-        // Read request to the home directory bank.
-        let cu_node = core.params.cu_nodes[cu];
-        let b = core.bank_of(line);
-        let bank_node = core.banks[b].node;
-        let arrive = core.noc.send(start, cu_node, bank_node, core.params.ctl_flits);
-        let dir_start = core.banks[b].port.acquire(arrive, core.params.l2_occupancy);
-        core.l2_accesses += 1;
-        core.emit(EventKind::L2Access, dir_start, b as u16, line.0, 0, core.params.l2_latency);
-        let dir_done = dir_start + core.params.l2_latency;
-        let state = core.banks[b].cache.lookup(line).copied();
-        let done = match state {
-            Some(L2State::Owned(owner)) if owner != cu => {
-                // Recall: the owner downgrades to shared, its dirty data
-                // returns to the L2 and is forwarded to the reader.
-                core.stats.remote_l1_transfers += 1;
-                core.emit(
-                    EventKind::OwnershipTransfer,
-                    dir_done,
-                    cu as u16,
-                    line.0,
-                    owner as u64,
-                    0,
-                );
-                let owner_node = core.params.cu_nodes[owner];
-                if let Some(s) = core.l1s[owner].cache.lookup(line) {
-                    *s = L1State::Valid;
+        l1_load(core, now, cu, line, |core, start| {
+            let (b, dir_done) = core.dir_request(start, cu, line, core.params.ctl_flits);
+            match core.banks[b].cache.lookup(line).copied() {
+                Some(L2State::Owned(owner)) if owner != cu => {
+                    core.forward_from_owner(dir_done, cu, line, owner, |core| {
+                        if let Some(s) = core.l1s[owner].cache.lookup(line) {
+                            *s = L1State::Valid;
+                        }
+                        core.banks[b].cache.insert(line, L2State::SharedBy(bit(owner) | bit(cu)));
+                    })
                 }
-                core.banks[b].cache.insert(line, L2State::SharedBy(bit(owner) | bit(cu)));
-                let at_owner =
-                    core.noc.send(dir_done, bank_node, owner_node, core.params.ctl_flits);
-                let served = core.l1s[owner].port.acquire(at_owner, 1) + core.params.l1_hit_latency;
-                core.l1_accesses += 1;
-                core.noc.send(served, owner_node, cu_node, core.params.data_flits)
+                Some(state) => {
+                    let sharers = if let L2State::SharedBy(mask) = state { mask } else { 0 };
+                    core.banks[b].cache.insert(line, L2State::SharedBy(sharers | bit(cu)));
+                    core.reply(dir_done, b, cu)
+                }
+                None => {
+                    let filled = core.dram_fill(dir_done, b, line, L2State::SharedBy(bit(cu)));
+                    core.reply(filled, b, cu)
+                }
             }
-            Some(L2State::SharedBy(mask)) => {
-                core.banks[b].cache.insert(line, L2State::SharedBy(mask | bit(cu)));
-                core.noc.send(dir_done, bank_node, cu_node, core.params.data_flits)
-            }
-            Some(_) => {
-                core.banks[b].cache.insert(line, L2State::SharedBy(bit(cu)));
-                core.noc.send(dir_done, bank_node, cu_node, core.params.data_flits)
-            }
-            None => {
-                core.stats.dram_refills += 1;
-                let filled = core.dram.access(dir_done, line.0);
-                core.emit(EventKind::DramRefill, dir_done, b as u16, line.0, 0, filled - dir_done);
-                core.banks[b].cache.insert(line, L2State::SharedBy(bit(cu)));
-                core.noc.send(filled, bank_node, cu_node, core.params.data_flits)
-            }
-        };
-        let evicted =
-            core.l1s[cu].cache.insert_with_pin(line, L1State::Valid, |s| *s == L1State::Registered);
-        core.handle_l1_eviction(done, cu, evicted);
-        core.l1s[cu].mshr.set_completion(line, done);
-        done
+        })
     }
 
     fn store(
@@ -252,93 +129,11 @@ impl<T: Trace> CoherencePolicy<T> for MesiWbCoherence {
         if kind.is_atomic() {
             return self.rmw(core, now, cu, addr);
         }
-        let line = core.line(addr);
-        core.l1_accesses += 1;
-        let start = now;
-        let pending = core.l1s[cu].mshr.pending(start, line);
-        if pending.is_none() && core.l1s[cu].cache.lookup(line) == Some(&mut L1State::Registered) {
-            // Exclusive (M/E): write locally, writeback caching.
-            core.stats.l1_hits += 1;
-            core.emit(EventKind::L1Hit, start, cu as u16, line.0, 0, core.params.l1_hit_latency);
-            return start + core.params.l1_hit_latency;
-        }
-        core.stats.l1_misses += 1;
-        core.emit(EventKind::L1Miss, start, cu as u16, line.0, 0, 0);
-        // Pend in the store buffer while the upgrade is in flight.
-        let drain_done = match core.l1s[cu].mshr.request(start, line) {
-            MshrOutcome::Coalesced(done) => {
-                core.stats.mshr_coalesced += 1;
-                done
-            }
-            MshrOutcome::Full(free_at) => {
-                let retry = free_at.max(start);
-                return self.store(core, retry, cu, addr, kind);
-            }
-            MshrOutcome::Allocated => {
-                let done = MesiWbCoherence::register_exclusive(core, start, cu, line);
-                core.l1s[cu].mshr.set_completion(line, done);
-                done
-            }
-        };
-        let accepted = core.l1s[cu].sb.push(start, line, drain_done);
-        accepted + 1
+        owned_store(core, now, cu, core.line(addr))
     }
 
-    /// Atomics execute at the L1 on an exclusively owned line, so
-    /// repeated atomics reuse ownership and concurrent same-line
-    /// requests share one upgrade via the MSHR — like DeNovo, but the
-    /// upgrade also invalidates any sharers.
     fn rmw(&self, core: &mut MemCore<T>, now: Cycle, cu: CuId, addr: Addr) -> Cycle {
-        let line = core.line(addr);
-        core.stats.atomics_at_l1 += 1;
-        core.emit(EventKind::AtomicAtL1, now, cu as u16, addr, 0, 0);
-        core.l1_accesses += 1;
-        let start = now;
-        if let Some(done) = core.l1s[cu].mshr.pending(start, line) {
-            if core.params.atomic_coalescing {
-                core.stats.mshr_coalesced += 1;
-                core.emit(
-                    EventKind::MshrCoalesce,
-                    start,
-                    cu as u16,
-                    line.0,
-                    0,
-                    done.max(start) - start,
-                );
-                let served = core.l1s[cu].port.acquire(done.max(start), 1);
-                return served + core.params.l1_hit_latency;
-            }
-            let refetch = MesiWbCoherence::register_exclusive(core, done.max(start), cu, line);
-            let served = core.l1s[cu].port.acquire(refetch, 1);
-            return served + core.params.l1_hit_latency;
-        }
-        if core.l1s[cu].cache.lookup(line) == Some(&mut L1State::Registered) {
-            core.stats.atomic_l1_reuse += 1;
-            core.stats.l1_hits += 1;
-            core.emit(EventKind::AtomicReuse, start, cu as u16, line.0, 0, 0);
-            core.emit(EventKind::L1Hit, start, cu as u16, line.0, 0, core.params.l1_hit_latency);
-            let served = core.l1s[cu].port.acquire(start, 1);
-            return served + core.params.l1_hit_latency;
-        }
-        core.stats.l1_misses += 1;
-        core.emit(EventKind::L1Miss, start, cu as u16, line.0, 0, 0);
-        let owned_at = match core.l1s[cu].mshr.request(start, line) {
-            MshrOutcome::Coalesced(done) => {
-                core.stats.mshr_coalesced += 1;
-                done
-            }
-            MshrOutcome::Full(free_at) => {
-                let retry = free_at.max(start);
-                return self.rmw(core, retry, cu, addr);
-            }
-            MshrOutcome::Allocated => {
-                let done = MesiWbCoherence::register_exclusive(core, start, cu, line);
-                core.l1s[cu].mshr.set_completion(line, done);
-                done
-            }
-        };
-        let served = core.l1s[cu].port.acquire(owned_at, 1);
-        served + core.params.l1_hit_latency
+        owned_rmw(core, now, cu, addr)
     }
 
     /// Acquire is free: writer-initiated invalidation already keeps

@@ -1,25 +1,31 @@
-//! The [`CoherencePolicy`] trait and the paper's two protocols as
-//! policy implementations.
+//! The [`CoherencePolicy`] trait, the front ends the protocols share,
+//! and the paper's two protocols as policy implementations.
 //!
 //! A policy is pure protocol behaviour — per-line state transitions for
 //! loads/stores/atomics, acquire/release actions, writeback/placement
 //! decisions — executed against the hardware state in
 //! [`MemCore`]. Policies are stateless unit structs: every per-line and
 //! per-CU fact lives in the core's caches/directory, so one policy
-//! value can drive any number of systems. Adding a protocol means
-//! implementing this trait in one file (see `mesi.rs`) and, if it
-//! should be constructible by name, extending [`policy_for`].
+//! value can drive any number of systems.
 //!
-//! The bodies of [`GpuCoherence`] and [`DeNovoCoherence`] are the former
-//! `MemorySystem` match arms moved verbatim (only `self` became `core`);
-//! the coherence digests in `tests/simulator_digest.rs` were frozen
-//! from the original enum-dispatch monolith, so they prove the move
-//! changed nothing.
+//! The machinery two or three protocols have in common exists once:
+//! [`l1_load`] is every protocol's L1 read front end, and
+//! [`owned_store`], [`owned_rmw`] and [`register`] are the ownership
+//! path DeNovo and MESI-WB share. Each protocol states only where it
+//! differs:
+//!
+//! * GPU: write-through stores, atomics at the L2, flash invalidation;
+//! * DeNovo: a read leaves the owner in place, an acquire drops the
+//!   `Valid` lines;
+//! * MESI-WB (`mesi.rs`): a read records sharers and downgrades the
+//!   owner, an acquire is free.
+//!
+//! The coherence digests in `tests/simulator_digest.rs` pin every
+//! protocol's completion cycles, counters and trace events.
 
 use crate::memsys::{AccessKind, CuId, L1State, L2State, MemCore};
-use crate::MesiWbCoherence;
-use drfrlx_core::Protocol;
-use hsim_mem::{Addr, Cycle, MshrOutcome};
+use crate::mesi::invalidate_sharers;
+use hsim_mem::{Addr, Cycle, LineAddr, MshrOutcome};
 use hsim_trace::{EventKind, Trace};
 
 /// Per-protocol coherence behaviour, invoked by
@@ -65,13 +71,182 @@ pub trait CoherencePolicy<T: Trace> {
     }
 }
 
-/// The built-in policy for `protocol`.
-pub fn policy_for<T: Trace>(protocol: Protocol) -> Box<dyn CoherencePolicy<T>> {
-    match protocol {
-        Protocol::Gpu => Box::new(GpuCoherence),
-        Protocol::DeNovo => Box::new(DeNovoCoherence),
-        Protocol::MesiWb => Box::new(MesiWbCoherence),
+/// The L1 read front end of every protocol: a fill still in flight
+/// wins over the (already-installed) cache state, then a hit, then
+/// [`l1_miss`]. `fill` fetches the line from the cycle it is given and
+/// returns the cycle it reaches `cu`, where it is installed `Valid`.
+pub(crate) fn l1_load<T: Trace>(
+    core: &mut MemCore<T>,
+    mut now: Cycle,
+    cu: CuId,
+    line: LineAddr,
+    fill: impl Fn(&mut MemCore<T>, Cycle) -> Cycle,
+) -> Cycle {
+    loop {
+        core.l1_accesses += 1;
+        if let Some(done) = core.l1s[cu].mshr.pending(now, line) {
+            core.stats.mshr_coalesced += 1;
+            let done = done.max(now);
+            core.emit(EventKind::MshrCoalesce, now, cu as u16, line.0, 0, done - now);
+            return done;
+        }
+        if core.l1s[cu].cache.lookup(line).is_some() {
+            core.stats.l1_hits += 1;
+            core.emit(EventKind::L1Hit, now, cu as u16, line.0, 0, core.params.l1_hit_latency);
+            return now + core.params.l1_hit_latency;
+        }
+        let fetched = l1_miss(core, now, cu, line, |core, start| {
+            let done = fill(core, start);
+            let evicted = core.l1s[cu]
+                .cache
+                .insert_with_pin(line, L1State::Valid, |s| *s == L1State::Registered);
+            core.handle_l1_eviction(done, cu, evicted);
+            done
+        });
+        match fetched {
+            Ok(done) => return done,
+            Err(retry) => now = retry,
+        }
     }
+}
+
+/// An L1 miss on `line` at `now`: count it, then merge with a
+/// same-line request in flight or take an MSHR entry and `fetch` the
+/// line, whose arrival completes the entry. Returns the cycle the line
+/// arrives, or `Err` with the cycle to retry the whole access at when
+/// every MSHR entry is busy.
+fn l1_miss<T: Trace>(
+    core: &mut MemCore<T>,
+    now: Cycle,
+    cu: CuId,
+    line: LineAddr,
+    fetch: impl FnOnce(&mut MemCore<T>, Cycle) -> Cycle,
+) -> Result<Cycle, Cycle> {
+    core.stats.l1_misses += 1;
+    core.emit(EventKind::L1Miss, now, cu as u16, line.0, 0, 0);
+    match core.l1s[cu].mshr.request(now, line) {
+        MshrOutcome::Coalesced(done) => {
+            core.stats.mshr_coalesced += 1;
+            Ok(done)
+        }
+        MshrOutcome::Full(free_at) => Err(free_at.max(now)),
+        MshrOutcome::Allocated => {
+            let done = fetch(core, now);
+            core.l1s[cu].mshr.set_completion(line, done);
+            Ok(done)
+        }
+    }
+}
+
+/// Obtain ownership of `line` for `cu`, starting at `now`: the
+/// directory forwards to a previous owner, which hands the line over
+/// and drops its copy, or invalidates the sharers a MESI-WB read
+/// recorded; then the line is installed [`L1State::Registered`].
+/// Returns the cycle the data (and all invalidation acks) reach `cu`.
+pub(crate) fn register<T: Trace>(
+    core: &mut MemCore<T>,
+    now: Cycle,
+    cu: CuId,
+    line: LineAddr,
+) -> Cycle {
+    let (b, dir_done) = core.dir_request(now, cu, line, core.params.ctl_flits);
+    let prev = core.banks[b].cache.lookup(line).copied();
+    core.banks[b].cache.insert(line, L2State::Owned(cu));
+    let data_at_cu = match prev {
+        Some(L2State::Owned(owner)) if owner != cu => {
+            core.forward_from_owner(dir_done, cu, line, owner, |core| {
+                core.l1s[owner].cache.remove(line);
+                core.l1_tag_ops += 1;
+            })
+        }
+        Some(L2State::SharedBy(mask)) => {
+            let acks = invalidate_sharers(core, dir_done, cu, line, mask);
+            core.reply(acks, b, cu)
+        }
+        // The L2 had the data (or we already owned it).
+        Some(_) => core.reply(dir_done, b, cu),
+        None => {
+            let filled = core.dram_fill(dir_done, b, line, L2State::Owned(cu));
+            core.reply(filled, b, cu)
+        }
+    };
+    let evicted = core.l1s[cu]
+        .cache
+        .insert_with_pin(line, L1State::Registered, |s| *s == L1State::Registered);
+    // A full set of registered lines can force a registered victim
+    // out; its ownership must return to the L2 (writeback).
+    core.handle_l1_eviction(data_at_cu, cu, evicted);
+    data_at_cu
+}
+
+/// A data store under an ownership protocol: an owned line is written
+/// locally (writeback caching); otherwise the store pends in the store
+/// buffer until [`register`] (or a same-line registration in flight)
+/// completes, retrying when the MSHR is full.
+pub(crate) fn owned_store<T: Trace>(
+    core: &mut MemCore<T>,
+    mut now: Cycle,
+    cu: CuId,
+    line: LineAddr,
+) -> Cycle {
+    let drain_done = loop {
+        core.l1_accesses += 1;
+        let pending = core.l1s[cu].mshr.pending(now, line);
+        if pending.is_none() && core.l1s[cu].cache.lookup(line) == Some(&mut L1State::Registered) {
+            core.stats.l1_hits += 1;
+            core.emit(EventKind::L1Hit, now, cu as u16, line.0, 0, core.params.l1_hit_latency);
+            return now + core.params.l1_hit_latency;
+        }
+        match l1_miss(core, now, cu, line, |core, start| register(core, start, cu, line)) {
+            Ok(done) => break done,
+            Err(retry) => now = retry,
+        }
+    };
+    core.l1s[cu].sb.push(now, line, drain_done) + 1
+}
+
+/// An atomic under an ownership protocol, performed at the L1 once the
+/// line is owned: repeated atomics to an owned line hit locally
+/// (reuse), and concurrent requests to one line share a single
+/// registration via the MSHR (coalescing). The L1 port serializes
+/// atomic performs at one per cycle.
+pub(crate) fn owned_rmw<T: Trace>(
+    core: &mut MemCore<T>,
+    mut now: Cycle,
+    cu: CuId,
+    addr: Addr,
+) -> Cycle {
+    let line = core.line(addr);
+    let owned_at = loop {
+        core.stats.atomics_at_l1 += 1;
+        core.emit(EventKind::AtomicAtL1, now, cu as u16, addr, 0, 0);
+        core.l1_accesses += 1;
+        if let Some(done) = core.l1s[cu].mshr.pending(now, line) {
+            let done = done.max(now);
+            if core.params.atomic_coalescing {
+                // Ownership transfer in flight: coalesce, then perform
+                // locally once it lands.
+                core.stats.mshr_coalesced += 1;
+                core.emit(EventKind::MshrCoalesce, now, cu as u16, line.0, 0, done - now);
+                break done;
+            }
+            // Ablation: no coalescing — wait out the in-flight fill,
+            // then issue a fresh (redundant) registration round trip.
+            break register(core, done, cu, line);
+        }
+        if core.l1s[cu].cache.lookup(line) == Some(&mut L1State::Registered) {
+            core.stats.atomic_l1_reuse += 1;
+            core.stats.l1_hits += 1;
+            core.emit(EventKind::AtomicReuse, now, cu as u16, line.0, 0, 0);
+            core.emit(EventKind::L1Hit, now, cu as u16, line.0, 0, core.params.l1_hit_latency);
+            break now;
+        }
+        match l1_miss(core, now, cu, line, |core, start| register(core, start, cu, line)) {
+            Ok(done) => break done,
+            Err(retry) => now = retry,
+        }
+    };
+    core.l1s[cu].port.acquire(owned_at, 1) + core.params.l1_hit_latency
 }
 
 /// Conventional GPU coherence (§2.1): write-through L1s without
@@ -93,48 +268,11 @@ impl<T: Trace> CoherencePolicy<T> for GpuCoherence {
             return self.rmw(core, now, cu, addr);
         }
         let line = core.line(addr);
-        core.l1_accesses += 1;
-        let start = now;
-        // A fill still in flight wins over the (already-installed)
-        // cache state: merge rather than hitting data that has not
-        // arrived yet.
-        if let Some(done) = core.l1s[cu].mshr.pending(start, line) {
-            core.stats.mshr_coalesced += 1;
-            core.emit(
-                EventKind::MshrCoalesce,
-                start,
-                cu as u16,
-                line.0,
-                0,
-                done.max(start) - start,
-            );
-            return done.max(start);
-        }
-        if core.l1s[cu].cache.lookup(line).is_some() {
-            core.stats.l1_hits += 1;
-            core.emit(EventKind::L1Hit, start, cu as u16, line.0, 0, core.params.l1_hit_latency);
-            return start + core.params.l1_hit_latency;
-        }
-        core.stats.l1_misses += 1;
-        core.emit(EventKind::L1Miss, start, cu as u16, line.0, 0, 0);
-        // MSHR: merge with an in-flight fill for the same line.
-        match core.l1s[cu].mshr.request(start, line) {
-            MshrOutcome::Coalesced(done) => {
-                core.stats.mshr_coalesced += 1;
-                return done;
-            }
-            MshrOutcome::Full(free_at) => {
-                let retry = free_at.max(start);
-                return self.load(core, retry, cu, addr, kind);
-            }
-            MshrOutcome::Allocated => {}
-        }
-        let flits = core.params.data_flits;
-        let done = core
-            .bank_round_trip(start, cu, line, flits, |c, arrive| c.l2_access(arrive, line, true));
-        core.l1s[cu].cache.insert(line, L1State::Valid);
-        core.l1s[cu].mshr.set_completion(line, done);
-        done
+        l1_load(core, now, cu, line, |core, start| {
+            core.bank_round_trip(start, cu, line, core.params.data_flits, |c, arrive| {
+                c.l2_access(arrive, line, true)
+            })
+        })
     }
 
     fn store(
@@ -177,12 +315,7 @@ impl<T: Trace> CoherencePolicy<T> for GpuCoherence {
     }
 
     fn acquire(&self, core: &mut MemCore<T>, now: Cycle, cu: CuId) -> Cycle {
-        let dropped = core.l1s[cu].cache.invalidate_where(|_, _| true);
-        core.stats.invalidation_events += 1;
-        core.stats.lines_invalidated += dropped;
-        core.l1_tag_ops += dropped;
-        core.emit(EventKind::Invalidate, now, cu as u16, 0, dropped, 2);
-        now + 2
+        core.self_invalidate(now, cu, |_| true)
     }
 }
 
@@ -192,71 +325,9 @@ impl<T: Trace> CoherencePolicy<T> for GpuCoherence {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DeNovoCoherence;
 
-impl DeNovoCoherence {
-    /// Obtain registration (ownership) of `line` for `cu`, starting at
-    /// `now`; returns the completion cycle. Transfers from a previous
-    /// owner cost an extra forward hop (remote-L1 latency).
-    fn register<T: Trace>(
-        core: &mut MemCore<T>,
-        now: Cycle,
-        cu: CuId,
-        line: hsim_mem::LineAddr,
-    ) -> Cycle {
-        let cu_node = core.params.cu_nodes[cu];
-        let b = core.bank_of(line);
-        let bank_node = core.banks[b].node;
-        let arrive = core.noc.send(now, cu_node, bank_node, core.params.ctl_flits);
-        let start = core.banks[b].port.acquire(arrive, core.params.l2_occupancy);
-        core.l2_accesses += 1;
-        core.emit(EventKind::L2Access, start, b as u16, line.0, 0, core.params.l2_latency);
-        let dir_done = start + core.params.l2_latency;
-        let prev = core.banks[b].cache.lookup(line).copied();
-        core.banks[b].cache.insert(line, L2State::Owned(cu));
-        let data_at_cu = match prev {
-            Some(L2State::Owned(owner)) if owner != cu => {
-                // Forward to previous owner; it hands the line over.
-                core.stats.remote_l1_transfers += 1;
-                core.emit(
-                    EventKind::OwnershipTransfer,
-                    dir_done,
-                    cu as u16,
-                    line.0,
-                    owner as u64,
-                    0,
-                );
-                let owner_node = core.params.cu_nodes[owner];
-                core.l1s[owner].cache.remove(line);
-                core.l1_tag_ops += 1;
-                let at_owner =
-                    core.noc.send(dir_done, bank_node, owner_node, core.params.ctl_flits);
-                let served = core.l1s[owner].port.acquire(at_owner, 1) + core.params.l1_hit_latency;
-                core.l1_accesses += 1;
-                core.noc.send(served, owner_node, cu_node, core.params.data_flits)
-            }
-            Some(_) => {
-                // L2 had the data (or we already owned it): reply directly.
-                core.noc.send(dir_done, bank_node, cu_node, core.params.data_flits)
-            }
-            None => {
-                // L2 miss: fill from DRAM first.
-                core.stats.dram_refills += 1;
-                let filled = core.dram.access(dir_done, line.0);
-                core.emit(EventKind::DramRefill, dir_done, b as u16, line.0, 0, filled - dir_done);
-                core.banks[b].cache.insert(line, L2State::Owned(cu));
-                core.noc.send(filled, bank_node, cu_node, core.params.data_flits)
-            }
-        };
-        let evicted = core.l1s[cu]
-            .cache
-            .insert_with_pin(line, L1State::Registered, |s| *s == L1State::Registered);
-        // A full set of registered lines can force a registered victim
-        // out; its ownership must return to the L2 (writeback).
-        core.handle_l1_eviction(data_at_cu, cu, evicted);
-        data_at_cu
-    }
-}
-
 impl<T: Trace> CoherencePolicy<T> for DeNovoCoherence {
+    /// A read fills a `Valid` copy and never takes ownership: an owner
+    /// serves it and keeps the line.
     fn load(
         &self,
         core: &mut MemCore<T>,
@@ -269,82 +340,19 @@ impl<T: Trace> CoherencePolicy<T> for DeNovoCoherence {
             return self.rmw(core, now, cu, addr);
         }
         let line = core.line(addr);
-        core.l1_accesses += 1;
-        let start = now;
-        if let Some(done) = core.l1s[cu].mshr.pending(start, line) {
-            core.stats.mshr_coalesced += 1;
-            core.emit(
-                EventKind::MshrCoalesce,
-                start,
-                cu as u16,
-                line.0,
-                0,
-                done.max(start) - start,
-            );
-            return done.max(start);
-        }
-        if core.l1s[cu].cache.lookup(line).is_some() {
-            core.stats.l1_hits += 1;
-            core.emit(EventKind::L1Hit, start, cu as u16, line.0, 0, core.params.l1_hit_latency);
-            return start + core.params.l1_hit_latency;
-        }
-        core.stats.l1_misses += 1;
-        core.emit(EventKind::L1Miss, start, cu as u16, line.0, 0, 0);
-        match core.l1s[cu].mshr.request(start, line) {
-            MshrOutcome::Coalesced(done) => {
-                core.stats.mshr_coalesced += 1;
-                return done;
+        l1_load(core, now, cu, line, |core, start| {
+            let (b, dir_done) = core.dir_request(start, cu, line, core.params.ctl_flits);
+            match core.banks[b].cache.lookup(line).copied() {
+                Some(L2State::Owned(owner)) if owner != cu => {
+                    core.forward_from_owner(dir_done, cu, line, owner, |_| {})
+                }
+                Some(_) => core.reply(dir_done, b, cu),
+                None => {
+                    let filled = core.dram_fill(dir_done, b, line, L2State::Data);
+                    core.reply(filled, b, cu)
+                }
             }
-            MshrOutcome::Full(free_at) => {
-                let retry = free_at.max(start);
-                return self.load(core, retry, cu, addr, kind);
-            }
-            MshrOutcome::Allocated => {}
-        }
-        // Read request to the home bank; may be forwarded to an owner.
-        let cu_node = core.params.cu_nodes[cu];
-        let b = core.bank_of(line);
-        let bank_node = core.banks[b].node;
-        let arrive = core.noc.send(start, cu_node, bank_node, core.params.ctl_flits);
-        let dir_start = core.banks[b].port.acquire(arrive, core.params.l2_occupancy);
-        core.l2_accesses += 1;
-        core.emit(EventKind::L2Access, dir_start, b as u16, line.0, 0, core.params.l2_latency);
-        let dir_done = dir_start + core.params.l2_latency;
-        let state = core.banks[b].cache.lookup(line).copied();
-        let done = match state {
-            Some(L2State::Owned(owner)) if owner != cu => {
-                // Forward: remote L1 services the read, keeps ownership.
-                core.stats.remote_l1_transfers += 1;
-                core.emit(
-                    EventKind::OwnershipTransfer,
-                    dir_done,
-                    cu as u16,
-                    line.0,
-                    owner as u64,
-                    0,
-                );
-                let owner_node = core.params.cu_nodes[owner];
-                let at_owner =
-                    core.noc.send(dir_done, bank_node, owner_node, core.params.ctl_flits);
-                let served = core.l1s[owner].port.acquire(at_owner, 1) + core.params.l1_hit_latency;
-                core.l1_accesses += 1;
-                core.noc.send(served, owner_node, cu_node, core.params.data_flits)
-            }
-            Some(_) => core.noc.send(dir_done, bank_node, cu_node, core.params.data_flits),
-            None => {
-                core.stats.dram_refills += 1;
-                let filled = core.dram.access(dir_done, line.0);
-                core.emit(EventKind::DramRefill, dir_done, b as u16, line.0, 0, filled - dir_done);
-                core.banks[b].cache.insert(line, L2State::Data);
-                core.noc.send(filled, bank_node, cu_node, core.params.data_flits)
-            }
-        };
-        // Fill as Valid (read data never takes ownership in DeNovo).
-        let evicted =
-            core.l1s[cu].cache.insert_with_pin(line, L1State::Valid, |s| *s == L1State::Registered);
-        core.handle_l1_eviction(done, cu, evicted);
-        core.l1s[cu].mshr.set_completion(line, done);
-        done
+        })
     }
 
     fn store(
@@ -358,108 +366,15 @@ impl<T: Trace> CoherencePolicy<T> for DeNovoCoherence {
         if kind.is_atomic() {
             return self.rmw(core, now, cu, addr);
         }
-        let line = core.line(addr);
-        core.l1_accesses += 1;
-        let start = now;
-        let pending = core.l1s[cu].mshr.pending(start, line);
-        if pending.is_none() && core.l1s[cu].cache.lookup(line) == Some(&mut L1State::Registered) {
-            // Owned: write locally, writeback caching.
-            core.stats.l1_hits += 1;
-            core.emit(EventKind::L1Hit, start, cu as u16, line.0, 0, core.params.l1_hit_latency);
-            return start + core.params.l1_hit_latency;
-        }
-        core.stats.l1_misses += 1;
-        core.emit(EventKind::L1Miss, start, cu as u16, line.0, 0, 0);
-        // Pend in the store buffer while registration is in flight.
-        let drain_done = match core.l1s[cu].mshr.request(start, line) {
-            MshrOutcome::Coalesced(done) => {
-                core.stats.mshr_coalesced += 1;
-                done
-            }
-            MshrOutcome::Full(free_at) => {
-                let retry = free_at.max(start);
-                return self.store(core, retry, cu, addr, kind);
-            }
-            MshrOutcome::Allocated => {
-                let done = DeNovoCoherence::register(core, start, cu, line);
-                core.l1s[cu].mshr.set_completion(line, done);
-                done
-            }
-        };
-        let accepted = core.l1s[cu].sb.push(start, line, drain_done);
-        accepted + 1
+        owned_store(core, now, cu, core.line(addr))
     }
 
-    /// DeNovo atomics execute at the L1 once the line is registered —
-    /// repeated atomics to the same line hit locally (reuse), and
-    /// concurrent requests to one line share a single registration via
-    /// the MSHR (coalescing).
     fn rmw(&self, core: &mut MemCore<T>, now: Cycle, cu: CuId, addr: Addr) -> Cycle {
-        let line = core.line(addr);
-        core.stats.atomics_at_l1 += 1;
-        core.emit(EventKind::AtomicAtL1, now, cu as u16, addr, 0, 0);
-        core.l1_accesses += 1;
-        let start = now;
-        if let Some(done) = core.l1s[cu].mshr.pending(start, line) {
-            if core.params.atomic_coalescing {
-                // Ownership transfer in flight: coalesce, then perform
-                // locally once it lands (serialized by the L1 port).
-                core.stats.mshr_coalesced += 1;
-                core.emit(
-                    EventKind::MshrCoalesce,
-                    start,
-                    cu as u16,
-                    line.0,
-                    0,
-                    done.max(start) - start,
-                );
-                let served = core.l1s[cu].port.acquire(done.max(start), 1);
-                return served + core.params.l1_hit_latency;
-            }
-            // Ablation: no coalescing — wait out the in-flight fill,
-            // then issue a fresh (redundant) registration round trip.
-            let refetch = DeNovoCoherence::register(core, done.max(start), cu, line);
-            let served = core.l1s[cu].port.acquire(refetch, 1);
-            return served + core.params.l1_hit_latency;
-        }
-        if core.l1s[cu].cache.lookup(line) == Some(&mut L1State::Registered) {
-            core.stats.atomic_l1_reuse += 1;
-            core.stats.l1_hits += 1;
-            core.emit(EventKind::AtomicReuse, start, cu as u16, line.0, 0, 0);
-            core.emit(EventKind::L1Hit, start, cu as u16, line.0, 0, core.params.l1_hit_latency);
-            // The L1 port serializes atomic performs at one per cycle.
-            let served = core.l1s[cu].port.acquire(start, 1);
-            return served + core.params.l1_hit_latency;
-        }
-        core.stats.l1_misses += 1;
-        core.emit(EventKind::L1Miss, start, cu as u16, line.0, 0, 0);
-        let owned_at = match core.l1s[cu].mshr.request(start, line) {
-            MshrOutcome::Coalesced(done) => {
-                core.stats.mshr_coalesced += 1;
-                done
-            }
-            MshrOutcome::Full(free_at) => {
-                let retry = free_at.max(start);
-                return self.rmw(core, retry, cu, addr);
-            }
-            MshrOutcome::Allocated => {
-                let done = DeNovoCoherence::register(core, start, cu, line);
-                core.l1s[cu].mshr.set_completion(line, done);
-                done
-            }
-        };
-        // Perform locally once owned; the L1 port serializes piled-up
-        // coalesced atomics at one per cycle.
-        let served = core.l1s[cu].port.acquire(owned_at, 1);
-        served + core.params.l1_hit_latency
+        owned_rmw(core, now, cu, addr)
     }
 
+    /// Drops only the `Valid` lines: registered lines are up to date.
     fn acquire(&self, core: &mut MemCore<T>, now: Cycle, cu: CuId) -> Cycle {
-        let dropped = core.l1s[cu].cache.invalidate_where(|_, s| *s == L1State::Valid);
-        core.stats.invalidation_events += 1;
-        core.stats.lines_invalidated += dropped;
-        core.l1_tag_ops += dropped;
-        core.emit(EventKind::Invalidate, now, cu as u16, 0, dropped, 2);
-        now + 2
+        core.self_invalidate(now, cu, |s| *s == L1State::Valid)
     }
 }

@@ -263,18 +263,6 @@ impl<T: Trace> Mesh<T> {
         arrival
     }
 
-    /// The zero-load latency between two nodes (no contention), useful
-    /// for configuring cache access latencies.
-    pub fn zero_load_latency(&self, src: NodeId, dst: NodeId, flits: u64) -> u64 {
-        let hops = crate::route::manhattan(self.params.width, src, dst) as u64;
-        if hops == 0 {
-            return self.params.local_latency;
-        }
-        2 * self.params.local_latency
-            + hops * self.params.hop_latency
-            + (flits.max(1) - 1) * self.params.cycles_per_flit
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> &NocStats {
         &self.stats
@@ -328,20 +316,32 @@ mod tests {
         Mesh::new(NocParams::default())
     }
 
+    /// What an uncontended message costs on `p`'s mesh: the injection
+    /// and ejection ports plus one hop latency per hop, or the local
+    /// port alone for a self-send. Its flit count adds nothing: `send`
+    /// charges flits only as link occupancy, which delays later
+    /// messages.
+    fn uncontended(p: &NocParams, src: NodeId, dst: NodeId) -> u64 {
+        match manhattan(p.width, src, dst) as u64 {
+            0 => p.local_latency,
+            hops => 2 * p.local_latency + hops * p.hop_latency,
+        }
+    }
+
     #[test]
-    fn zero_load_latency_scales_with_distance() {
-        let m = mesh();
-        let near = m.zero_load_latency(NodeId(0), NodeId(1), 1);
-        let far = m.zero_load_latency(NodeId(0), NodeId(15), 1);
-        assert!(far > near);
+    fn uncontended_latency_scales_with_distance() {
+        let mut m = mesh();
+        let near = m.send(0, NodeId(0), NodeId(1), 1);
+        m.reset(&NocParams::default());
+        let far = m.send(0, NodeId(0), NodeId(15), 1);
         assert_eq!(far - near, 5 * m.params().hop_latency);
     }
 
     #[test]
-    fn uncontended_send_matches_zero_load() {
+    fn uncontended_send_pays_the_ports_and_every_hop() {
         let mut m = mesh();
         let a = m.send(100, NodeId(0), NodeId(15), 1);
-        assert_eq!(a - 100, m.zero_load_latency(NodeId(0), NodeId(15), 1));
+        assert_eq!(a - 100, uncontended(m.params(), NodeId(0), NodeId(15)));
     }
 
     #[test]
@@ -386,7 +386,7 @@ mod tests {
             m.send(0, n, NodeId(5), 4);
         }
         let s = m.stats().clone();
-        assert!(s.avg_latency() > m.zero_load_latency(NodeId(4), NodeId(5), 4) as f64);
+        assert!(s.avg_latency() > uncontended(m.params(), NodeId(4), NodeId(5)) as f64);
     }
 
     #[test]
@@ -397,7 +397,7 @@ mod tests {
         assert_eq!(m.stats().messages, 0);
         assert!(m.link_stats().is_empty());
         let a = m.send(0, NodeId(0), NodeId(1), 1);
-        assert_eq!(a, m.zero_load_latency(NodeId(0), NodeId(1), 1));
+        assert_eq!(a, uncontended(m.params(), NodeId(0), NodeId(1)));
     }
 
     #[test]
@@ -460,21 +460,23 @@ mod tests {
     }
 
     #[test]
-    fn uncontended_sends_match_zero_load_on_every_geometry() {
+    fn uncontended_sends_pay_the_ports_and_every_hop_on_every_geometry() {
         for (w, h) in GEOMETRIES {
             let params = geometry(w, h);
             let mut m = Mesh::new(params.clone());
             for (src, dst) in (0..m.nodes()).flat_map(|s| (0..w * h).map(move |d| (s, d))) {
                 let (src, dst) = (NodeId(src), NodeId(dst));
-                m.reset(&params);
-                let arrival = m.send(7, src, dst, 1);
-                assert_eq!(
-                    arrival - 7,
-                    m.zero_load_latency(src, dst, 1),
-                    "{w}x{h} mesh, {src:?} -> {dst:?}"
-                );
-                assert_eq!(m.stats().contention_cycles, 0);
-                assert_eq!(m.stats().flit_hops, manhattan(w, src, dst) as u64);
+                for flits in [1, 2] {
+                    m.reset(&params);
+                    let arrival = m.send(7, src, dst, flits);
+                    assert_eq!(
+                        arrival - 7,
+                        uncontended(&params, src, dst),
+                        "{w}x{h} mesh, {src:?} -> {dst:?}, {flits} flits"
+                    );
+                    assert_eq!(m.stats().contention_cycles, 0);
+                    assert_eq!(m.stats().flit_hops, flits * manhattan(w, src, dst) as u64);
+                }
             }
         }
     }

@@ -65,11 +65,6 @@ impl Tree {
     pub fn nodes(&self) -> usize {
         self.offsets.len() - 1
     }
-
-    /// Children of a node.
-    pub fn children_of(&self, v: usize) -> &[u32] {
-        &self.children[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
 }
 
 /// The UTS kernel (paper input: 16K nodes; default scaled to 2K).
