@@ -295,6 +295,32 @@ impl L2Bank {
     }
 }
 
+/// A set of L1 or L2-bank indices. Indices of 64 and above are not
+/// tracked: the set counts them as always present.
+#[derive(Clone, Copy, Default)]
+struct Touched(u64);
+
+impl Touched {
+    /// Every index.
+    const ALL: Touched = Touched(u64::MAX);
+
+    fn mark(&mut self, i: usize) {
+        if i < 64 {
+            self.0 |= 1 << i;
+        }
+    }
+
+    fn contains(self, i: usize) -> bool {
+        i >= 64 || self.0 & (1 << i) != 0
+    }
+}
+
+/// Do two cache geometries agree?
+fn same_geometry(a: &CacheParams, b: &CacheParams) -> bool {
+    let CacheParams { sets, ways } = a;
+    *sets == b.sets && *ways == b.ways
+}
+
 /// All hardware state of the memory system plus the structural helpers
 /// shared by every protocol. [`CoherencePolicy`] implementations drive
 /// transitions against this; the public surface is [`MemorySystem`].
@@ -308,6 +334,11 @@ pub struct MemCore<T: Trace> {
     pub(crate) params: MemSysParams,
     pub(crate) l1s: Vec<L1<T>>,
     pub(crate) banks: Vec<L2Bank>,
+    /// L1s an access entry point of [`MemorySystem`] reached since the
+    /// last reset.
+    touched_l1s: Touched,
+    /// Banks [`MemCore::bank_of`] named since the last reset.
+    touched_banks: Touched,
     pub(crate) noc: Mesh<T>,
     pub(crate) dram: Dram,
     pub(crate) stats: ProtoStats,
@@ -326,6 +357,8 @@ impl<T: Trace> MemCore<T> {
             params: params.clone(),
             l1s: Vec::new(),
             banks: Vec::new(),
+            touched_l1s: Touched::default(),
+            touched_banks: Touched::default(),
             noc: Mesh::with_tracer(params.noc.clone(), tracer.clone()),
             dram: Dram::new(params.dram.clone()),
             stats: ProtoStats::default(),
@@ -343,6 +376,19 @@ impl<T: Trace> MemCore<T> {
     /// statistics. L1s and banks beyond the new counts are dropped and
     /// missing ones built; everything else keeps its storage.
     ///
+    /// Only the L1s and banks the last run touched are reset, unless a
+    /// parameter their resets read changed (the CU or bank count, a
+    /// cache geometry, the MSHR or store-buffer size, the mesh size);
+    /// then all are. Skipping is exact because an untouched L1 or bank
+    /// is still as its last reset left it, and latencies live in
+    /// `params`, which is always rewritten. An L1 is marked at the five
+    /// access entry points of [`MemorySystem`]; a bank wherever
+    /// [`MemCore::bank_of`] derives its index. A remote L1 (an owner
+    /// that forwards, a sharer that is invalidated) needs no mark of its
+    /// own: the directory only names an L1 that took the line during the
+    /// same run, since a touched bank is reset and an untouched one is
+    /// empty.
+    ///
     /// # Panics
     ///
     /// Panics if `cu_nodes` does not provide a node per CU.
@@ -352,6 +398,8 @@ impl<T: Trace> MemCore<T> {
             params: p,
             l1s,
             banks,
+            touched_l1s,
+            touched_banks,
             noc,
             dram,
             stats,
@@ -360,17 +408,35 @@ impl<T: Trace> MemCore<T> {
             l2_accesses,
             tracer,
         } = self;
+        let same_l1s = p.num_cus == params.num_cus
+            && same_geometry(&p.l1, &params.l1)
+            && p.l1_mshrs == params.l1_mshrs
+            && p.store_buffer == params.store_buffer;
+        let old_nodes = noc.nodes();
+        noc.reset(&params.noc);
+        let nodes = noc.nodes();
+        let same_banks = p.l2_banks == params.l2_banks
+            && same_geometry(&p.l2_bank, &params.l2_bank)
+            && old_nodes == nodes;
+        let dirty_l1s = if same_l1s { *touched_l1s } else { Touched::ALL };
+        let dirty_banks = if same_banks { *touched_banks } else { Touched::ALL };
+        *touched_l1s = Touched::default();
+        *touched_banks = Touched::default();
         p.clone_from(params);
         l1s.truncate(params.num_cus);
-        l1s.iter_mut().for_each(|l1| l1.reset(params));
+        for (cu, l1) in l1s.iter_mut().enumerate() {
+            if dirty_l1s.contains(cu) {
+                l1.reset(params);
+            }
+        }
         for cu in l1s.len()..params.num_cus {
             l1s.push(L1::build(cu, params, tracer.clone()));
         }
-        noc.reset(&params.noc);
-        let nodes = noc.nodes();
         banks.truncate(params.l2_banks);
         for (b, bank) in banks.iter_mut().enumerate() {
-            bank.reset(b, nodes, params);
+            if dirty_banks.contains(b) {
+                bank.reset(b, nodes, params);
+            }
         }
         for b in banks.len()..params.l2_banks {
             banks.push(L2Bank::build(b, nodes, params));
@@ -402,8 +468,11 @@ impl<T: Trace> MemCore<T> {
         LineAddr::of(addr, self.params.line_words)
     }
 
-    pub(crate) fn bank_of(&self, line: LineAddr) -> usize {
-        (line.0 as usize) % self.banks.len()
+    /// The home bank of `line`, marked touched for the next reset.
+    pub(crate) fn bank_of(&mut self, line: LineAddr) -> usize {
+        let b = (line.0 as usize) % self.banks.len();
+        self.touched_banks.mark(b);
+        b
     }
 
     /// Queue an access that reaches bank `b` at `arrive` for `line`;
@@ -443,7 +512,8 @@ impl<T: Trace> MemCore<T> {
         at_bank: impl FnOnce(&mut Self, Cycle) -> Cycle,
     ) -> Cycle {
         let cu_node = self.params.cu_nodes[cu];
-        let bank_node = self.banks[self.bank_of(line)].node;
+        let b = self.bank_of(line);
+        let bank_node = self.banks[b].node;
         let arrive = self.noc.send(now, cu_node, bank_node, self.params.ctl_flits);
         let bank_done = at_bank(self, arrive);
         self.noc.send(bank_done, bank_node, cu_node, resp_flits)
@@ -502,7 +572,8 @@ impl<T: Trace> MemCore<T> {
         self.stats.remote_l1_transfers += 1;
         self.emit(EventKind::OwnershipTransfer, dir_done, cu as u16, line.0, owner as u64, 0);
         owner_copy(self);
-        let bank_node = self.banks[self.bank_of(line)].node;
+        let b = self.bank_of(line);
+        let bank_node = self.banks[b].node;
         let owner_node = self.params.cu_nodes[owner];
         let at_owner = self.noc.send(dir_done, bank_node, owner_node, self.params.ctl_flits);
         let served = self.l1s[owner].port.acquire(at_owner, 1) + self.params.l1_hit_latency;
@@ -627,7 +698,9 @@ impl<T: Trace> MemorySystem<T> {
     /// Build a memory system around an externally supplied policy —
     /// the seam for protocols defined outside this crate. `protocol`
     /// is only a label (reporting, energy attribution); all behaviour
-    /// comes from `policy`.
+    /// comes from `policy`. A call for CU `cu` may reach another L1 only
+    /// through the directory (a forwarding owner, an invalidated sharer):
+    /// a reset skips every L1 no access entry point named.
     pub fn with_policy(
         protocol: Protocol,
         policy: Box<dyn CoherencePolicy<T>>,
@@ -645,8 +718,11 @@ impl<T: Trace> MemorySystem<T> {
     /// would build for `protocol` and `params`, keeping the tracer and
     /// the storage of the caches, buffers and link tables. Every
     /// statistic and every returned cycle afterwards equals a fresh
-    /// machine's; only the work of building one is saved. An injected
-    /// policy is replaced by `protocol`'s built-in one.
+    /// machine's; only the work of building one is saved. The cost
+    /// follows what the last run touched: L1s and banks it never reached
+    /// are skipped unless a parameter their reset reads changes (see
+    /// [`MemCore`]'s `reset`). An injected policy is replaced by
+    /// `protocol`'s built-in one.
     ///
     /// # Panics
     ///
@@ -675,6 +751,7 @@ impl<T: Trace> MemorySystem<T> {
     /// A load (data or atomic). Returns the cycle the value is
     /// available to the requesting CU.
     pub fn load(&mut self, now: Cycle, cu: CuId, addr: Addr, kind: AccessKind) -> Cycle {
+        self.core.touched_l1s.mark(cu);
         dispatch!(&self.policy, p => p.load(&mut self.core, now, cu, addr, kind))
     }
 
@@ -682,11 +759,13 @@ impl<T: Trace> MemorySystem<T> {
     /// (store accepted); the drain completes in the background, bounded
     /// by [`MemorySystem::release`].
     pub fn store(&mut self, now: Cycle, cu: CuId, addr: Addr, kind: AccessKind) -> Cycle {
+        self.core.touched_l1s.mark(cu);
         dispatch!(&self.policy, p => p.store(&mut self.core, now, cu, addr, kind))
     }
 
     /// An atomic RMW; returns the cycle the old value is available.
     pub fn rmw(&mut self, now: Cycle, cu: CuId, addr: Addr) -> Cycle {
+        self.core.touched_l1s.mark(cu);
         dispatch!(&self.policy, p => p.rmw(&mut self.core, now, cu, addr))
     }
 
@@ -696,6 +775,7 @@ impl<T: Trace> MemorySystem<T> {
     /// nothing (writer-initiated invalidation keeps caches coherent).
     /// Returns the cycle the action is done.
     pub fn acquire(&mut self, now: Cycle, cu: CuId) -> Cycle {
+        self.core.touched_l1s.mark(cu);
         dispatch!(&self.policy, p => p.acquire(&mut self.core, now, cu))
     }
 
@@ -704,6 +784,7 @@ impl<T: Trace> MemorySystem<T> {
     /// finish pending ownership registrations). Returns the cycle the
     /// flush completes.
     pub fn release(&mut self, now: Cycle, cu: CuId) -> Cycle {
+        self.core.touched_l1s.mark(cu);
         dispatch!(&self.policy, p => p.release(&mut self.core, now, cu))
     }
 
@@ -860,31 +941,48 @@ mod tests {
 
     #[test]
     fn an_access_finding_every_mshr_busy_waits_for_one_then_fetches() {
-        // Loads take an MSHR under every protocol, atomics only under
-        // the ownership protocols (GPU atomics run at the L2).
+        // Loads take an MSHR under every protocol, atomics and data
+        // stores only under the ownership protocols (GPU atomics run at
+        // the L2, GPU stores write through).
         let (gpu, denovo, mesi) = (Protocol::Gpu, Protocol::DeNovo, Protocol::MesiWb);
-        for (p, atomic) in
-            [(gpu, false), (denovo, false), (mesi, false), (denovo, true), (mesi, true)]
-        {
+        let (load, rmw, store) =
+            (AccessKind::DataLoad, AccessKind::AtomicRmw, AccessKind::DataStore);
+        for (p, kind) in [
+            (gpu, load),
+            (denovo, load),
+            (mesi, load),
+            (denovo, rmw),
+            (mesi, rmw),
+            (denovo, store),
+            (mesi, store),
+        ] {
             let mut m =
                 MemorySystem::new(p, MemSysParams { l1_mshrs: 2, ..MemSysParams::default() });
             let (l2, hit) = (m.params().l2_latency, m.params().l1_hit_latency);
-            let mut access = |now, addr| {
-                if atomic {
-                    m.rmw(now, 0, addr)
-                } else {
-                    m.load(now, 0, addr, AccessKind::DataLoad)
+            // When the access is done. A store's completion hides its
+            // drain behind the store buffer, so the release after it
+            // tells when the line was owned.
+            let mut access = |now, addr, kind| match kind {
+                AccessKind::AtomicRmw => m.rmw(now, 0, addr),
+                AccessKind::DataStore => {
+                    let accepted = m.store(now, 0, addr, kind);
+                    m.release(accepted, 0)
                 }
+                _ => m.load(now, 0, addr, kind),
             };
             // Two misses to distinct lines take both entries, so a third
             // retries once the earlier fill frees one, then fetches.
-            let first = access(0, 0);
-            let second = access(0, 16);
-            let third = access(0, 32);
+            // Stores fill the entries with loads, which leave the store
+            // buffer empty, so the release waits for the third's drain
+            // alone.
+            let fill = if kind == store { load } else { kind };
+            let first = access(0, 0, fill);
+            let second = access(0, 16, fill);
+            let third = access(0, 32, kind);
             let freed = first.min(second);
-            assert!(third > freed + l2, "{p}, atomic {atomic}: {third} vs {freed}");
-            let again = access(third, 32);
-            assert!(again - third <= 1 + hit, "{p}, atomic {atomic}: the line stayed in the L1");
+            assert!(third > freed + l2, "{p}, {kind:?}: {third} vs {freed}");
+            let again = access(third, 32, kind);
+            assert!(again - third <= 1 + hit, "{p}, {kind:?}: the line stayed in the L1");
         }
     }
 

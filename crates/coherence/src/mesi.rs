@@ -47,7 +47,8 @@ pub(crate) fn invalidate_sharers<T: Trace>(
     line: LineAddr,
     mask: u64,
 ) -> Cycle {
-    let bank_node = core.banks[core.bank_of(line)].node;
+    let b = core.bank_of(line);
+    let bank_node = core.banks[b].node;
     let mut acks_done = dir_done;
     let mut dropped = 0u64;
     for sharer in 0..core.params.num_cus {

@@ -291,7 +291,8 @@ impl<T: Trace> CoherencePolicy<T> for GpuCoherence {
         // Write-through: compute the background drain (one-way trip +
         // bank write), then enqueue in the store buffer.
         let cu_node = core.params.cu_nodes[cu];
-        let bank_node = core.banks[core.bank_of(line)].node;
+        let b = core.bank_of(line);
+        let bank_node = core.banks[b].node;
         let arrive = core.noc.send(now, cu_node, bank_node, core.params.data_flits);
         let drain_done = core.l2_access(arrive, line, false);
         // Keep any L1 copy coherent with our own writes.

@@ -395,6 +395,11 @@ impl<'a> Pool<'a> {
     /// a unit's result, every unit above the smallest such unit is
     /// discarded. The rule is deterministic: the running cutoff only
     /// decreases, so every unit at or below the final one always runs.
+    ///
+    /// The calling thread is worker 0 at every thread count: it runs the
+    /// worker loop itself beside `threads − 1` scoped helpers, so its
+    /// thread-local state (a sweep's memory system) stays warm across
+    /// calls and one thread spawn per call is saved.
     pub fn run<T: Send>(
         &self,
         units: usize,
@@ -445,14 +450,13 @@ impl<'a> Pool<'a> {
             let out = unit(u);
             *slots[u].lock().expect("slot lock") = out;
         };
-        match self.threads.clamp(1, units.max(1)) {
-            1 => worker(),
-            threads => std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(worker);
-                }
-            }),
-        }
+        let threads = self.threads.clamp(1, units.max(1));
+        std::thread::scope(|s| {
+            for _ in 1..threads {
+                s.spawn(worker);
+            }
+            worker();
+        });
 
         let cut = cutoff.into_inner();
         let (mut lost, mut frontier, mut lost_panic) = (Vec::new(), Vec::new(), None);
@@ -490,6 +494,7 @@ impl<'a> Pool<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Condvar;
 
     #[test]
     fn unlimited_budget_never_trips() {
@@ -576,6 +581,31 @@ mod tests {
             assert_eq!(run.results, want, "t={threads}");
         }
         assert!(squares(4, 0).results.is_empty());
+    }
+
+    #[test]
+    fn pool_runs_units_on_the_calling_thread() {
+        // Each unit waits until both have started, so neither worker
+        // can run both units and both take part.
+        let (ids, started) = (Mutex::new(Vec::new()), Condvar::new());
+        let run = Pool::new(EngineId::Sweep, 2, &Resilience::default()).run(
+            2,
+            |_, _| {
+                let mut seen = ids.lock().expect("ids lock");
+                seen.push(std::thread::current().id());
+                started.notify_all();
+                let wait = started
+                    .wait_timeout_while(seen, Duration::from_secs(10), |seen| seen.len() < 2);
+                drop(wait.expect("ids lock"));
+                Ok(())
+            },
+            |_: &()| false,
+        );
+        assert_eq!(run.status, RunStatus::Complete);
+        let ids = ids.into_inner().expect("ids lock");
+        assert_eq!(ids.len(), 2);
+        assert_ne!(ids[0], ids[1], "both workers took a unit");
+        assert!(ids.contains(&std::thread::current().id()), "the caller is a worker: {ids:?}");
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! each worker thread keeps one untraced memory system and one set of
 //! engine launch state and resets both before every job (see
 //! [`run_workload`]), and a job that panics drops them, so no job sees
-//! another's state and jobs are embarrassingly parallel.
+//! another's state and jobs are embarrassingly parallel. The calling
+//! thread is one of the pool's workers at every thread count, so it
+//! keeps a machine too, warm from one sweep to the next; a reset costs
+//! what the last job touched.
 //! Reports come back **in job order**, which makes parallel and serial
 //! sweeps byte-identical (`threads = 1` and `threads = 8` produce the
 //! same `Vec<RunReport>`).

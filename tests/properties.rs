@@ -21,10 +21,15 @@ use drfrlx::model::program::{Program, RmwOp};
 use drfrlx::model::quantum::has_quantum;
 use drfrlx::model::relation::Relation;
 use drfrlx::model::syscentric::compare_with_sc;
-use drfrlx::sim::coherence::{AccessKind, MemSysParams, MemorySystem};
+use drfrlx::sim::coherence::{
+    AccessKind, CoherencePolicy, CuId, DeNovoCoherence, MemCore, MemSysParams, MemorySystem,
+};
 use drfrlx::sim::gpu::{Kernel, Op, RmwKind, WorkItem};
-use drfrlx::sim::mem::{Cache, CacheParams, DramParams, LineAddr, Mshr, MshrOutcome, StoreBuffer};
+use drfrlx::sim::mem::{
+    Addr, Cache, CacheParams, Cycle, DramParams, LineAddr, Mshr, MshrOutcome, StoreBuffer,
+};
 use drfrlx::sim::noc::NocParams;
+use drfrlx::sim::trace::NoTrace;
 use drfrlx::sim::{run_workload, SysParams};
 use drfrlx::{check_program, MemoryModel, OpClass, Protocol, SystemConfig};
 use rng::SplitMix64;
@@ -586,20 +591,36 @@ fn small_memsys() -> MemSysParams {
     }
 }
 
-/// Drive `steps` random accesses into `mems` (every machine gets the
-/// same call) and assert that all of them return the same cycle. Lines
-/// crowd three L1 sets, so sets overflow and owned lines are evicted;
-/// `now` drifts forward but often steps back.
-fn drive_lockstep(r: &mut SplitMix64, mems: &mut [&mut MemorySystem], steps: usize, at: &str) {
-    let cus = mems[0].params().num_cus as u64;
+/// The access codes [`drive_lockstep`] draws from: 0 and 1 load, 2 and
+/// 3 store, 4 and 5 run an RMW, 6 acquires and 7 releases.
+const EVERY_OP: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+/// Every CU of `m`.
+fn every_cu(m: &MemorySystem) -> Vec<CuId> {
+    (0..m.params().num_cus).collect()
+}
+
+/// Drive `steps` random accesses, each by one of `cus` and one of
+/// `ops`, into `mems` (every machine gets the same call) and assert that
+/// all of them return the same cycle. Lines crowd three L1 sets, so sets
+/// overflow and owned lines are evicted; `now` drifts forward but often
+/// steps back.
+fn drive_lockstep(
+    r: &mut SplitMix64,
+    mems: &mut [&mut MemorySystem],
+    cus: &[CuId],
+    ops: &[u64],
+    steps: usize,
+    at: &str,
+) {
     let mut clock = 0u64;
     for step in 0..steps {
         clock += r.below(40);
         let now = clock.saturating_sub(r.below(120));
-        let cu = r.below(cus) as usize;
+        let cu = cus[r.below(cus.len() as u64) as usize];
         let line = if r.below(2) == 0 { r.below(12) * 64 + r.below(3) } else { r.below(4096) };
         let addr = line * 16 + r.below(16);
-        let op = r.below(8);
+        let op = ops[r.below(ops.len() as u64) as usize];
         let mut cycles = mems.iter_mut().map(|m| match op {
             0 => m.load(now, cu, addr, AccessKind::DataLoad),
             1 => m.load(now, cu, addr, AccessKind::AtomicLoad),
@@ -619,6 +640,68 @@ fn drive_lockstep(r: &mut SplitMix64, mems: &mut [&mut MemorySystem], steps: usi
             );
         }
     }
+}
+
+/// DeNovo, except that an acquire loads and a release stores line 0,
+/// one of the lines [`drive_lockstep`] crowds. A policy injected through
+/// `MemorySystem::with_policy` can reach an L1 from any access entry
+/// point, so a reset must count each of them as touching the CU's L1.
+struct AccessingFences;
+
+impl CoherencePolicy<NoTrace> for AccessingFences {
+    fn load(
+        &self,
+        core: &mut MemCore<NoTrace>,
+        now: Cycle,
+        cu: CuId,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> Cycle {
+        DeNovoCoherence.load(core, now, cu, addr, kind)
+    }
+
+    fn store(
+        &self,
+        core: &mut MemCore<NoTrace>,
+        now: Cycle,
+        cu: CuId,
+        addr: Addr,
+        kind: AccessKind,
+    ) -> Cycle {
+        DeNovoCoherence.store(core, now, cu, addr, kind)
+    }
+
+    fn rmw(&self, core: &mut MemCore<NoTrace>, now: Cycle, cu: CuId, addr: Addr) -> Cycle {
+        DeNovoCoherence.rmw(core, now, cu, addr)
+    }
+
+    fn acquire(&self, core: &mut MemCore<NoTrace>, now: Cycle, cu: CuId) -> Cycle {
+        DeNovoCoherence.load(core, now, cu, 0, AccessKind::DataLoad)
+    }
+
+    fn release(&self, core: &mut MemCore<NoTrace>, now: Cycle, cu: CuId) -> Cycle {
+        DeNovoCoherence.store(core, now, cu, 0, AccessKind::DataStore)
+    }
+}
+
+/// Reset `a` to `protocol` on `params`, then drive it beside a fresh
+/// machine over every CU and assert that the two agree on every
+/// returned cycle, statistic, energy counter and NoC statistic.
+fn assert_reset_matches_fresh(
+    r: &mut SplitMix64,
+    mut a: MemorySystem,
+    protocol: Protocol,
+    params: &MemSysParams,
+    at: &str,
+) {
+    a.reset(protocol, params);
+    let mut b = MemorySystem::new(protocol, params.clone());
+    assert_eq!(a.protocol(), b.protocol(), "{at}");
+    let cus = every_cu(&b);
+    drive_lockstep(r, &mut [&mut a, &mut b], &cus, &EVERY_OP, 400, at);
+    assert_eq!(a.stats(), b.stats(), "{at}");
+    assert_eq!(a.energy_events(), b.energy_events(), "{at}");
+    assert_eq!(a.noc_stats(), b.noc_stats(), "{at}");
 }
 
 /// One step of a [`ScriptKernel`] work item: an engine op, or a plain
@@ -750,6 +833,13 @@ fn script_kernel(r: &mut SplitMix64) -> ScriptKernel {
 /// stream as a fresh machine B: every returned cycle, every statistic,
 /// every energy counter and the NoC statistics must agree.
 ///
+/// A reset skips the L1s and banks the last run did not touch, so a
+/// second set of histories has the shape of a conformance job: one to
+/// three CUs, often a single kind of access, sometimes under a policy
+/// injected through `with_policy`, and a reset that may keep the
+/// platform. Most L1s and banks stay untouched; a touched one that the
+/// reset skipped shows when the machine then runs over every CU.
+///
 /// The engine's launch state is reset the same way: random kernels
 /// whose grids and scratchpads shrink and grow run in sequence on this
 /// thread, where each run resets the thread's machine and launch state,
@@ -780,14 +870,33 @@ fn reset_machine_matches_a_fresh_one() {
             let at = format!("{protocol} case {case}: {before} on platform {from} -> {to}");
             let mut a = MemorySystem::new(before, platforms[from].clone());
             let history = 1 + r.below(300) as usize;
-            drive_lockstep(&mut r, &mut [&mut a], history, &at);
-            a.reset(protocol, &platforms[to]);
-            let mut b = MemorySystem::new(protocol, platforms[to].clone());
-            assert_eq!(a.protocol(), b.protocol(), "{at}");
-            drive_lockstep(&mut r, &mut [&mut a, &mut b], 400, &at);
-            assert_eq!(a.stats(), b.stats(), "{at}");
-            assert_eq!(a.energy_events(), b.energy_events(), "{at}");
-            assert_eq!(a.noc_stats(), b.noc_stats(), "{at}");
+            let cus = every_cu(&a);
+            drive_lockstep(&mut r, &mut [&mut a], &cus, &EVERY_OP, history, &at);
+            assert_reset_matches_fresh(&mut r, a, protocol, &platforms[to], &at);
+        }
+        // Every even case makes one kind of access, each kind once
+        // under the injected policy and once under a built-in one.
+        for case in 0..32 {
+            let from = r.below(platforms.len() as u64) as usize;
+            let to = r.below(platforms.len() as u64) as usize;
+            let num_cus = platforms[from].num_cus as u64;
+            let cus: Vec<CuId> = (0..1 + r.below(3)).map(|_| r.below(num_cus) as usize).collect();
+            let ops = if case % 2 == 0 { vec![case / 2 % 8] } else { EVERY_OP.to_vec() };
+            let before = protocols[r.below(3) as usize];
+            let injected = case < 16;
+            let at = format!(
+                "{protocol} confined case {case}: {before} (injected fences {injected}) on CUs \
+                 {cus:?}, ops {ops:?}, platform {from} -> {to}"
+            );
+            let params = platforms[from].clone();
+            let mut a = if injected {
+                MemorySystem::with_policy(before, Box::new(AccessingFences), params, NoTrace)
+            } else {
+                MemorySystem::new(before, params)
+            };
+            let history = 1 + r.below(300) as usize;
+            drive_lockstep(&mut r, &mut [&mut a], &cus, &ops, history, &at);
+            assert_reset_matches_fresh(&mut r, a, protocol, &platforms[to], &at);
         }
     }
 
