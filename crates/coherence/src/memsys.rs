@@ -987,6 +987,40 @@ mod tests {
     }
 
     #[test]
+    fn full_mshrs_and_store_buffers_trace_their_stalls() {
+        use hsim_trace::SharedTracer;
+        // Two MSHRs and two store-buffer entries, one CU: the third of
+        // three same-cycle misses to distinct lines, and under GPU
+        // coherence the third of three write-through stores, finds
+        // every entry busy. A DeNovo store holds its MSHR entry as long
+        // as its store-buffer entry, so its MSHRs stall first and its
+        // store buffer never does.
+        let stalls = |p: Protocol| {
+            let params = MemSysParams { l1_mshrs: 2, store_buffer: 2, ..MemSysParams::default() };
+            let tracer = SharedTracer::with_capacity(1 << 12);
+            let mut m = MemorySystem::with_tracer(p, params, tracer.clone());
+            for addr in [80, 96, 112] {
+                m.load(0, 3, addr, AccessKind::DataLoad);
+            }
+            for addr in [800, 816, 832] {
+                m.store(1000, 3, addr, AccessKind::DataStore);
+            }
+            drop(m);
+            let buf = tracer.into_buffer();
+            buf.events()
+                .filter(|e| matches!(e.kind, EventKind::MshrStall | EventKind::SbStall))
+                .map(|e| (e.kind, e.cycle, e.lane, e.addr, e.arg, e.dur))
+                .collect::<Vec<_>>()
+        };
+        let (mshr, sb) = (EventKind::MshrStall, EventKind::SbStall);
+        assert_eq!(stalls(Protocol::Gpu), vec![(mshr, 0, 3, 7, 0, 202), (sb, 1000, 3, 52, 0, 21)]);
+        assert_eq!(
+            stalls(Protocol::DeNovo),
+            vec![(mshr, 0, 3, 7, 0, 202), (mshr, 1000, 3, 52, 0, 182)]
+        );
+    }
+
+    #[test]
     fn denovo_store_hits_owned_line_locally() {
         let mut m = sys(Protocol::DeNovo);
         let t = m.store(0, 0, 100, AccessKind::DataStore); // registers
