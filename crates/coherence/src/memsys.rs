@@ -241,19 +241,19 @@ pub struct ProtoStats {
     pub sharer_invalidations: u64,
 }
 
-pub(crate) struct L1<T: Trace> {
+pub(crate) struct L1 {
     pub(crate) cache: Cache<L1State>,
-    pub(crate) mshr: Mshr<T>,
-    pub(crate) sb: StoreBuffer<T>,
+    pub(crate) mshr: Mshr,
+    pub(crate) sb: StoreBuffer,
     pub(crate) port: Resource,
 }
 
-impl<T: Trace> L1<T> {
-    fn build(cu: CuId, params: &MemSysParams, tracer: T) -> L1<T> {
+impl L1 {
+    fn build(params: &MemSysParams) -> L1 {
         let mut l1 = L1 {
             cache: Cache::new(params.l1.clone()),
-            mshr: Mshr::with_tracer(params.l1_mshrs, cu as u16, tracer.clone()),
-            sb: StoreBuffer::with_tracer(params.store_buffer, cu as u16, tracer),
+            mshr: Mshr::new(params.l1_mshrs),
+            sb: StoreBuffer::new(params.store_buffer),
             port: Resource::new(),
         };
         l1.reset(params);
@@ -332,7 +332,7 @@ fn same_geometry(a: &CacheParams, b: &CacheParams) -> bool {
 /// without a reset does not compile.
 pub struct MemCore<T: Trace> {
     pub(crate) params: MemSysParams,
-    pub(crate) l1s: Vec<L1<T>>,
+    pub(crate) l1s: Vec<L1>,
     pub(crate) banks: Vec<L2Bank>,
     /// L1s an access entry point of [`MemorySystem`] reached since the
     /// last reset.
@@ -406,7 +406,7 @@ impl<T: Trace> MemCore<T> {
             l1_accesses,
             l1_tag_ops,
             l2_accesses,
-            tracer,
+            tracer: _,
         } = self;
         let same_l1s = p.num_cus == params.num_cus
             && same_geometry(&p.l1, &params.l1)
@@ -429,8 +429,8 @@ impl<T: Trace> MemCore<T> {
                 l1.reset(params);
             }
         }
-        for cu in l1s.len()..params.num_cus {
-            l1s.push(L1::build(cu, params, tracer.clone()));
+        for _ in l1s.len()..params.num_cus {
+            l1s.push(L1::build(params));
         }
         banks.truncate(params.l2_banks);
         for (b, bank) in banks.iter_mut().enumerate() {
@@ -554,6 +554,24 @@ impl<T: Trace> MemCore<T> {
         self.emit(EventKind::DramRefill, after, b as u16, line.0, 0, done - after);
         self.banks[b].cache.insert(line, state);
         done
+    }
+
+    /// Queue a store to `line`, whose drain completes at `drain_done`,
+    /// in `cu`'s store buffer at `now`; returns the cycle the buffer
+    /// accepts it. A cycle after `now` means the buffer was full and
+    /// the store stalled until then.
+    pub(crate) fn buffer_store(
+        &mut self,
+        now: Cycle,
+        cu: CuId,
+        line: LineAddr,
+        drain_done: Cycle,
+    ) -> Cycle {
+        let accepted = self.l1s[cu].sb.push(now, line, drain_done);
+        if accepted > now {
+            self.emit(EventKind::SbStall, now, cu as u16, line.0, 0, accepted - now);
+        }
+        accepted
     }
 
     /// Forward `cu`'s request for `line`, which the directory finished
@@ -809,7 +827,7 @@ impl<T: Trace> MemorySystem<T> {
             self.core.l1_accesses,
             self.core.l1_tag_ops,
             self.core.l2_accesses,
-            self.core.dram.accesses(),
+            self.core.stats.dram_refills,
             self.core.noc.stats().flit_hops,
         )
     }

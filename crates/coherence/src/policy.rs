@@ -64,10 +64,14 @@ pub trait CoherencePolicy<T: Trace> {
     /// scope is the protocol's decision).
     fn acquire(&self, core: &mut MemCore<T>, now: Cycle, cu: CuId) -> Cycle;
 
-    /// Release-side action for a paired atomic store.
+    /// Release-side action for a paired atomic store. The default
+    /// flushes the CU's store buffer and counts and traces the flush.
     fn release(&self, core: &mut MemCore<T>, now: Cycle, cu: CuId) -> Cycle {
         core.stats.sb_flushes += 1;
-        core.l1s[cu].sb.flush(now)
+        let pending = core.l1s[cu].sb.len() as u64;
+        let done = core.l1s[cu].sb.flush(now);
+        core.emit(EventKind::SbFlush, now, cu as u16, 0, pending, done - now);
+        done
     }
 }
 
@@ -110,11 +114,12 @@ pub(crate) fn l1_load<T: Trace>(
     }
 }
 
-/// An L1 miss on `line` at `now`: count it, then merge with a
-/// same-line request in flight or take an MSHR entry and `fetch` the
-/// line, whose arrival completes the entry. Returns the cycle the line
-/// arrives, or `Err` with the cycle to retry the whole access at when
-/// every MSHR entry is busy.
+/// An L1 miss on `line` at `now`: count and trace it, then merge with
+/// a same-line request in flight (counted and traced) or take an MSHR
+/// entry and `fetch` the line, whose arrival completes the entry.
+/// Returns the cycle the line arrives, or `Err` with the cycle to retry
+/// the whole access at when every MSHR entry is busy (traced as a
+/// stall).
 fn l1_miss<T: Trace>(
     core: &mut MemCore<T>,
     now: Cycle,
@@ -127,9 +132,13 @@ fn l1_miss<T: Trace>(
     match core.l1s[cu].mshr.request(now, line) {
         MshrOutcome::Coalesced(done) => {
             core.stats.mshr_coalesced += 1;
+            core.emit(EventKind::MshrCoalesce, now, cu as u16, line.0, 0, done.saturating_sub(now));
             Ok(done)
         }
-        MshrOutcome::Full(free_at) => Err(free_at.max(now)),
+        MshrOutcome::Full(free_at) => {
+            core.emit(EventKind::MshrStall, now, cu as u16, line.0, 0, free_at.saturating_sub(now));
+            Err(free_at.max(now))
+        }
         MshrOutcome::Allocated => {
             let done = fetch(core, now);
             core.l1s[cu].mshr.set_completion(line, done);
@@ -202,7 +211,7 @@ pub(crate) fn owned_store<T: Trace>(
             Err(retry) => now = retry,
         }
     };
-    core.l1s[cu].sb.push(now, line, drain_done) + 1
+    core.buffer_store(now, cu, line, drain_done) + 1
 }
 
 /// An atomic under an ownership protocol, performed at the L1 once the
@@ -299,8 +308,7 @@ impl<T: Trace> CoherencePolicy<T> for GpuCoherence {
         if core.l1s[cu].cache.peek(line).is_some() {
             core.l1s[cu].cache.insert(line, L1State::Valid);
         }
-        let accepted = core.l1s[cu].sb.push(now, line, drain_done);
-        accepted + 1
+        core.buffer_store(now, cu, line, drain_done) + 1
     }
 
     /// GPU atomics always execute at the home L2 bank: round trip plus

@@ -2,14 +2,14 @@
 //!
 //! Closes the loop between the repo's two executable semantics: the
 //! axiomatic enumerator in `drfrlx-core` and the cycle-level simulator
-//! in `hsim-sys`. A litmus program is [compiled](compile) into a
+//! in `hsim-sys`. A litmus program is [compiled](mod@compile) into a
 //! simulator kernel, run across the protocol × model matrix under a
 //! family of [perturbed schedules](schedule), and the observed outcome
 //! set is checked against the [oracle's](outcome) allowed set:
 //! `observed ⊆ allowed` is the soundness verdict, the witnessed
 //! fraction of the allowed set is the coverage diagnostic. A seeded
 //! [fuzzer](fuzz) feeds random programs through the same loop and a
-//! delta-debugging [shrinker](shrink) minimizes any disagreement it
+//! delta-debugging [shrinker](mod@shrink) minimizes any disagreement it
 //! finds.
 //!
 //! Two corpora ride on the harness: the Table-1 litmus programs

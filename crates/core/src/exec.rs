@@ -1,7 +1,7 @@
 //! SC-execution enumeration — the streaming checker pipeline.
 //!
 //! The enumerator walks an explicit interleaving tree with a **single
-//! mutable [`SearchState`]** and an undo journal: each step pushes its
+//! mutable `SearchState`** and an undo journal: each step pushes its
 //! effects (thread state, memory, events, dependency edges) and pops
 //! them on backtrack. Completed executions are fed, one at a time, to an
 //! [`ExecutionVisitor`] — nothing is materialized on the default path.
@@ -594,10 +594,10 @@ pub struct ResilientRun<V> {
 /// [`RunStatus::Inconclusive`] / [`RunStatus::Degraded`].
 ///
 /// A serial probe with the real visitor runs first under a
-/// [`PROBE_BUDGET`]-execution cap: small trees complete inside it and
+/// `PROBE_BUDGET`-execution cap: small trees complete inside it and
 /// that run *is* the result (sharding a 6-interleaving litmus test
 /// costs more than enumerating it). Otherwise the top levels of the
-/// tree are cut into [`shard_target`]-ish independent jobs (state
+/// tree are cut into `shard_target`-ish independent jobs (state
 /// snapshot + sleep set), collected in DFS order, and run on the
 /// [`Pool`]; results come back in shard order. Both the probe decision
 /// and the shard plan depend only on the program and limits, so the

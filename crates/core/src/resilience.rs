@@ -358,7 +358,7 @@ impl<'a> Pool<'a> {
 
     /// One attempt at `unit`: draw its fault, then run `work` under
     /// `catch_unwind`. An injected stall holds the thread until the
-    /// budget trips or [`STALL_FALLBACK`] elapses; it, an injected
+    /// budget trips or `STALL_FALLBACK` elapses; it, an injected
     /// exhaustion and an injected panic fail the attempt without
     /// running `work`. An injected panic is never raised: its payload
     /// is the text a raised one would carry, and nothing reaches the

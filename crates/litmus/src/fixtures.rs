@@ -1,6 +1,6 @@
 //! Golden emitted-text fixtures for the corpus.
 //!
-//! Every litmus program's canonical [`emit`](drfrlx_core::emit::emit)
+//! Every litmus program's canonical [`emit`]
 //! text is pinned under `tests/golden_emit/`. The fixtures were captured
 //! from the hand-written program builders *before* `usecases.rs` and
 //! `mislabeled.rs` were rewired onto the shared

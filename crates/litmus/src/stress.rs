@@ -114,7 +114,7 @@ const COUNTER_ROUNDS: usize = 2;
 /// The compound memoization workload: a seqlock writer/reader pair
 /// sharing the machine with two counter workers. Thread 0 publishes a
 /// speculative payload under a paired seqlock; threads 1–2 each run
-/// [`COUNTER_ROUNDS`] rounds of bump-the-commutative-counter plus five
+/// `COUNTER_ROUNDS` rounds of bump-the-commutative-counter plus five
 /// idempotent paired `tick <- 1` progress signals, then raise a paired
 /// done flag; thread 3 runs the full seqlock check-read-recheck dance
 /// and then joins on both done flags before reading the counter as

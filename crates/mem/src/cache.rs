@@ -4,15 +4,6 @@
 use crate::LineAddr;
 use std::fmt::Debug;
 
-/// Identifies a line within the array (set, way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineId {
-    /// Set index.
-    pub set: usize,
-    /// Way within the set.
-    pub way: usize,
-}
-
 /// Cache geometry.
 #[derive(Debug, Clone)]
 pub struct CacheParams {
@@ -38,19 +29,6 @@ impl CacheParams {
     }
 }
 
-/// Hit/miss statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheStats {
-    /// Lookups that hit.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Lines evicted to make room.
-    pub evictions: u64,
-    /// Lines invalidated by flash/self-invalidation.
-    pub invalidations: u64,
-}
-
 #[derive(Debug, Clone)]
 struct Way<S> {
     tag: LineAddr,
@@ -72,7 +50,9 @@ pub struct EvictedLine<S> {
 ///
 /// The array is purely structural: protocols decide what states mean,
 /// which lines are victims (`insert` evicts LRU) and what to do with
-/// evicted state.
+/// evicted state, and the memory system that drives it counts and
+/// traces hits, misses and invalidations. The array keeps no
+/// statistics.
 ///
 /// The set table is allocated at the first insert, not in
 /// [`Cache::new`], and [`Cache::reset`] empties it in place instead of
@@ -101,8 +81,6 @@ pub struct EvictedLine<S> {
 /// assert!(l1.lookup(LineAddr(7)).is_none());
 /// l1.insert(LineAddr(7), true);
 /// assert_eq!(l1.lookup(LineAddr(7)), Some(&mut true));
-/// assert_eq!(l1.stats().misses, 1);
-/// assert_eq!(l1.stats().hits, 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache<S> {
@@ -111,7 +89,6 @@ pub struct Cache<S> {
     /// Bit `g`: set group `g` may hold a line (see [`Cache`]).
     occupied: u64,
     clock: u64,
-    stats: CacheStats,
 }
 
 type Va<S> = Vec<Way<S>>;
@@ -120,25 +97,19 @@ impl<S: Clone + Debug> Cache<S> {
     /// Create an empty cache. Allocates nothing: the set table is built
     /// by the first insert (see [`Cache`]).
     pub fn new(params: CacheParams) -> Cache<S> {
-        let mut cache = Cache {
-            params: params.clone(),
-            sets: Vec::new(),
-            occupied: 0,
-            clock: 0,
-            stats: CacheStats::default(),
-        };
+        let mut cache = Cache { params: params.clone(), sets: Vec::new(), occupied: 0, clock: 0 };
         cache.reset(&params);
         cache
     }
 
     /// Return to the empty cache a fresh [`Cache::new`] with `params`
-    /// builds: no lines, LRU clock and statistics zero. Clears only the
+    /// builds: no lines, LRU clock zero. Clears only the
     /// set groups the occupancy summary marks and keeps their storage;
     /// a table longer than `params.sets` is cut to it, and a shorter one
     /// grows at the next insert.
     pub fn reset(&mut self, params: &CacheParams) {
         let group_sets = self.group_sets();
-        let Cache { params: p, sets, occupied, clock, stats } = self;
+        let Cache { params: p, sets, occupied, clock } = self;
         while *occupied != 0 {
             let first = occupied.trailing_zeros() as usize * group_sets;
             *occupied &= *occupied - 1;
@@ -148,7 +119,6 @@ impl<S: Clone + Debug> Cache<S> {
         sets.truncate(params.sets);
         p.clone_from(params);
         *clock = 0;
-        *stats = CacheStats::default();
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
@@ -160,26 +130,17 @@ impl<S: Clone + Debug> Cache<S> {
         self.params.sets.div_ceil(u64::BITS as usize)
     }
 
-    /// Look up a line; hits bump LRU. Counted in the statistics.
+    /// Look up a line; hits bump LRU.
     pub fn lookup(&mut self, line: LineAddr) -> Option<&mut S> {
         self.clock += 1;
         let clock = self.clock;
         let set = self.set_of(line);
-        let found = self.sets.get_mut(set).and_then(|ways| ways.iter_mut().find(|w| w.tag == line));
-        match found {
-            Some(w) => {
-                w.lru = clock;
-                self.stats.hits += 1;
-                Some(&mut w.state)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let w = self.sets.get_mut(set)?.iter_mut().find(|w| w.tag == line)?;
+        w.lru = clock;
+        Some(&mut w.state)
     }
 
-    /// Peek without touching LRU or statistics.
+    /// Peek without touching LRU.
     pub fn peek(&self, line: LineAddr) -> Option<&S> {
         let set = self.set_of(line);
         self.sets.get(set)?.iter().find(|w| w.tag == line).map(|w| &w.state)
@@ -227,7 +188,6 @@ impl<S: Clone + Debug> Cache<S> {
                     .map(|(i, _)| i)
                     .expect("set is full")
             });
-        self.stats.evictions += 1;
         let old =
             std::mem::replace(&mut self.sets[set][victim], Way { tag: line, state, lru: clock });
         Some(EvictedLine { line: old.tag, state: old.state })
@@ -274,7 +234,6 @@ impl<S: Clone + Debug> Cache<S> {
                 self.occupied &= !(1 << g);
             }
         }
-        self.stats.invalidations += n;
         n
     }
 
@@ -291,11 +250,6 @@ impl<S: Clone + Debug> Cache<S> {
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -319,25 +273,21 @@ mod tests {
         let mut c = tiny();
         c.insert(LineAddr(4), 7);
         assert_eq!(c.lookup(LineAddr(4)), Some(&mut 7));
-        assert_eq!(c.stats().hits, 1);
     }
 
     #[test]
     fn miss_on_absent() {
         let mut c = tiny();
         assert_eq!(c.lookup(LineAddr(4)), None);
-        assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
     fn untouched_cache_reads_as_empty() {
         let mut c = tiny();
         assert_eq!(c.lookup(LineAddr(4)), None);
-        assert_eq!(c.stats().misses, 1);
         assert_eq!(c.peek(LineAddr(4)), None);
         assert_eq!(c.remove(LineAddr(4)), None);
         assert_eq!(c.invalidate_where(|_, _| true), 0);
-        assert_eq!(c.stats().invalidations, 0);
         assert_eq!(c.len(), 0);
         assert!(c.is_empty());
         assert_eq!(c.iter().count(), 0);
@@ -392,7 +342,6 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(c.len(), 1);
         assert!(c.peek(LineAddr(1)).is_some());
-        assert_eq!(c.stats().invalidations, 2);
     }
 
     #[test]
@@ -427,7 +376,6 @@ mod tests {
         ] {
             c.reset(&params);
             assert!(c.is_empty());
-            assert_eq!(c.stats().hits + c.stats().misses + c.stats().evictions, 0);
             let mut fresh: Cache<u8> = Cache::new(params.clone());
             for line in [0, 2, 4, 199, 0, 330] {
                 assert_eq!(c.lookup(LineAddr(line)), fresh.lookup(LineAddr(line)));
@@ -436,7 +384,6 @@ mod tests {
             }
             let lines = |c: &Cache<u8>| c.iter().map(|(l, _)| l).collect::<Vec<_>>();
             assert_eq!(lines(&c), lines(&fresh), "{params:?}");
-            assert_eq!(c.stats().evictions, fresh.stats().evictions);
         }
     }
 }

@@ -27,7 +27,6 @@ impl Default for DramParams {
 pub struct Dram {
     params: DramParams,
     channels: Vec<Resource>,
-    accesses: u64,
 }
 
 impl Dram {
@@ -37,37 +36,30 @@ impl Dram {
     ///
     /// Panics if there are no channels.
     pub fn new(params: DramParams) -> Dram {
-        let mut dram = Dram { params: params.clone(), channels: Vec::new(), accesses: 0 };
+        let mut dram = Dram { params: params.clone(), channels: Vec::new() };
         dram.reset(&params);
         dram
     }
 
     /// Return to the idle DRAM a fresh [`Dram::new`] with `params`
-    /// builds: one idle channel per configured channel, no accesses.
+    /// builds: one idle channel per configured channel.
     ///
     /// # Panics
     ///
     /// Panics if there are no channels.
     pub fn reset(&mut self, params: &DramParams) {
         assert!(params.channels > 0, "DRAM needs channels");
-        let Dram { params: p, channels, accesses } = self;
+        let Dram { params: p, channels } = self;
         p.clone_from(params);
         channels.clear();
         channels.resize_with(params.channels, Resource::new);
-        *accesses = 0;
     }
 
     /// Access the line containing `addr` at `now`; returns completion.
     pub fn access(&mut self, now: Cycle, addr: Addr) -> Cycle {
-        self.accesses += 1;
         let ch = (addr as usize) % self.channels.len();
         let start = self.channels[ch].acquire(now, self.params.occupancy);
         start + self.params.latency
-    }
-
-    /// Total accesses (energy-relevant).
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 }
 
@@ -90,7 +82,6 @@ mod tests {
         assert_eq!(a, 100);
         assert_eq!(b, 110);
         assert_eq!(c, 100);
-        assert_eq!(d.accesses(), 3);
     }
 
     #[test]
@@ -99,7 +90,6 @@ mod tests {
         d.access(0, 0);
         d.access(0, 4);
         d.reset(&DramParams { latency: 100, channels: 2, occupancy: 10 });
-        assert_eq!(d.accesses(), 0);
         assert_eq!(d.access(0, 0), 100, "channel 0 is idle again");
         assert_eq!(d.access(0, 2), 110, "two channels: address 2 shares channel 0");
     }

@@ -7,6 +7,11 @@
 //! advantage (§6.3) — FIFO store buffers, a DRAM timing model, and a
 //! generic busy-until [`Resource`] timeline used for cache ports and
 //! bank arbitration.
+//!
+//! These types model structure and timing only: they keep no
+//! statistics and emit no trace events. The coherence layer that
+//! drives them (`hsim-coherence`'s `MemCore`) counts and traces every
+//! memory-hierarchy event, once, from what their calls return.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,11 +22,11 @@ mod mshr;
 mod resource;
 mod storebuf;
 
-pub use cache::{Cache, CacheParams, CacheStats, EvictedLine, LineId};
+pub use cache::{Cache, CacheParams, EvictedLine};
 pub use dram::{Dram, DramParams};
 pub use mshr::{Mshr, MshrOutcome};
 pub use resource::Resource;
-pub use storebuf::{StoreBuffer, StoreBufferStats};
+pub use storebuf::StoreBuffer;
 
 /// Word-granular memory address (the simulator's unit of data).
 pub type Addr = u64;

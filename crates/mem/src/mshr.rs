@@ -8,7 +8,6 @@
 //! the same address."
 
 use crate::{Cycle, LineAddr};
-use hsim_trace::{EventKind, NoTrace, Trace, TraceEvent};
 
 /// Result of trying to allocate an MSHR entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +23,9 @@ pub enum MshrOutcome {
     Full(Cycle),
 }
 
-/// A fixed-capacity MSHR file keyed by line address.
+/// A fixed-capacity MSHR file keyed by line address. Structure only:
+/// the memory system counts and traces coalesced requests and stalls
+/// from the outcomes [`Mshr::request`] returns.
 ///
 /// Every access asks the file whether its line is in flight, and each
 /// question first retires completed entries. A lower bound on the
@@ -42,7 +43,7 @@ pub enum MshrOutcome {
 /// assert_eq!(mshr.request(5, LineAddr(3)), MshrOutcome::Coalesced(80));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Mshr<T: Trace = NoTrace> {
+pub struct Mshr {
     capacity: usize,
     /// (line, completion cycle) of each outstanding request, one entry
     /// per line, unordered. A request allocated but not yet given its
@@ -51,73 +52,32 @@ pub struct Mshr<T: Trace = NoTrace> {
     /// Lower bound on every completion cycle in `inflight` (`Cycle::MAX`
     /// when empty): [`Mshr::expire`] has nothing to retire before it.
     min_done: Cycle,
-    allocated: u64,
-    coalesced: u64,
-    full_stalls: u64,
-    /// Trace lane (the owning CU).
-    owner: u16,
-    tracer: T,
 }
 
 impl Mshr {
-    /// An untraced MSHR file with `capacity` entries (Table 2: 128).
+    /// An MSHR file with `capacity` entries (Table 2: 128).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Mshr {
-        Mshr::with_tracer(capacity, 0, NoTrace)
-    }
-}
-
-impl<T: Trace> Mshr<T> {
-    /// An MSHR file emitting [`EventKind::MshrCoalesce`] /
-    /// [`EventKind::MshrStall`] events into `tracer` on lane `owner`
-    /// (the CU id).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_tracer(capacity: usize, owner: u16, tracer: T) -> Mshr<T> {
-        let mut mshr = Mshr {
-            capacity,
-            inflight: Vec::new(),
-            min_done: Cycle::MAX,
-            allocated: 0,
-            coalesced: 0,
-            full_stalls: 0,
-            owner,
-            tracer,
-        };
+        let mut mshr = Mshr { capacity, inflight: Vec::new(), min_done: Cycle::MAX };
         mshr.reset(capacity);
         mshr
     }
 
-    /// Return to the empty file of a fresh [`Mshr::with_tracer`] with
-    /// `capacity` entries: nothing in flight, counters zero. Keeps the
-    /// entry storage, the trace lane and the tracer.
+    /// Return to the empty file of a fresh [`Mshr::new`] with
+    /// `capacity` entries: nothing in flight. Keeps the entry storage.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "MSHR needs at least one entry");
-        let Mshr {
-            capacity: cap,
-            inflight,
-            min_done,
-            allocated,
-            coalesced,
-            full_stalls,
-            owner: _,
-            tracer: _,
-        } = self;
+        let Mshr { capacity: cap, inflight, min_done } = self;
         *cap = capacity;
         inflight.clear();
         *min_done = Cycle::MAX;
-        *allocated = 0;
-        *coalesced = 0;
-        *full_stalls = 0;
     }
 
     /// Retire every entry whose request completed at or before `now`.
@@ -141,35 +101,12 @@ impl<T: Trace> Mshr<T> {
     pub fn request(&mut self, now: Cycle, line: LineAddr) -> MshrOutcome {
         self.expire(now);
         if let Some(done) = self.find(line) {
-            self.coalesced += 1;
-            if T::ENABLED {
-                self.tracer.record(TraceEvent::new(
-                    EventKind::MshrCoalesce,
-                    now,
-                    self.owner,
-                    line.0,
-                    0,
-                    done.saturating_sub(now),
-                ));
-            }
             return MshrOutcome::Coalesced(done);
         }
         if self.inflight.len() >= self.capacity {
-            self.full_stalls += 1;
             let earliest = self.inflight.iter().map(|&(_, done)| done).min().unwrap_or(now);
-            if T::ENABLED {
-                self.tracer.record(TraceEvent::new(
-                    EventKind::MshrStall,
-                    now,
-                    self.owner,
-                    line.0,
-                    0,
-                    earliest.saturating_sub(now),
-                ));
-            }
             return MshrOutcome::Full(earliest);
         }
-        self.allocated += 1;
         self.inflight.push((line, Cycle::MAX));
         MshrOutcome::Allocated
     }
@@ -195,11 +132,6 @@ impl<T: Trace> Mshr<T> {
     pub fn live(&self) -> usize {
         self.inflight.len()
     }
-
-    /// (allocated, coalesced, full-stalls) counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.allocated, self.coalesced, self.full_stalls)
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +144,7 @@ mod tests {
         assert_eq!(m.request(0, LineAddr(7)), MshrOutcome::Allocated);
         m.set_completion(LineAddr(7), 100);
         assert_eq!(m.request(1, LineAddr(7)), MshrOutcome::Coalesced(100));
-        assert_eq!(m.counters(), (1, 1, 0));
+        assert_eq!(m.live(), 1);
     }
 
     #[test]
@@ -241,7 +173,7 @@ mod tests {
         assert_eq!(m.request(0, LineAddr(1)), MshrOutcome::Allocated);
         m.set_completion(LineAddr(1), 90);
         m.reset(1);
-        assert_eq!((m.live(), m.counters()), (0, (0, 0, 0)));
+        assert_eq!(m.live(), 0);
         assert_eq!(m.request(0, LineAddr(1)), MshrOutcome::Allocated);
         assert!(matches!(m.request(0, LineAddr(2)), MshrOutcome::Full(_)));
     }

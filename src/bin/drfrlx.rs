@@ -400,19 +400,13 @@ fn cmd_fmt(pos: &[&str]) -> CmdResult {
     ok01(true)
 }
 
-/// The `--config` abbreviation, with `--protocol` optionally
-/// overriding the coherence protocol while keeping the model.
+/// The `--config` abbreviation, else `default`.
 fn parse_config(
     args: &[String],
     default: &str,
 ) -> Result<SystemConfig, Box<dyn std::error::Error>> {
-    let mut config = SystemConfig::from_abbrev(flag_value(args, "--config").unwrap_or(default))
-        .ok_or("unknown config (use GD0..GDR, DD0..DDR or MD0..MDR)")?;
-    if let Some(name) = flag_value(args, "--protocol") {
-        config.protocol =
-            Protocol::from_name(name).ok_or("unknown protocol (use gpu, denovo or mesi-wb)")?;
-    }
-    Ok(config)
+    Ok(SystemConfig::from_abbrev(flag_value(args, "--config").unwrap_or(default))
+        .ok_or("unknown config (use GD0..GDR, DD0..DDR or MD0..MDR)")?)
 }
 
 fn cmd_configs() -> CmdResult {
@@ -496,6 +490,9 @@ fn cmd_conform(args: &[String], pos: &[&str]) -> CmdResult {
             v.parse().ok().filter(|&n| n > 0).ok_or("--schedules needs a positive integer")?;
     }
     if args.iter().any(|a| a == "--config") {
+        if args.iter().any(|a| a == "--protocol" || a == "--model") {
+            return Err("--config names one configuration; drop --protocol and --model".into());
+        }
         opts.configs = vec![parse_config(args, "GD0")?];
     } else {
         if let Some(name) = flag_value(args, "--protocol") {

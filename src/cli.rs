@@ -124,18 +124,15 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     },
     Subcommand {
         name: "simulate",
-        usage: "simulate <workload> [--config GD0..MDR] [--protocol gpu|denovo|mesi-wb]\n\
-                \x20                  [--platform integrated|discrete]",
+        usage: "simulate <workload> [--config GD0..MDR] [--platform integrated|discrete]",
         summary: "run one workload on the simulated system",
         help: "Run one workload on the simulated system and print the report.\n\
-               --protocol overrides the configuration's coherence protocol,\n\
-               keeping its consistency model (e.g. --config GDR --protocol\n\
-               mesi-wb runs MDR).",
+               --config names the protocol × model pair (default DDR; see\n\
+               `drfrlx configs`).",
     },
     Subcommand {
         name: "trace",
-        usage: "trace <workload> [--config GD0..MDR] [--protocol gpu|denovo|mesi-wb]\n\
-                \x20              [--platform integrated|discrete]\n\
+        usage: "trace <workload> [--config GD0..MDR] [--platform integrated|discrete]\n\
                 \x20              [--events N] [--out FILE] [--diff CFG2]",
         summary: "cycle-level structured tracing and profiling",
         help: "Run one workload with cycle-level structured tracing and print a\n\
@@ -181,12 +178,12 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
                Table-1 use-case suite; `templates` runs the richer template\n\
                corpus (bounded polls, think delays, retry loops, scratch +\n\
                barrier histogram); a bare name runs that registry test; a path\n\
-               runs a .litmus file. --config restricts to one configuration\n\
-               (--protocol overrides its coherence protocol); --model keeps\n\
-               only that column of the matrix. --fuzz generates N seeded\n\
-               random programs, conformance-checks each (retrying oracle\n\
-               overflows up a 1x/4x/16x budget ladder before recording the\n\
-               seed as skipped in the summary), and delta-debugs any\n\
+               runs a .litmus file. --config restricts to one configuration;\n\
+               --protocol and --model keep only that row or column of the\n\
+               matrix and cannot be combined with --config. --fuzz generates\n\
+               N seeded random programs, conformance-checks each (retrying\n\
+               oracle overflows up a 1x/4x/16x budget ladder before recording\n\
+               the seed as skipped in the summary), and delta-debugs any\n\
                disagreement down to a minimal reproducer. --timeout-secs sets\n\
                a wall-clock deadline and --chaos-seed injects deterministic\n\
                faults (testing only) in every form; a run that ends short\n\

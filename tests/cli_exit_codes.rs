@@ -205,6 +205,36 @@ fn unknown_flags_and_missing_operands_are_rejected() {
 }
 
 #[test]
+fn a_configuration_is_named_only_by_config() {
+    // Every protocol × model pair has a `--config` name, so `simulate`
+    // and `trace` take no protocol override.
+    for sub in ["simulate", "trace"] {
+        let out = drfrlx(&[sub, "HG", "--config", "GDR", "--protocol", "mesi-wb"]);
+        assert_eq!(code(&out), 2, "{sub}: {}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains(&format!("unknown flag `--protocol` for `{sub}`")), "{err}");
+    }
+    // `conform` keeps `--protocol` and `--model` as matrix filters, and
+    // neither goes with the one configuration `--config` names.
+    for filter in [["--model", "drf1"], ["--protocol", "denovo"]] {
+        let mut args = vec!["conform", "mp_paired", "--config", "GD0", "--schedules", "2"];
+        args.extend(filter);
+        let out = drfrlx(&args);
+        assert_eq!(code(&out), 101, "{args:?}: {}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains("--config names one configuration"), "{err}");
+    }
+    let out = drfrlx(&["conform", "mp_paired", "--protocol", "denovo", "--schedules", "2"]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    let configs: Vec<String> = stdout(&out)
+        .lines()
+        .filter_map(|l| l.strip_prefix("  ")?.split_once(": observed"))
+        .map(|(config, _)| config.to_string())
+        .collect();
+    assert_eq!(configs, ["DD0", "DD1", "DDR"], "{}", stdout(&out));
+}
+
+#[test]
 fn conform_fuzz_exits_0() {
     let run = drfrlx(&["conform", "--fuzz", "2", "--seed", "1", "--schedules", "2"]);
     assert_eq!(code(&run), 0, "{}", String::from_utf8_lossy(&run.stderr));

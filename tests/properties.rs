@@ -349,7 +349,6 @@ fn mshr_matches_naive_reference() {
     struct Reference {
         capacity: usize,
         inflight: Vec<(LineAddr, u64)>,
-        counters: (u64, u64, u64),
     }
     impl Reference {
         fn expire(&mut self, now: u64) {
@@ -361,15 +360,12 @@ fn mshr_matches_naive_reference() {
         fn request(&mut self, now: u64, line: LineAddr) -> MshrOutcome {
             self.expire(now);
             if let Some(done) = self.find(line) {
-                self.counters.1 += 1;
                 return MshrOutcome::Coalesced(done);
             }
             if self.inflight.len() >= self.capacity {
-                self.counters.2 += 1;
                 let earliest = self.inflight.iter().map(|&(_, d)| d).min().unwrap_or(now);
                 return MshrOutcome::Full(earliest);
             }
-            self.counters.0 += 1;
             self.inflight.push((line, u64::MAX));
             MshrOutcome::Allocated
         }
@@ -380,7 +376,7 @@ fn mshr_matches_naive_reference() {
     for case in 0..256 {
         let capacity = 1 + r.below(4) as usize;
         let mut mshr = Mshr::new(capacity);
-        let mut reference = Reference { capacity, inflight: Vec::new(), counters: (0, 0, 0) };
+        let mut reference = Reference { capacity, inflight: Vec::new() };
         for step in 0..64 {
             let now = wandering_now(&mut r);
             let line = LineAddr(r.below(8));
@@ -389,6 +385,7 @@ fn mshr_matches_naive_reference() {
                 0..=7 => {
                     let got = mshr.request(now, line);
                     assert_eq!(got, reference.request(now, line), "request at {at}");
+                    full_stalls += u64::from(matches!(got, MshrOutcome::Full(_)));
                     // Most allocations learn their completion; a few
                     // stay in flight for good.
                     if got == MshrOutcome::Allocated && r.below(8) != 0 {
@@ -418,9 +415,7 @@ fn mshr_matches_naive_reference() {
                 }
             }
             assert_eq!(mshr.live(), reference.inflight.len(), "live after {at}");
-            assert_eq!(mshr.counters(), reference.counters, "counters after {at}");
         }
-        full_stalls += reference.counters.2;
     }
     assert!(full_stalls > 0, "the streams never filled the MSHR file");
 }
@@ -435,10 +430,6 @@ fn store_buffer_matches_naive_reference() {
     struct Reference {
         capacity: usize,
         entries: Vec<(LineAddr, u64)>,
-        stores: u64,
-        coalesced: u64,
-        flushes: u64,
-        stall_cycles: u64,
     }
     impl Reference {
         fn expire(&mut self, now: u64) {
@@ -446,16 +437,13 @@ fn store_buffer_matches_naive_reference() {
         }
         fn push(&mut self, now: u64, line: LineAddr, drain_done: u64) -> u64 {
             self.expire(now);
-            self.stores += 1;
             if let Some(e) = self.entries.iter_mut().find(|(l, _)| *l == line) {
                 e.1 = e.1.max(drain_done);
-                self.coalesced += 1;
                 return now;
             }
             let mut at = now;
             if self.entries.len() >= self.capacity {
                 let oldest = self.entries.iter().map(|&(_, d)| d).min().unwrap_or(now);
-                self.stall_cycles += oldest.saturating_sub(now);
                 at = at.max(oldest);
                 self.expire(at);
             }
@@ -463,9 +451,7 @@ fn store_buffer_matches_naive_reference() {
             at
         }
         fn flush(&mut self, now: u64) -> u64 {
-            self.flushes += 1;
             let done = self.entries.iter().map(|&(_, d)| d).max().unwrap_or(now).max(now);
-            self.stall_cycles += done - now;
             self.entries.clear();
             done
         }
@@ -499,12 +485,6 @@ fn store_buffer_matches_naive_reference() {
                 }
             }
             assert_eq!(sb.len(), reference.entries.len(), "len after {at}");
-            let stats = sb.stats();
-            assert_eq!(
-                (stats.stores, stats.coalesced, stats.flushes, stats.stall_cycles),
-                (reference.stores, reference.coalesced, reference.flushes, reference.stall_cycles),
-                "stats after {at}"
-            );
         }
     }
     assert!(stalled > 0, "the streams never stalled on a full buffer");
@@ -521,7 +501,6 @@ fn cache_invalidation_matches_reference_set() {
         for case in 0..64 {
             let mut cache: Cache<u8> = Cache::new(CacheParams { sets, ways });
             let mut reference: Vec<(u64, u8)> = Vec::new();
-            let mut invalidated = 0;
             // Few lines per case, so most sets stay empty and the
             // summary has groups to skip.
             let lines = 1 + r.below(4 * sets as u64);
@@ -557,7 +536,6 @@ fn cache_invalidation_matches_reference_set() {
                         let before = reference.len();
                         reference.retain(|&(l, s)| !victim(l, s));
                         let dropped = (before - reference.len()) as u64;
-                        invalidated += dropped;
                         assert_eq!(
                             cache.invalidate_where(|l, s| victim(l.0, *s)),
                             dropped,
@@ -570,7 +548,6 @@ fn cache_invalidation_matches_reference_set() {
                 let mut expect = reference.clone();
                 expect.sort_unstable();
                 assert_eq!(resident, expect, "resident lines after {at}");
-                assert_eq!(cache.stats().invalidations, invalidated, "{at}");
             }
         }
     }

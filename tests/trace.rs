@@ -76,6 +76,7 @@ fn event_totals_match_statistics() {
         assert_eq!(count(EventKind::OwnershipTransfer), r.proto.remote_l1_transfers, "{config}");
         assert_eq!(count(EventKind::Writeback), r.proto.writebacks, "{config}");
         assert_eq!(count(EventKind::DramRefill), r.proto.dram_refills, "{config}");
+        assert_eq!(r.counters.dram_accesses, r.proto.dram_refills, "{config}");
         assert_eq!(count(EventKind::AtomicOverlap), r.atomics_overlapped, "{config}");
         assert!(buf.len() <= 64);
         assert_eq!(buf.recorded(), buf.len() as u64 + buf.dropped());
